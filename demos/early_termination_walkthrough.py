@@ -29,7 +29,6 @@ from graphmine.cgspan import (
 )
 from graphmine.dfscode import DFSCode
 from graphmine.embeddings import project_code
-from graphmine.graphs import enumerate_edges
 
 LINE = "=" * 72
 
@@ -101,12 +100,11 @@ def main() -> int:
     print(LINE)
     print("part 2: the same decision replayed call by call")
     print(LINE)
-    ee = enumerate_edges(db)
 
     print(f"\nstored closed graph: {render(CG1, db)}")
     record = ClosedGraphRecord(CG1, project_code(CG1, db), discovery_index=0)
     cght = ClosedGraphHashTable()
-    add_closed_graph(cght, ee, record)
+    add_closed_graph(cght, record)
     print(f"hash table now holds {len(cght)} record under {len(cght.buckets)} keys,")
     print("one key per pattern edge: the set of database edges it maps onto.")
     for key in cght.buckets:
@@ -114,7 +112,7 @@ def main() -> int:
 
     print(f"\ncandidate for termination: {render(DOOMED, db)}")
     projected = project_code(DOOMED, db)
-    terminate, rec, rho = early_termination(DOOMED, projected, cght, ee, db)
+    terminate, rec, rho = early_termination(DOOMED, projected, cght)
     print(f"early_termination -> {terminate}, via stored graph #{rec.discovery_index}, "
           f"vertex map rho={rho}")
     print("every occurrence of the candidate extends to an occurrence of the")

@@ -13,21 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .dfscode import DFSCode, code_less_than_min, code_to_graph, is_min
-from .embeddings import (
-    chain_edges,
-    child_sort_key,
-    containing_graphs,
-    equivalent_occurrence,
-    frequent_single_edges,
-    growth_permitted,
-    project_code,
-    rightmost_extensions,
-    support,
-    vertex_map,
-)
-from .graphs import EdgeEnumeration, GraphDatabase, LabeledGraph, component_of, enumerate_edges, induced_subgraph
-from .gspan import MinedPattern, MiningConfig, MiningStats, _ensure_recursion_headroom, pruned_view
+from .dfscode import DFSCode, code_less_than_min, code_to_graph
+from .embeddings import chain_edges, equivalent_occurrence, vertex_map
+from .graphs import GraphDatabase, LabeledGraph, component_of, induced_subgraph
+from .gspan import MinedPattern, MiningConfig, MiningStats, search
 
 __all__ = [
     "ClosedGraphRecord",
@@ -43,12 +32,12 @@ __all__ = [
 
 
 def create_edge_hash_key(
-    ee: EdgeEnumeration,
     edge: tuple[int, int],
     code: Sequence[Sequence[int]],
     projected: list,
 ) -> frozenset:
-    """The set of database images of one pattern edge under all embeddings.
+    """The set of database images ``(gid, eid)`` of one pattern edge under
+    all embeddings.
 
     ``edge`` names the pattern edge by its dfs vertex pair, in either
     orientation. Keys are order-free, so patterns sharing an edge's entire
@@ -58,21 +47,16 @@ def create_edge_hash_key(
     for pos, t in enumerate(code):
         if frozenset((t[0], t[1])) == want:
             n = len(code)
-            return frozenset(ee.key(c.gid, chain_edges(c, n)[pos][2]) for c in projected)
+            return frozenset((c.gid, chain_edges(c, n)[pos][2]) for c in projected)
     raise ValueError(f"edge {edge!r} is not part of the code")
 
 
 class ClosedGraphRecord:
-    """One discovered closed graph: its code, embeddings, and cached maps.
-
-    ``chains`` is None when the miner was configured not to retain
-    embeddings; they are then rebuilt by projection on each use and the
-    derived maps are not cached.
-    """
+    """One discovered closed graph: its code, embeddings, and cached maps."""
 
     __slots__ = ("code", "chains", "discovery_index", "edge_pos", "_maps_by_gid", "_first")
 
-    def __init__(self, code: DFSCode, chains: list | None, discovery_index: int):
+    def __init__(self, code: DFSCode, chains: list, discovery_index: int):
         self.code = code
         self.chains = chains
         self.discovery_index = discovery_index
@@ -80,22 +64,18 @@ class ClosedGraphRecord:
         self._maps_by_gid = None
         self._first = None
 
-    def materialize(self, db: GraphDatabase):
+    def materialize(self):
         """Vertex maps grouped by graph, plus one fixed reference embedding.
 
         Returns ({gid: [vertex tuple, ...]}, (gid, vertex tuple)).
         """
-        if self._maps_by_gid is not None:
-            return self._maps_by_gid, self._first
-        chains = self.chains if self.chains is not None else project_code(self.code, db)
-        by_gid: dict[int, list] = {}
-        for c in chains:
-            by_gid.setdefault(c.gid, []).append(tuple(vertex_map(self.code, c)))
-        first = (chains[0].gid, by_gid[chains[0].gid][0])
-        if self.chains is not None:
+        if self._maps_by_gid is None:
+            by_gid: dict[int, list] = {}
+            for c in self.chains:
+                by_gid.setdefault(c.gid, []).append(tuple(vertex_map(self.code, c)))
             self._maps_by_gid = by_gid
-            self._first = first
-        return by_gid, first
+            self._first = (self.chains[0].gid, by_gid[self.chains[0].gid][0])
+        return self._maps_by_gid, self._first
 
     def __repr__(self) -> str:
         return f"ClosedGraphRecord(#{self.discovery_index}, {self.code!r})"
@@ -113,31 +93,19 @@ class ClosedGraphHashTable:
     def __len__(self) -> int:
         return len(self.records)
 
-    def get(self, key: frozenset) -> list[ClosedGraphRecord]:
-        return self.buckets.get(key, [])
 
-
-def add_closed_graph(
-    cght: ClosedGraphHashTable,
-    ee: EdgeEnumeration,
-    record: ClosedGraphRecord,
-    projected: list | None = None,
-) -> None:
+def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> None:
     """Index a closed graph under one key per pattern edge.
 
-    ``projected`` supplies the embeddings when the record does not keep its
-    own. A record is referenced at most once per bucket even if two of its
-    edges happen to share an image set.
+    A record is referenced at most once per bucket even if two of its edges
+    happen to share an image set.
     """
-    chains = record.chains if record.chains is not None else projected
-    if chains is None:
-        raise ValueError("embeddings required to compute hash keys")
     n = len(record.code)
     images: list[set] = [set() for _ in range(n)]
-    for c in chains:
+    for c in record.chains:
         edges = chain_edges(c, n)
         for pos in range(n):
-            images[pos].add(ee.key(c.gid, edges[pos][2]))
+            images[pos].add((c.gid, edges[pos][2]))
     for img in images:
         bucket = cght.buckets.setdefault(frozenset(img), [])
         if not any(r is record for r in bucket):
@@ -149,8 +117,6 @@ def early_termination(
     code: Sequence[Sequence[int]],
     projected: list,
     cght: ClosedGraphHashTable,
-    ee: EdgeEnumeration,
-    db: GraphDatabase,
 ) -> tuple[bool, ClosedGraphRecord | None, tuple[int, ...] | None]:
     """Test whether the pattern's branch can be cut.
 
@@ -164,7 +130,7 @@ def early_termination(
     """
     if not cght.records:
         return False, None, None
-    key = frozenset(ee.key(c.gid, c.edge[2]) for c in projected)
+    key = frozenset((c.gid, c.edge[2]) for c in projected)
     bucket = cght.buckets.get(key)
     if not bucket:
         return False, None, None
@@ -172,7 +138,7 @@ def early_termination(
     pairs = [(t[0], t[1]) for t in code]
     fmaps = [(c.gid, tuple(vertex_map(code, c))) for c in projected]
     for record in bucket:
-        by_gid, (ref_gid, ref_map) = record.materialize(db)
+        by_gid, (ref_gid, ref_map) = record.materialize()
         image = set(ref_map)
         inverse = {v: i for i, v in enumerate(ref_map)}
         edge_pos = record.edge_pos
@@ -367,69 +333,39 @@ def mine_closed(
     Mode ``closed_no_etf`` keeps the early-termination pruning but skips
     failure detection and rejection; it can lose closed patterns and
     exists to measure what the failure handling contributes.
+
+    The search is gSpan's: ``enter`` adds the CGHT lookup, rejection and
+    failure detection before a node's children, ``leave`` the closure check
+    and the CGHT insert after them.
     """
     config = config or MiningConfig(mode="closed")
     if config.mode not in ("closed", "closed_no_etf"):
         raise ValueError(f"mine_closed requires mode closed or closed_no_etf, got {config.mode!r}")
     stats = stats if stats is not None else MiningStats()
-    min_freq = config.min_frequency(len(db.graphs))
-    max_edges = config.max_pattern_edges
     use_etf = config.mode == "closed"
-    keep_chains = config.cache_closed_embeddings
-    ee = enumerate_edges(db)
     cght = ClosedGraphHashTable()
     trie = DFSCodeTrie()
-    view = pruned_view(db, min_freq)
-    out: list[MinedPattern] = []
-    _ensure_recursion_headroom()
 
-    def submine(code: list, projected: list) -> None:
-        if not is_min(code):
-            return
-        stats.visited_nodes += 1
-        terminate, record, rho = early_termination(code, projected, cght, ee, db)
+    def enter(code: list, projected: list) -> bool | None:
+        terminate, record, rho = early_termination(code, projected, cght)
         if terminate:
             if use_etf and reject_early_termination(code, record, rho, trie):
                 stats.early_terminations_rejected += 1
             else:
                 stats.early_terminations_applied += 1
-                return
+                return None
         if use_etf:
             detect_etf(code, trie)
-        exts = rightmost_extensions(code, projected, view, restricted=False)
-        if max_edges is None or len(code) < max_edges:
-            children = sorted(
-                (
-                    t
-                    for t, bucket in exts.items()
-                    if growth_permitted(code, t) and support(bucket) >= min_freq
-                ),
-                key=child_sort_key,
-            )
-            for t in children:
-                code.append(t)
-                submine(code, exts[t])
-                code.pop()
+        return terminate
+
+    def leave(code: list, projected: list, exts: dict, covered: bool, emit) -> None:
         # A pattern that triggered termination is covered by a stored
         # closed graph even when the trie forced its branch open.
-        if terminate or any(equivalent_occurrence(projected, b) for b in exts.values()):
+        if covered or any(equivalent_occurrence(projected, b) for b in exts.values()):
             return
-        closed_code = DFSCode(code)
-        rec = ClosedGraphRecord(closed_code, list(projected) if keep_chains else None, len(out))
-        add_closed_graph(cght, ee, rec, projected)
-        out.append(
-            MinedPattern(
-                code=closed_code,
-                support=support(projected),
-                occurrence=len(projected),
-                containing_graphs=containing_graphs(projected),
-                discovery_index=len(out),
-                embeddings=list(projected) if config.emit_embeddings else None,
-            )
-        )
-        stats.pattern_count += 1
+        pattern = emit(code, projected)
+        add_closed_graph(cght, ClosedGraphRecord(pattern.code, projected, pattern.discovery_index))
 
-    for root_code, projected in frequent_single_edges(db, min_freq):
-        submine(list(root_code), projected)
+    out = search(db, config, stats, enter, leave)
     stats.trie_size = len(trie)
     return out

@@ -1,7 +1,7 @@
 """Embedding lists: how patterns touch the database.
 
 An Embedding is one link of a chain: the image of a code's last edge plus a
-reference to the chain for the code's prefix. A pattern's EmbeddingList has
+reference to the chain for the code's prefix. A pattern's embedding list has
 one chain per subgraph isomorphism of the pattern, so ``len`` is the
 occurrence count I(g, D) and distinct graph ids give the support.
 
@@ -33,9 +33,6 @@ class Embedding:
         return f"Embedding(gid={self.gid}, edge={self.edge})"
 
 
-EmbeddingList = list
-
-
 def chain_edges(emb: Embedding, length: int) -> list[tuple[int, int, int, int]]:
     """Materialize a chain into its edge images in code order."""
     edges = [None] * length
@@ -55,10 +52,6 @@ def vertex_map(code: Sequence[Sequence[int]], emb: Embedding) -> list[int]:
         vmap[t[0]] = e[0]
         vmap[t[1]] = e[1]
     return vmap
-
-
-def vertex_maps(code: Sequence[Sequence[int]], projected: list) -> list[list[int]]:
-    return [vertex_map(code, emb) for emb in projected]
 
 
 def support(projected: list) -> int:
@@ -121,7 +114,8 @@ def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCod
 def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
     """All embedding chains of a code, rebuilt from scratch.
 
-    Complete for minimum codes; used where an EmbeddingList was not kept.
+    Complete for minimum codes. The miners grow embeddings from the parent's
+    instead; this serves callers that hold only a code.
     """
     first = code[0]
     flbl, elbl, tlbl = first[2], first[3], first[4]
@@ -155,25 +149,6 @@ def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
     return [s[0] for s in states]
 
 
-def _scan_levels(code: Sequence[Sequence[int]]):
-    """Pattern-side constants for one extension scan."""
-    rmp = rightmost_path(code)
-    positions = rmp.positions
-    maxtoc = rmp.vertices[-1]
-    rm_pos = positions[-1]
-    rmlbl = code[rm_pos][4]
-    min_vlb = code[0][2]
-    back = [
-        (pos, code[pos][0], code[pos][3], code[pos][4] <= rmlbl, code[pos][2])
-        for pos in positions[:-1]
-    ]
-    fwd = [
-        (pos, code[pos][0], code[pos][3], code[pos][4], code[pos][2])
-        for pos in reversed(positions)
-    ]
-    return positions, maxtoc, rm_pos, rmlbl, min_vlb, back, fwd
-
-
 def rightmost_extensions(
     code: Sequence[Sequence[int]],
     projected: list,
@@ -191,7 +166,19 @@ def rightmost_extensions(
     """
     graphs = db.graphs
     m = len(code)
-    positions, maxtoc, rm_pos, rmlbl, min_vlb, back, fwd = _scan_levels(code)
+    positions = rightmost_path(code).positions
+    rm_pos = positions[-1]
+    maxtoc = code[rm_pos][1]
+    rmlbl = code[rm_pos][4]
+    min_vlb = code[0][2]
+    back = [
+        (pos, code[pos][0], code[pos][3], code[pos][4] <= rmlbl, code[pos][2])
+        for pos in positions[:-1]
+    ]
+    fwd = [
+        (pos, code[pos][0], code[pos][3], code[pos][4], code[pos][2])
+        for pos in reversed(positions)
+    ]
     newv = maxtoc + 1
     buckets: dict[tuple, list] = {}
 
@@ -254,24 +241,6 @@ def rightmost_extensions(
                 bucket.append(Embedding(gid, e, emb))
 
     return {EdgeTuple._make(t): b for t, b in buckets.items()}
-
-
-def growth_permitted(code: Sequence[Sequence[int]], t: Sequence[int]) -> bool:
-    """The restricted-scan filter, applied to a single extension tuple."""
-    positions, maxtoc, rm_pos, rmlbl, min_vlb, back, fwd = _scan_levels(code)
-    if t[0] > t[1]:
-        for pos, tgt, e1lbl, alloweq, _ in back:
-            if tgt == t[1]:
-                return t[3] > e1lbl or (t[3] == e1lbl and alloweq)
-        return False
-    if t[4] < min_vlb:
-        return False
-    if t[0] == maxtoc:
-        return True
-    for pos, frm_dfs, e1lbl, e1tolbl, _ in fwd:
-        if frm_dfs == t[0]:
-            return t[3] > e1lbl or (t[3] == e1lbl and t[4] >= e1tolbl)
-    return False
 
 
 def child_sort_key(t: Sequence[int]):

@@ -124,43 +124,6 @@ class GraphDatabase:
         return f"GraphDatabase({len(self.graphs)} graphs)"
 
 
-class EdgeEnumeration:
-    """Total index of every database edge as ``(graph_id, edge_id)`` pairs.
-
-    Every edge of every graph is addressable by the canonical double index;
-    the key of edge j in graph i is exactly ``(i, j)``. Hash keys built from
-    embedding images use these pairs verbatim.
-    """
-
-    __slots__ = ("edge_counts", "total")
-
-    def __init__(self, db: GraphDatabase):
-        self.edge_counts = [g.edge_count for g in db.graphs]
-        self.total = sum(self.edge_counts)
-
-    def key(self, gid: int, eid: int) -> tuple[int, int]:
-        if not (0 <= gid < len(self.edge_counts)) or not (0 <= eid < self.edge_counts[gid]):
-            raise KeyError(f"no edge ({gid}, {eid}) in the database")
-        return (gid, eid)
-
-    def __len__(self) -> int:
-        return self.total
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        gid, eid = pair
-        return 0 <= gid < len(self.edge_counts) and 0 <= eid < self.edge_counts[gid]
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for gid, count in enumerate(self.edge_counts):
-            for eid in range(count):
-                yield (gid, eid)
-
-
-def enumerate_edges(db: GraphDatabase) -> EdgeEnumeration:
-    """Build the total edge index of a database."""
-    return EdgeEnumeration(db)
-
-
 def load_database(path) -> GraphDatabase:
     """Parse a transactional graph file into a GraphDatabase."""
     from .datasets import parse_dataset

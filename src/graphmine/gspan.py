@@ -3,7 +3,8 @@
 The search tree has one node per DFS code; children are right-most
 extensions sorted ascending, and a node is expanded only when its code is
 minimal, so every frequent pattern is visited exactly once, at its
-canonical form, in pre-order.
+canonical form, in pre-order. The closed miner runs the same search with
+hooks around each node.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ class MiningConfig:
     mode: str = "frequent"
     emit_embeddings: bool = False
     max_pattern_edges: int | None = None
-    # Closed mining keeps each stored pattern's embeddings for reuse in the
-    # termination test; False trades that memory for reprojection time.
-    cache_closed_embeddings: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -109,22 +107,14 @@ class _DatabaseView:
         self.original_ids = original_ids
 
 
-def pruned_view(db: GraphDatabase, min_freq: int):
-    """Mask edges whose 1-edge pattern is infrequent.
+def pruned_view(db: GraphDatabase, frequent: set[tuple]):
+    """Mask edges whose ``(label, edge label, label)`` triple is not in
+    ``frequent``, the triples of the frequent 1-edge patterns.
 
     A pattern containing an edge is at most as frequent as that edge's own
     1-edge pattern, so masked edges cannot occur in any frequent pattern and
     extension scans may skip them. Edge ids of surviving edges are untouched.
     """
-    gids: dict[tuple, set[int]] = {}
-    for g in db.graphs:
-        vl = g.vlabels
-        for u, v, elb in g.edges:
-            lu, lv = vl[u], vl[v]
-            trip = (lu, elb, lv) if lu <= lv else (lv, elb, lu)
-            gids.setdefault(trip, set()).add(g.gid)
-    frequent = {t for t, s in gids.items() if len(s) >= min_freq}
-
     graphs = []
     for g in db.graphs:
         vl = g.vlabels
@@ -142,26 +132,39 @@ def pruned_view(db: GraphDatabase, min_freq: int):
     return _DatabaseView(graphs, db.original_ids)
 
 
-def _ensure_recursion_headroom():
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
-
-
-def mine_frequent(
+def search(
     db: GraphDatabase,
-    config: MiningConfig | None = None,
-    stats: MiningStats | None = None,
+    config: MiningConfig,
+    stats: MiningStats,
+    enter=None,
+    leave=None,
 ) -> list[MinedPattern]:
-    """All frequent connected patterns with >= 1 edge, in pre-order."""
-    config = config or MiningConfig()
-    stats = stats if stats is not None else MiningStats()
+    """Depth-first search of the DFS-code tree, one visit per minimal code.
+
+    Without hooks every node is emitted in pre-order and the extension scan
+    is restricted: tuples that can never head a minimal code are not built.
+    Closed mining passes two hooks:
+
+    - ``enter(code, projected)`` runs before the children. It returns None
+      to cut the branch, otherwise whether the pattern is already known not
+      to be closed.
+    - ``leave(code, projected, exts, covered, emit)`` runs after the
+      children, with the node's unrestricted extensions (every bucket, as
+      the closure check needs) and ``enter``'s result. It emits the pattern
+      by calling ``emit(code, projected)``, which returns the MinedPattern.
+
+    Children are the frequent buckets in ascending tuple order; those an
+    unrestricted scan adds fail ``is_min`` before they count as visited.
+    The recursion limit is raised for the search and restored afterwards.
+    """
     min_freq = config.min_frequency(len(db.graphs))
     max_edges = config.max_pattern_edges
-    view = pruned_view(db, min_freq)
+    restricted = leave is None
+    roots = frequent_single_edges(db, min_freq)
+    view = pruned_view(db, {code[0][2:] for code, _ in roots})
     out: list[MinedPattern] = []
-    _ensure_recursion_headroom()
 
-    def emit(code: list, projected: list) -> None:
+    def emit(code: list, projected: list) -> MinedPattern:
         pattern = MinedPattern(
             code=DFSCode(code),
             support=support(projected),
@@ -172,24 +175,47 @@ def mine_frequent(
         )
         out.append(pattern)
         stats.pattern_count += 1
+        return pattern
 
     def submine(code: list, projected: list) -> None:
         if not is_min(code):
             return
         stats.visited_nodes += 1
-        emit(code, projected)
-        if max_edges is not None and len(code) >= max_edges:
+        covered = enter(code, projected) if enter is not None else False
+        if covered is None:
             return
-        exts = rightmost_extensions(code, projected, view, restricted=True)
-        children = sorted(
-            (t for t, bucket in exts.items() if support(bucket) >= min_freq),
-            key=child_sort_key,
-        )
-        for t in children:
-            code.append(t)
-            submine(code, exts[t])
-            code.pop()
+        grow = max_edges is None or len(code) < max_edges
+        if restricted:
+            emit(code, projected)
+            if not grow:
+                return
+        exts = rightmost_extensions(code, projected, view, restricted=restricted)
+        if grow:
+            children = sorted(
+                (t for t, bucket in exts.items() if support(bucket) >= min_freq),
+                key=child_sort_key,
+            )
+            for t in children:
+                code.append(t)
+                submine(code, exts[t])
+                code.pop()
+        if leave is not None:
+            leave(code, projected, exts, covered, emit)
 
-    for root_code, projected in frequent_single_edges(db, min_freq):
-        submine(list(root_code), projected)
+    saved_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved_limit, 20000))
+    try:
+        for root_code, projected in roots:
+            submine(list(root_code), projected)
+    finally:
+        sys.setrecursionlimit(saved_limit)
     return out
+
+
+def mine_frequent(
+    db: GraphDatabase,
+    config: MiningConfig | None = None,
+    stats: MiningStats | None = None,
+) -> list[MinedPattern]:
+    """All frequent connected patterns with >= 1 edge, in pre-order."""
+    return search(db, config or MiningConfig(), stats if stats is not None else MiningStats())

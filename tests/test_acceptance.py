@@ -22,7 +22,6 @@ from graphmine.cgspan import (
 from graphmine.datasets import parse_dataset, parse_dataset_text, write_patterns
 from graphmine.dfscode import DFSCode, is_min, min_dfs_code
 from graphmine.embeddings import project_code, rightmost_extensions
-from graphmine.graphs import enumerate_edges
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import ExtensionKey, all_extensions, total_occurrence, verify_run
 
@@ -105,21 +104,20 @@ def test_hash_key_and_termination_example():
     with criterion("hash key {(0,4),(1,3)} and termination via P1 with rho (0,1,3)"):
         start = time.perf_counter()
         db = parse_dataset_text(SAMPLE_TEXT)
-        ee = enumerate_edges(db)
         mined = mine_closed(
             db, MiningConfig(min_support=2, mode="closed", emit_embeddings=True)
         )
         cght = ClosedGraphHashTable()
         for p in mined:
             add_closed_graph(
-                cght, ee, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
+                cght, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
             )
         alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
         proj = project_code(alpha, db)
-        assert create_edge_hash_key(ee, (1, 2), alpha, proj) == frozenset(
+        assert create_edge_hash_key((1, 2), alpha, proj) == frozenset(
             {(0, 4), (1, 3)}
         )
-        terminate, record, rho = early_termination(alpha, proj, cght, ee, db)
+        terminate, record, rho = early_termination(alpha, proj, cght)
         assert terminate
         assert tuple(map(tuple, record.code)) == tuple(map(tuple, P1))
         assert rho == (0, 1, 3)
@@ -130,14 +128,13 @@ def test_hash_table_state():
     with criterion("closed-graph hash table: 5 keys, {(0,5),(1,4)} holds both"):
         start = time.perf_counter()
         db = parse_dataset_text(SAMPLE_TEXT)
-        ee = enumerate_edges(db)
         mined = mine_closed(
             db, MiningConfig(min_support=2, mode="closed", emit_embeddings=True)
         )
         cght = ClosedGraphHashTable()
         for p in mined:
             add_closed_graph(
-                cght, ee, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
+                cght, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
             )
         names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
         state = {

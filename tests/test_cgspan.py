@@ -17,22 +17,19 @@ from graphmine.cgspan import (
 from graphmine.datasets import parse_dataset_text
 from graphmine.dfscode import DFSCode, code_to_graph
 from graphmine.embeddings import project_code
-from graphmine.graphs import enumerate_edges
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import filter_closed, is_closed, verify_run
 
 from conftest import CG1, CG2, EA, ED, P1, P2, S, W, X, Z, key_set, random_database
 
 
-def build_table(db, patterns):
-    """The hash table a closed run over ``db`` ends with, rebuilt from the
-    mined patterns in discovery order."""
-    ee = enumerate_edges(db)
+def build_table(patterns):
+    """The hash table a closed run ends with, rebuilt from its mined
+    patterns in discovery order."""
     cght = ClosedGraphHashTable()
     for p in patterns:
-        rec = ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
-        add_closed_graph(cght, ee, rec)
-    return ee, cght
+        add_closed_graph(cght, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index))
+    return cght
 
 
 @pytest.fixture
@@ -80,25 +77,6 @@ def test_emission_is_postorder(sample_db, sample_closed):
     assert index[tuple(map(tuple, P1))] < index[tuple(map(tuple, P2))]
 
 
-def test_embedding_cache_flag_does_not_change_output(sample_db, etf_db):
-    for db in (sample_db, etf_db):
-        cached = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
-        lean = mine_closed(
-            db, MiningConfig(min_support=2, mode="closed", cache_closed_embeddings=False)
-        )
-        assert key_set(cached) == key_set(lean)
-        assert [p.discovery_index for p in cached] == [p.discovery_index for p in lean]
-
-    rng = random.Random(31)
-    for _ in range(5):
-        db = random_database(rng)
-        cached = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
-        lean = mine_closed(
-            db, MiningConfig(min_support=2, mode="closed", cache_closed_embeddings=False)
-        )
-        assert key_set(cached) == key_set(lean)
-
-
 def test_closed_set_equals_oracle_filter(sample_db, etf_db):
     for db in (sample_db, etf_db):
         mined = key_set(mine_closed(db, MiningConfig(min_support=2, mode="closed")))
@@ -110,7 +88,7 @@ def test_closed_set_equals_oracle_filter(sample_db, etf_db):
 
 
 def test_hash_table_state_matches_worked_example(sample_db, sample_closed):
-    ee, cght = build_table(sample_db, sample_closed)
+    cght = build_table(sample_closed)
     names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
     state = {
         tuple(sorted(key)): [names[tuple(map(tuple, r.code))] for r in bucket]
@@ -129,60 +107,47 @@ def test_hash_table_state_matches_worked_example(sample_db, sample_closed):
 
 
 def test_create_edge_hash_key_worked_example(sample_db):
-    ee = enumerate_edges(sample_db)
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
     proj = project_code(alpha, sample_db)
-    key = create_edge_hash_key(ee, (1, 2), alpha, proj)
+    key = create_edge_hash_key((1, 2), alpha, proj)
     assert key == frozenset({(0, 4), (1, 3)})
     # Either orientation of the edge pair is accepted.
-    assert create_edge_hash_key(ee, (2, 1), alpha, proj) == key
+    assert create_edge_hash_key((2, 1), alpha, proj) == key
     with pytest.raises(ValueError):
-        create_edge_hash_key(ee, (0, 2), alpha, proj)
+        create_edge_hash_key((0, 2), alpha, proj)
 
 
 def test_record_dedup_within_bucket(sample_db, sample_closed):
-    ee, cght = build_table(sample_db, sample_closed)
+    cght = build_table(sample_closed)
     for bucket in cght.buckets.values():
         assert len({id(r) for r in bucket}) == len(bucket)
-
-
-def test_add_closed_graph_requires_embeddings(sample_db):
-    ee = enumerate_edges(sample_db)
-    rec = ClosedGraphRecord(P2, None, 0)
-    with pytest.raises(ValueError):
-        add_closed_graph(ClosedGraphHashTable(), ee, rec)
 
 
 # ----------------------------------------------------- early termination
 
 
 def test_early_termination_worked_example(sample_db, sample_closed):
-    ee, cght = build_table(sample_db, sample_closed)
+    cght = build_table(sample_closed)
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
     proj = project_code(alpha, sample_db)
-    terminate, record, rho = early_termination(alpha, proj, cght, ee, sample_db)
+    terminate, record, rho = early_termination(alpha, proj, cght)
     assert terminate
     assert tuple(map(tuple, record.code)) == tuple(map(tuple, P1))
     assert rho == (0, 1, 3)
 
 
 def test_early_termination_empty_table(sample_db):
-    ee = enumerate_edges(sample_db)
     alpha = DFSCode([(0, 1, W, EA, X)])
     proj = project_code(alpha, sample_db)
-    assert early_termination(alpha, proj, ClosedGraphHashTable(), ee, sample_db) == (
-        False,
-        None,
-        None,
-    )
+    assert early_termination(alpha, proj, ClosedGraphHashTable()) == (False, None, None)
 
 
 def test_early_termination_key_miss(sample_db, sample_closed):
-    ee, cght = build_table(sample_db, sample_closed)
+    cght = build_table(sample_closed)
     # X-c-S occurs only in graph 0; its edge images hit no stored key.
     alpha = DFSCode([(0, 1, X, 2, S)])
     proj = project_code(alpha, sample_db)
-    assert early_termination(alpha, proj, cght, ee, sample_db)[0] is False
+    assert early_termination(alpha, proj, cght)[0] is False
 
 
 def test_early_termination_no_candidate_when_images_diverge():
@@ -194,14 +159,13 @@ def test_early_termination_no_candidate_when_images_diverge():
         "t # {i}\nv 0 A\nv 1 B\nv 2 C\ne 0 1 x\ne 0 2 y\n".format(i=i) for i in range(3)
     )
     db = parse_dataset_text(text)
-    ee = enumerate_edges(db)
     stored = DFSCode([(0, 1, 0, 1, 2)])  # A-y-C
     rec = ClosedGraphRecord(stored, project_code(stored, db), 0)
     cght = ClosedGraphHashTable()
-    add_closed_graph(cght, ee, rec)
+    add_closed_graph(cght, rec)
     s = DFSCode([(0, 1, 0, 0, 1), (0, 2, 0, 1, 2)])  # A(-x-B)(-y-C)
     proj = project_code(s, db)
-    assert early_termination(s, proj, cght, ee, db) == (False, None, None)
+    assert early_termination(s, proj, cght) == (False, None, None)
     # The oracle agrees nothing covers s.
     assert is_closed(s, db)
 
@@ -226,9 +190,9 @@ def test_early_termination_accepts_equal_vertex_images():
     assert tuple(map(tuple, path)) not in key_set(closed)
     # Direct check: the stored cover terminates the path via an equal-size
     # vertex image.
-    ee, cght = build_table(db, closed)
+    cght = build_table(closed)
     proj = project_code(path, db)
-    terminate, record, rho = early_termination(path, proj, cght, ee, db)
+    terminate, record, rho = early_termination(path, proj, cght)
     assert terminate
     assert record.code.vertex_count == path.vertex_count
     assert sorted(rho) == [0, 1, 2, 3, 4]
@@ -343,16 +307,15 @@ def test_reject_worked_example(etf_db):
     # positions 0 and 2; the full CG1 code is registered, so the walk
     # reaches depth 3 >= n+1 and the termination is rejected.
     db = etf_db
-    ee = enumerate_edges(db)
     rec = ClosedGraphRecord(CG1, project_code(CG1, db), 0)
     cght = ClosedGraphHashTable()
-    add_closed_graph(cght, ee, rec)
+    add_closed_graph(cght, rec)
     trie = DFSCodeTrie()
     assert detect_etf(CG1, trie)
 
     s = DFSCode([(0, 1, 0, 0, 1), (0, 2, 0, 2, 2)])  # X(-a-Y)(-c-Z)
     proj = project_code(s, db)
-    terminate, record, rho = early_termination(s, proj, cght, ee, db)
+    terminate, record, rho = early_termination(s, proj, cght)
     assert terminate and record is rec
     assert rho == (0, 1, 3)
     assert reject_early_termination(s, record, rho, trie)
@@ -360,13 +323,12 @@ def test_reject_worked_example(etf_db):
 
 def test_reject_false_when_trie_lacks_the_prefix(etf_db):
     db = etf_db
-    ee = enumerate_edges(db)
     rec = ClosedGraphRecord(CG1, project_code(CG1, db), 0)
     cght = ClosedGraphHashTable()
-    add_closed_graph(cght, ee, rec)
+    add_closed_graph(cght, rec)
     s = DFSCode([(0, 1, 0, 0, 1), (0, 2, 0, 2, 2)])
     proj = project_code(s, db)
-    terminate, record, rho = early_termination(s, proj, cght, ee, db)
+    terminate, record, rho = early_termination(s, proj, cght)
     assert terminate
 
     empty = DFSCodeTrie()

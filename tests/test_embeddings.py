@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from graphmine.dfscode import DFSCode
+from graphmine.dfscode import DFSCode, is_min
 from graphmine.embeddings import (
     chain_edges,
     child_sort_key,
     containing_graphs,
     equivalent_occurrence,
     frequent_single_edges,
-    growth_permitted,
     occurrence,
     project_code,
     rightmost_extensions,
@@ -100,10 +99,34 @@ def test_restricted_extensions_drop_smaller_vertex_labels(sample_db):
     assert (1, 2, Z, EF, W) in unrestricted
     assert (1, 2, Z, EF, W) not in restricted
     assert restricted < unrestricted
-    for t in unrestricted - restricted:
-        assert not growth_permitted(root, t)
-    for t in restricted:
-        assert growth_permitted(root, t)
+
+
+def assert_restriction_drops_only_non_minimal(db, max_edges=None):
+    """Closed mining scans unrestricted and leaves the extra tuples to
+    is_min: each tuple the restricted scan drops must fail is_min, and each
+    bucket it keeps must hold the same embeddings as the unrestricted one."""
+    config = MiningConfig(min_support=1, max_pattern_edges=max_edges, emit_embeddings=True)
+    for p in mine_frequent(db, config):
+        code = list(p.code)
+        full = rightmost_extensions(code, p.embeddings, db, restricted=False)
+        kept = rightmost_extensions(code, p.embeddings, db, restricted=True)
+        assert kept.keys() <= full.keys()
+        for t, bucket in kept.items():
+            same = [(e.gid, e.edge, id(e.prev)) for e in full[t]]
+            assert [(e.gid, e.edge, id(e.prev)) for e in bucket] == same
+        for t in full.keys() - kept.keys():
+            assert not is_min(code + [t])
+
+
+def test_restricted_scan_drops_only_non_minimal_tuples(sample_db):
+    assert_restriction_drops_only_non_minimal(sample_db)
+
+
+def test_restricted_scan_drops_only_non_minimal_tuples_one_label():
+    rng = random.Random(5)
+    for _ in range(6):
+        db = random_database(rng, n_graphs=3, max_vertices=6, n_vlabels=1, n_elabels=rng.choice([1, 2]))
+        assert_restriction_drops_only_non_minimal(db, max_edges=4)
 
 
 def test_equivalent_occurrence_true_and_false(sample_db):

@@ -1,0 +1,94 @@
+"""Golden output: pattern files, counters and discovery order of every mode.
+
+Each digest covers, for every case of one database group, the serialized
+pattern file, ``MiningStats.as_dict()``, the discovery order and, where
+embeddings are emitted, their vertex maps. The digests were recorded before
+the two miners were folded into one search driver; a refactor must leave
+them unchanged. A change that alters output on purpose re-records them and
+says why.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from graphmine.cgspan import mine_closed
+from graphmine.datasets import parse_dataset_text, write_patterns
+from graphmine.embeddings import vertex_map
+from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
+
+from conftest import ETF_TEXT, SAMPLE_TEXT, random_database
+
+# (min_support, max_pattern_edges, emit_embeddings)
+FIXTURE_CONFIGS = [(1, None, True), (2, None, True), (2, 2, False), (1, 3, False)]
+
+
+def fixture_cases(text):
+    db = parse_dataset_text(text)
+    return [(db, cfg) for cfg in FIXTURE_CONFIGS]
+
+
+def random_cases():
+    """Support 1-3 over one- to three-label alphabets; every fourth case also
+    caps the pattern size and every fifth emits embeddings."""
+    cases = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        nv = rng.choice([1, 2, 3])
+        ne = rng.choice([1, 2])
+        db = random_database(
+            rng, n_graphs=rng.randint(3, 8), max_vertices=rng.randint(4, 9), n_vlabels=nv, n_elabels=ne
+        )
+        max_edges = 3 if seed % 4 == 0 else None
+        cases.append((db, (seed % 3 + 1, max_edges, seed % 5 == 0)))
+    return cases
+
+
+GROUPS = {
+    "sample": lambda: fixture_cases(SAMPLE_TEXT),
+    "etf": lambda: fixture_cases(ETF_TEXT),
+    "random": random_cases,
+}
+
+GOLDEN = {
+    ("sample", "frequent"): "2446fb458bd83ae1d63809606a722c686e53455885a9cfab098bfc961dbd0183",
+    ("sample", "closed"): "939d83d30e120218bd1b9266d10830d063b780b6c2796abf6f5607d3220e85a9",
+    ("sample", "closed_no_etf"): "5fe3d1de5360bfe0012a38af1b71daf02346fbea77ba3550606bcd5d39e43ead",
+    ("etf", "frequent"): "7a660f50790ef100737267898afb249f000d8c929e352569b3a775b6790f8566",
+    ("etf", "closed"): "eb8d4580035706ffaaf2f9c31faa1cd875ffb583ca843042a9629c0157bbddbc",
+    ("etf", "closed_no_etf"): "9627179f8e2aefe6ca30fd0153d565c74d14775808a38c112a20ee3726bca350",
+    ("random", "frequent"): "54fa58e1f9d15a93f746ecaa6f7b2ab969dbd729a1bd6d09c3ae54e8e7e1cd38",
+    ("random", "closed"): "4842806a8089e82d579b7851354f9fa3d42548d87f730703d758ecccaa0949ec",
+    ("random", "closed_no_etf"): "c12b1b14edba97bc50f47d853ccd009dcb564bb893b28d1a8e3d403fb7d58f27",
+}
+
+
+def run_digest(db, mode, min_support, max_edges, emit) -> bytes:
+    config = MiningConfig(min_support=min_support, mode=mode, max_pattern_edges=max_edges, emit_embeddings=emit)
+    stats = MiningStats()
+    mine = mine_frequent if mode == "frequent" else mine_closed
+    patterns = mine(db, config, stats)
+    record = {
+        "patterns": write_patterns(patterns, db),
+        "stats": stats.as_dict(),
+        "order": [[p.discovery_index, [list(t) for t in p.code]] for p in patterns],
+        "embeddings": [
+            [[c.gid, vertex_map(p.code, c)] for c in p.embeddings] if emit else None for p in patterns
+        ],
+    }
+    return json.dumps(record, sort_keys=True).encode()
+
+
+def group_digest(group: str, mode: str) -> str:
+    h = hashlib.sha256()
+    for db, (min_support, max_edges, emit) in GROUPS[group]():
+        h.update(run_digest(db, mode, min_support, max_edges, emit))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_output_matches_golden_digest(group, mode):
+    assert group_digest(group, mode) == GOLDEN[(group, mode)]

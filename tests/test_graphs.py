@@ -1,13 +1,6 @@
 import pytest
 
-from graphmine.graphs import (
-    EdgeEnumeration,
-    GraphDatabase,
-    LabeledGraph,
-    component_of,
-    enumerate_edges,
-    induced_subgraph,
-)
+from graphmine.graphs import GraphDatabase, LabeledGraph, component_of, induced_subgraph
 
 
 def triangle_with_tail() -> LabeledGraph:
@@ -65,17 +58,6 @@ def test_label_names_default_to_str():
     db = GraphDatabase()
     assert db.vertex_label_name(3) == "3"
     assert db.edge_label_name(0) == "0"
-
-
-def test_edge_enumeration_keys(sample_db):
-    ee = enumerate_edges(sample_db)
-    assert isinstance(ee, EdgeEnumeration)
-    assert ee.key(0, 0) == (0, 0)
-    assert ee.key(1, 4) == (1, 4)
-    with pytest.raises(KeyError):
-        ee.key(0, 6)
-    with pytest.raises(KeyError):
-        ee.key(2, 0)
 
 
 def test_component_of_whole_graph():

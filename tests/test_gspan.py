@@ -1,8 +1,10 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
+from graphmine.cgspan import mine_closed
 from graphmine.dfscode import code_to_graph, min_dfs_code
 from graphmine.graphs import LabeledGraph
 from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
@@ -132,3 +134,15 @@ def test_embeddings_only_kept_when_requested(sample_db):
     assert all(p.embeddings is None for p in plain)
     assert all(p.embeddings for p in kept)
     assert all(len(p.embeddings) == p.occurrence for p in kept)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_recursion_limit_is_restored(sample_db, mode):
+    mine = mine_frequent if mode == "frequent" else mine_closed
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        mine(sample_db, MiningConfig(min_support=2, mode=mode))
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
