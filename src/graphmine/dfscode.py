@@ -30,10 +30,6 @@ class EdgeTuple(NamedTuple):
         return self.frm > self.to
 
 
-# Any 5-tuple compares fine; EdgeTuple instances are plain tuples underneath.
-Tuple5 = tuple
-
-
 def tuple_less(a: Sequence[int], b: Sequence[int]) -> bool:
     """Strict order on tuples that can extend one common code position.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .dfscode import DFSCode, EdgeTuple, rightmost_path
+from .dfscode import DFSCode, rightmost_path
 from .graphs import GraphDatabase
 
 
@@ -82,33 +82,31 @@ def equivalent_occurrence(parent_projected: list, child_projected: list) -> bool
 def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCode, list]]:
     """All frequent 1-edge codes with their embeddings, sorted ascending.
 
+    One pass buckets the half-edges by label triple; buckets found in fewer
+    than ``min_freq`` graphs are dropped.
+
     An edge with distinct endpoint labels yields one chain in its canonical
     orientation; equal endpoint labels yield both orientations, matching the
     two isomorphisms of the pattern onto that edge.
     """
-    gids: dict[tuple, set[int]] = {}
-    for g in db.graphs:
-        vl = g.vlabels
-        for u, v, elb in g.edges:
-            lu, lv = vl[u], vl[v]
-            trip = (lu, elb, lv) if lu <= lv else (lv, elb, lu)
-            gids.setdefault(trip, set()).add(g.gid)
-    frequent = {t for t, s in gids.items() if len(s) >= min_freq}
-
-    buckets: dict[tuple, list] = {t: [] for t in sorted(frequent)}
+    buckets: dict[tuple, list] = {}
     for g in db.graphs:
         vl = g.vlabels
         gid = g.gid
-        for u in range(len(vl)):
-            lu = vl[u]
+        for u, lu in enumerate(vl):
             for e in g.adj[u]:
                 lv = vl[e[1]]
-                if lu > lv:
-                    continue
-                trip = (lu, e[3], lv)
-                if trip in frequent:
-                    buckets[trip].append(Embedding(gid, e, None))
-    return [(DFSCode([(0, 1) + trip]), chains) for trip, chains in buckets.items()]
+                if lu <= lv:
+                    trip = (lu, e[3], lv)
+                    bucket = buckets.get(trip)
+                    if bucket is None:
+                        bucket = buckets[trip] = []
+                    bucket.append(Embedding(gid, e, None))
+    return [
+        (DFSCode([(0, 1) + trip]), buckets[trip])
+        for trip in sorted(buckets)
+        if support(buckets[trip]) >= min_freq
+    ]
 
 
 def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
@@ -154,7 +152,7 @@ def rightmost_extensions(
     projected: list,
     db: GraphDatabase,
     restricted: bool = True,
-) -> dict[EdgeTuple, list]:
+) -> dict[tuple, list]:
     """All right-most extension tuples with complete embedding buckets.
 
     Backward edges grow from the right-most vertex to right-most-path
@@ -162,7 +160,7 @@ def rightmost_extensions(
     path vertices and introduce the next dfs id. With ``restricted`` the
     tuple-level growth filters of canonical search are applied, dropping
     extension tuples that can never head a minimal code; each surviving
-    bucket holds every embedding either way.
+    bucket holds every embedding either way. Keys are plain 5-tuples.
     """
     graphs = db.graphs
     m = len(code)
@@ -240,7 +238,7 @@ def rightmost_extensions(
                     bucket = buckets[t] = []
                 bucket.append(Embedding(gid, e, emb))
 
-    return {EdgeTuple._make(t): b for t, b in buckets.items()}
+    return buckets
 
 
 def child_sort_key(t: Sequence[int]):

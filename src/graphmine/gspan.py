@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dfscode import DFSCode, is_min
 from .embeddings import (
@@ -87,51 +87,6 @@ class MiningStats:
         return dict(self.__dict__)
 
 
-class _GraphView:
-    """A graph with part of its adjacency masked out."""
-
-    __slots__ = ("gid", "vlabels", "edges", "adj")
-
-    def __init__(self, g, adj):
-        self.gid = g.gid
-        self.vlabels = g.vlabels
-        self.edges = g.edges
-        self.adj = adj
-
-
-class _DatabaseView:
-    __slots__ = ("graphs", "original_ids")
-
-    def __init__(self, graphs, original_ids):
-        self.graphs = graphs
-        self.original_ids = original_ids
-
-
-def pruned_view(db: GraphDatabase, frequent: set[tuple]):
-    """Mask edges whose ``(label, edge label, label)`` triple is not in
-    ``frequent``, the triples of the frequent 1-edge patterns.
-
-    A pattern containing an edge is at most as frequent as that edge's own
-    1-edge pattern, so masked edges cannot occur in any frequent pattern and
-    extension scans may skip them. Edge ids of surviving edges are untouched.
-    """
-    graphs = []
-    for g in db.graphs:
-        vl = g.vlabels
-        adj = []
-        for u in range(len(vl)):
-            lu = vl[u]
-            kept = []
-            for e in g.adj[u]:
-                lv = vl[e[1]]
-                trip = (lu, e[3], lv) if lu <= lv else (lv, e[3], lu)
-                if trip in frequent:
-                    kept.append(e)
-            adj.append(kept)
-        graphs.append(_GraphView(g, adj))
-    return _DatabaseView(graphs, db.original_ids)
-
-
 def search(
     db: GraphDatabase,
     config: MiningConfig,
@@ -149,19 +104,21 @@ def search(
       to cut the branch, otherwise whether the pattern is already known not
       to be closed.
     - ``leave(code, projected, exts, covered, emit)`` runs after the
-      children, with the node's unrestricted extensions (every bucket, as
-      the closure check needs) and ``enter``'s result. It emits the pattern
-      by calling ``emit(code, projected)``, which returns the MinedPattern.
+      children, with the node's frequent unrestricted extensions and
+      ``enter``'s result. It emits the pattern by calling
+      ``emit(code, projected)``, which returns the MinedPattern.
 
-    Children are the frequent buckets in ascending tuple order; those an
-    unrestricted scan adds fail ``is_min`` before they count as visited.
+    The scan reads ``db`` as given; nothing is copied or pruned up front.
+    Only buckets with enough support are kept: a bucket that extends every
+    embedding has the node's own support, so the closure check loses
+    nothing. Children are the kept buckets in ascending tuple order; those
+    an unrestricted scan adds fail ``is_min`` before they count as visited.
     The recursion limit is raised for the search and restored afterwards.
     """
     min_freq = config.min_frequency(len(db.graphs))
     max_edges = config.max_pattern_edges
     restricted = leave is None
     roots = frequent_single_edges(db, min_freq)
-    view = pruned_view(db, {code[0][2:] for code, _ in roots})
     out: list[MinedPattern] = []
 
     def emit(code: list, projected: list) -> MinedPattern:
@@ -189,13 +146,13 @@ def search(
             emit(code, projected)
             if not grow:
                 return
-        exts = rightmost_extensions(code, projected, view, restricted=restricted)
+        exts = {
+            t: bucket
+            for t, bucket in rightmost_extensions(code, projected, db, restricted).items()
+            if support(bucket) >= min_freq
+        }
         if grow:
-            children = sorted(
-                (t for t, bucket in exts.items() if support(bucket) >= min_freq),
-                key=child_sort_key,
-            )
-            for t in children:
+            for t in sorted(exts, key=child_sort_key):
                 code.append(t)
                 submine(code, exts[t])
                 code.pop()

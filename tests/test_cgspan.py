@@ -419,3 +419,37 @@ def test_closed_mining_matches_oracle_on_random_databases():
         for sup in (2, 3):
             rep = verify_run(db, MiningConfig(min_support=sup, mode="closed"))
             assert rep.ok, "\n".join(rep.lines())
+
+
+# Seeds of the differential fuzz whose closed set differs from the oracle's
+# at support 1 (ROADMAP open item 1); supports 2 and 3 agree.
+SUPPORT_1_SEEDS = (1227, 1307, 5026, 5851, 6013, 6330)
+
+
+def fuzz_database(seed: int):
+    """The fuzz generator, in its exact draw order."""
+    rng = random.Random(seed)
+    nv = rng.choice([1, 2, 3])
+    ne = rng.choice([1, 2])
+    return random_database(
+        rng,
+        n_graphs=rng.randint(3, 8),
+        max_vertices=rng.randint(4, 9),
+        n_vlabels=nv,
+        n_elabels=ne,
+    )
+
+
+SUPPORT_1_DEFECT = pytest.mark.xfail(
+    strict=True, reason="closed patterns lost at support 1 (ROADMAP open item 1)"
+)
+
+
+@pytest.mark.parametrize(
+    "seed,sup",
+    [pytest.param(s, 1, marks=SUPPORT_1_DEFECT) for s in SUPPORT_1_SEEDS]
+    + [(s, sup) for s in SUPPORT_1_SEEDS for sup in (2, 3)],
+)
+def test_fuzz_regression_seeds_match_oracle(seed, sup):
+    rep = verify_run(fuzz_database(seed), MiningConfig(min_support=sup, mode="closed"))
+    assert rep.ok, "\n".join(rep.lines())

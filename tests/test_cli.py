@@ -179,9 +179,17 @@ def test_bench_to_stdout(etf_file, capsys):
 
 
 def test_module_entrypoint(sample_file):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import graphmine
+
+    # The child imports the package this session imported, installed or not.
+    src = str(Path(graphmine.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [
             sys.executable,
@@ -195,6 +203,7 @@ def test_module_entrypoint(sample_file):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("t # 0")

@@ -129,6 +129,34 @@ def test_restricted_scan_drops_only_non_minimal_tuples_one_label():
         assert_restriction_drops_only_non_minimal(db, max_edges=4)
 
 
+def check_infrequent_buckets_not_equivalent(db) -> int:
+    """The search keeps only frequent buckets, closure check included: a
+    bucket below the threshold must never extend every parent embedding.
+    Returns the number of infrequent buckets checked."""
+    infrequent = 0
+    for sup in (2, 3):
+        for p in mine_frequent(db, MiningConfig(min_support=sup, emit_embeddings=True)):
+            exts = rightmost_extensions(list(p.code), p.embeddings, db, restricted=False)
+            for bucket in exts.values():
+                if support(bucket) < sup:
+                    infrequent += 1
+                    assert not equivalent_occurrence(p.embeddings, bucket)
+    return infrequent
+
+
+def test_infrequent_buckets_never_have_equivalent_occurrence(sample_db):
+    assert check_infrequent_buckets_not_equivalent(sample_db) > 0
+
+
+def test_infrequent_buckets_never_have_equivalent_occurrence_one_label():
+    rng = random.Random(11)
+    infrequent = 0
+    for _ in range(6):
+        db = random_database(rng, n_graphs=4, max_vertices=6, n_vlabels=1, n_elabels=rng.choice([1, 2]))
+        infrequent += check_infrequent_buckets_not_equivalent(db)
+    assert infrequent > 0
+
+
 def test_equivalent_occurrence_true_and_false(sample_db):
     root = DFSCode([(0, 1, W, EA, X)])
     proj = project_code(root, sample_db)
