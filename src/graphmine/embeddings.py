@@ -113,38 +113,22 @@ def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
     """All embedding chains of a code, rebuilt from scratch.
 
     Complete for minimum codes. The miners grow embeddings from the parent's
-    instead; this serves callers that hold only a code.
+    instead; this serves callers that hold only a code, growing the chains
+    one tuple at a time through the unrestricted extension scan.
     """
-    first = code[0]
-    flbl, elbl, tlbl = first[2], first[3], first[4]
-    states = []  # (chain, vertex images by dfs id, used edge ids)
-    for g in db.graphs:
-        vl = g.vlabels
-        for v in range(g.vertex_count):
-            if vl[v] != flbl:
-                continue
-            for e in g.adj[v]:
-                if e[3] == elbl and vl[e[1]] == tlbl:
-                    states.append((Embedding(g.gid, e, None), (e[0], e[1]), (e[2],)))
-    for t in code[1:]:
-        grown = []
-        if t[0] < t[1]:
-            for emb, verts, used in states:
-                g = db.graphs[emb.gid]
-                vl = g.vlabels
-                for e in g.adj[verts[t[0]]]:
-                    if e[1] not in verts and e[3] == t[3] and vl[e[1]] == t[4]:
-                        grown.append((Embedding(emb.gid, e, emb), verts + (e[1],), used + (e[2],)))
-        else:
-            for emb, verts, used in states:
-                g = db.graphs[emb.gid]
-                w = verts[t[1]]
-                for e in g.adj[verts[t[0]]]:
-                    if e[1] == w and e[2] not in used and e[3] == t[3]:
-                        grown.append((Embedding(emb.gid, e, emb), verts, used + (e[2],)))
-                        break
-        states = grown
-    return [s[0] for s in states]
+    _, _, flbl, elbl, tlbl = code[0]
+    projected = [
+        Embedding(g.gid, e, None)
+        for g in db.graphs
+        for v, lbl in enumerate(g.vlabels)
+        if lbl == flbl
+        for e in g.adj[v]
+        if e[3] == elbl and g.vlabels[e[1]] == tlbl
+    ]
+    for k in range(1, len(code)):
+        exts = rightmost_extensions(code[:k], projected, db, restricted=False)
+        projected = exts.get(tuple(code[k]), [])
+    return projected
 
 
 def rightmost_extensions(

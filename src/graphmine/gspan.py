@@ -10,7 +10,6 @@ hooks around each node.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .dfscode import DFSCode, is_min
@@ -32,6 +31,7 @@ class MiningConfig:
 
     min_support: a float in (0, 1] is a fraction of the database (threshold
     ceil(fraction * |D|)); an int >= 1 is an absolute graph count.
+    max_pattern_edges: None for no cap, otherwise an int >= 1.
     """
 
     min_support: float | int = 2
@@ -50,6 +50,9 @@ class MiningConfig:
                 raise ValueError("absolute min_support must be >= 1")
         elif not 0.0 < s <= 1.0:
             raise ValueError("fractional min_support must be in (0, 1]")
+        cap = self.max_pattern_edges
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+            raise ValueError(f"max_pattern_edges must be None or an int >= 1, got {cap!r}")
 
     def min_frequency(self, db_size: int) -> int:
         if isinstance(self.min_support, int):
@@ -113,7 +116,6 @@ def search(
     embedding has the node's own support, so the closure check loses
     nothing. Children are the kept buckets in ascending tuple order; those
     an unrestricted scan adds fail ``is_min`` before they count as visited.
-    The recursion limit is raised for the search and restored afterwards.
     """
     min_freq = config.min_frequency(len(db.graphs))
     max_edges = config.max_pattern_edges
@@ -134,38 +136,37 @@ def search(
         stats.pattern_count += 1
         return pattern
 
-    def submine(code: list, projected: list) -> None:
+    # A node pushes its children in reverse so they pop in ascending order;
+    # in closed mode a 4-tuple frame below them runs ``leave`` once the
+    # whole subtree is done.
+    stack: list[tuple] = [(list(c), p) for c, p in reversed(roots)]
+    while stack:
+        node = stack.pop()
+        if len(node) == 4:
+            leave(*node, emit)
+            continue
+        code, projected = node
         if not is_min(code):
-            return
+            continue
         stats.visited_nodes += 1
         covered = enter(code, projected) if enter is not None else False
         if covered is None:
-            return
+            continue
         grow = max_edges is None or len(code) < max_edges
         if restricted:
             emit(code, projected)
             if not grow:
-                return
+                continue
         exts = {
             t: bucket
             for t, bucket in rightmost_extensions(code, projected, db, restricted).items()
             if support(bucket) >= min_freq
         }
-        if grow:
-            for t in sorted(exts, key=child_sort_key):
-                code.append(t)
-                submine(code, exts[t])
-                code.pop()
         if leave is not None:
-            leave(code, projected, exts, covered, emit)
-
-    saved_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(saved_limit, 20000))
-    try:
-        for root_code, projected in roots:
-            submine(list(root_code), projected)
-    finally:
-        sys.setrecursionlimit(saved_limit)
+            stack.append((code, projected, exts, covered))
+        if grow:
+            for t in sorted(exts, key=child_sort_key, reverse=True):
+                stack.append((code + [t], exts[t]))
     return out
 
 

@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from graphmine import gspan
 from graphmine.cgspan import mine_closed
 from graphmine.dfscode import code_to_graph, min_dfs_code
-from graphmine.graphs import LabeledGraph
+from graphmine.graphs import GraphDatabase, LabeledGraph
 from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import enumerate_embeddings
 
@@ -121,6 +122,12 @@ def test_support_must_be_sane():
     assert set(MODES) == {"frequent", "closed", "closed_no_etf"}
 
 
+@pytest.mark.parametrize("cap", [0, -1, True, 1.5, "2"])
+def test_max_pattern_edges_must_be_sane(cap):
+    with pytest.raises(ValueError):
+        MiningConfig(max_pattern_edges=cap)
+
+
 def test_min_frequency_scaling():
     cfg = MiningConfig(min_support=0.1)
     assert cfg.min_frequency(340) == 34
@@ -146,3 +153,47 @@ def test_recursion_limit_is_restored(sample_db, mode):
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_search_leaves_recursion_limit_alone(sample_db, mode, monkeypatch):
+    mine = mine_frequent if mode == "frequent" else mine_closed
+    seen = []
+    real_is_min = gspan.is_min
+
+    def spy(code):
+        seen.append(sys.getrecursionlimit())
+        return real_is_min(code)
+
+    monkeypatch.setattr(gspan, "is_min", spy)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        mine(sample_db, MiningConfig(min_support=2, mode=mode))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert seen and set(seen) == {1000}
+
+
+def test_long_path_mines_under_a_tight_recursion_limit():
+    db = GraphDatabase()
+    for _ in range(2):
+        g = LabeledGraph()
+        for i in range(81):
+            g.add_vertex(i % 3)
+        for i in range(80):
+            g.add_edge(i, i + 1, 0)
+        db.append(g)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        mined = mine_frequent(db, MiningConfig(min_support=2))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert len(mined) == 237
+    assert max(len(p.code) for p in mined) == 80
