@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .dfscode import DFSCode, code_less_than_min, code_to_graph
 from .embeddings import chain_edges, equivalent_occurrence, vertex_map
-from .graphs import GraphDatabase, LabeledGraph, component_of, induced_subgraph
+from .graphs import GraphDatabase, component_of, induced_subgraph, subgraph_isomorphisms
 from .gspan import MinedPattern, MiningConfig, MiningStats, search
 
 __all__ = [
@@ -207,68 +207,6 @@ class DFSCodeTrie:
         return len(code) > 0 and self.walk_depth(code) == len(code)
 
 
-def _embeds_in(pattern: LabeledGraph, host: LabeledGraph) -> bool:
-    """True iff some injective label-preserving map carries pattern edges
-    into host edges. Both graphs are small; plain backtracking suffices."""
-    if pattern.vertex_count > host.vertex_count or pattern.edge_count > host.edge_count:
-        return False
-    # Visit vertices component by component so every vertex after a
-    # component's first touches an already-placed one.
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in range(pattern.vertex_count):
-        if start in seen:
-            continue
-        seen.add(start)
-        order.append(start)
-        i = len(order) - 1
-        while i < len(order):
-            for e in pattern.adj[order[i]]:
-                if e[1] not in seen:
-                    seen.add(e[1])
-                    order.append(e[1])
-            i += 1
-    pos = {v: i for i, v in enumerate(order)}
-    anchors = [
-        [(pos[e[1]], e[3]) for e in pattern.adj[v] if pos[e[1]] < i]
-        for i, v in enumerate(order)
-    ]
-
-    hvl = host.vlabels
-    assign = [-1] * len(order)
-    used: set[int] = set()
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        plbl = pattern.vlabels[order[i]]
-        if anchors[i]:
-            base, base_elb = anchors[i][0]
-            cands = [e[1] for e in host.adj[assign[base]] if e[3] == base_elb]
-            rest = anchors[i][1:]
-        else:
-            cands = list(range(host.vertex_count))
-            rest = anchors[i]
-        for cand in cands:
-            if cand in used or hvl[cand] != plbl:
-                continue
-            ok = True
-            for other, oelb in rest:
-                img = assign[other]
-                if not any(h[1] == img and h[3] == oelb for h in host.adj[cand]):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = cand
-                used.add(cand)
-                if place(i + 1):
-                    return True
-                used.discard(cand)
-        return False
-
-    return place(0)
-
-
 def detect_etf(code: Sequence[Sequence[int]], trie: DFSCodeTrie) -> bool:
     """Register the code when terminating through it could lose patterns.
 
@@ -291,7 +229,7 @@ def detect_etf(code: Sequence[Sequence[int]], trie: DFSCodeTrie) -> bool:
         beta = induced_subgraph(g, component_of(g, rm, removed=w))
         if beta.edge_count == 0:
             continue
-        if _embeds_in(beta, parent):
+        if next(subgraph_isomorphisms(beta, parent), None) is not None:
             continue
         if code_less_than_min(code, beta):
             trie.insert(code)

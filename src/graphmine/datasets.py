@@ -35,7 +35,7 @@ def parse_dataset(source: str | Path | TextIO) -> GraphDatabase:
     """Parse a transactional graph file into a GraphDatabase."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return parse_dataset(fh)
+            return _parse(fh)
     return _parse(source)
 
 

@@ -79,9 +79,6 @@ class DFSCode(list):
     def to_graph(self) -> LabeledGraph:
         return code_to_graph(self)
 
-    def rightmost_path(self) -> "RightMostPath":
-        return rightmost_path(self)
-
     def __repr__(self) -> str:
         return "DFSCode(" + ", ".join(repr(tuple(t)) for t in self) + ")"
 

@@ -156,3 +156,80 @@ def induced_subgraph(g: LabeledGraph, vertices: set[int]) -> LabeledGraph:
         if u in vertices and v in vertices:
             sub.add_edge(remap[u], remap[v], elb)
     return sub
+
+
+def subgraph_isomorphisms(pattern: LabeledGraph, host: LabeledGraph) -> Iterator[tuple[int, ...]]:
+    """Every injective, label-preserving map carrying pattern edges to host
+    edges, as a tuple of host vertices indexed by pattern vertex.
+
+    Pattern vertices are placed in breadth-first order from vertex 0, each
+    next to an already-placed neighbour, so ids need not follow discovery
+    order. Each placed vertex keeps its untried candidates on an explicit
+    stack; the pattern's size never meets the recursion limit. Raises
+    ValueError when the pattern is empty or disconnected.
+    """
+    n = pattern.vertex_count
+    if not n:
+        raise ValueError("pattern has no vertices")
+    order = [0]
+    rank = {0: 0}
+    for u in order:  # grows while read: a breadth-first queue
+        for _, to, _, _ in pattern.adj[u]:
+            if to not in rank:
+                rank[to] = len(order)
+                order.append(to)
+    if len(order) < n:
+        raise ValueError("pattern is not connected")
+    if n > host.vertex_count or pattern.edge_count > host.edge_count:
+        return
+    # Per position: (vertex, label, base, base edge label, other anchors).
+    # Anchors are the earlier-placed neighbours as (vertex, edge label);
+    # candidates are read off the host half-edges at the first one's
+    # image, and must reach the images of the others.
+    plan = []
+    for i, v in enumerate(order):
+        anchors = [(to, elb) for _, to, _, elb in pattern.adj[v] if rank[to] < i]
+        base, want = anchors[0] if anchors else (-1, None)
+        plan.append((v, pattern.vlabels[v], base, want, anchors[1:]))
+    hvl, hadj = host.vlabels, host.adj
+    assign = [-1] * n
+    used: set[int] = set()
+    # Position 0 has no anchor: it reads stand-in half-edges, one per host
+    # vertex, carrying the edge label None that its plan asks for.
+    stack = [iter([(h, h, -1, None) for h in range(host.vertex_count)])]
+    while stack:
+        v, lbl, _, want, rest = plan[len(stack) - 1]
+        used.discard(assign[v])
+        for _, cand, _, elb in stack[-1]:
+            if (
+                elb == want
+                and hvl[cand] == lbl
+                and cand not in used
+                and (not rest or _reaches(hadj[cand], assign, rest))
+            ):
+                break
+        else:
+            assign[v] = -1
+            stack.pop()
+            continue
+        assign[v] = cand
+        if len(stack) == n:
+            yield tuple(assign)
+            continue
+        used.add(cand)
+        base = plan[len(stack)][2]
+        stack.append(iter(hadj[assign[base]]))
+
+
+def _reaches(half_edges, assign: list[int], anchors: list[tuple[int, int]]) -> bool:
+    """True iff, for each anchor (vertex, edge label), some half-edge leads
+    to the anchor's image with that label. Plain loops: generator
+    expressions here made full enumeration about 1.5x slower."""
+    for u, elb in anchors:
+        img = assign[u]
+        for h in half_edges:
+            if h[1] == img and h[3] == elb:
+                break
+        else:
+            return False
+    return True

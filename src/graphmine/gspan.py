@@ -176,4 +176,7 @@ def mine_frequent(
     stats: MiningStats | None = None,
 ) -> list[MinedPattern]:
     """All frequent connected patterns with >= 1 edge, in pre-order."""
-    return search(db, config or MiningConfig(), stats if stats is not None else MiningStats())
+    config = config or MiningConfig()
+    if config.mode != "frequent":
+        raise ValueError(f"mine_frequent requires mode frequent, got {config.mode!r}")
+    return search(db, config, stats if stats is not None else MiningStats())

@@ -1,9 +1,12 @@
 """Brute-force closure oracle.
 
-Everything here recomputes embeddings by plain backtracking over the
-database, sharing nothing with the miners' projection or pruning machinery
-beyond the graph containers and canonical forms. Intended for verification
-at desk scale, not for large datasets.
+Everything here recomputes embeddings from scratch with
+``graphs.subgraph_isomorphisms`` over the whole database. With the miners
+it shares only the graph containers, that subgraph matcher (also the
+closed miner's failure-detection witness test) and canonical forms; it
+uses none of their embedding chains, right-most extension scan, closed-graph
+hash table or DFS-code trie. Intended for verification at desk scale, not
+for large datasets.
 """
 
 from __future__ import annotations
@@ -12,62 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .dfscode import DFSCode, code_to_graph
-from .graphs import GraphDatabase, LabeledGraph
-
-
-def enumerate_embeddings(pattern: LabeledGraph, g: LabeledGraph) -> list[tuple[int, ...]]:
-    """Every injective label-preserving map carrying pattern edges to edges.
-
-    Pattern vertex k > 0 must be adjacent to some vertex < k, which holds
-    for any graph built from a DFS code.
-    """
-    n = pattern.vertex_count
-    anchors: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (earlier vertex, elb)
-    for u, v, elb in pattern.edges:
-        hi, lo = (u, v) if u > v else (v, u)
-        anchors[hi].append((lo, elb))
-    for k in range(1, n):
-        if not anchors[k]:
-            raise ValueError("pattern vertex ids do not follow discovery order")
-
-    results: list[tuple[int, ...]] = []
-    assign: list[int] = [-1] * n
-    used: set[int] = set()
-    vl = g.vlabels
-
-    def place(k: int) -> None:
-        if k == n:
-            results.append(tuple(assign))
-            return
-        plbl = pattern.vlabels[k]
-        base, base_elb = anchors[k][0]
-        for frm, cand, eid, elb in g.adj[assign[base]]:
-            if elb != base_elb or cand in used or vl[cand] != plbl:
-                continue
-            ok = True
-            for other, oelb in anchors[k][1:]:
-                img = assign[other]
-                for e in g.adj[cand]:
-                    if e[1] == img and e[3] == oelb:
-                        break
-                else:
-                    ok = False
-                    break
-            if ok:
-                assign[k] = cand
-                used.add(cand)
-                place(k + 1)
-                used.discard(cand)
-        assign[k] = -1
-
-    p0 = pattern.vlabels[0]
-    for v in range(g.vertex_count):
-        if vl[v] == p0:
-            assign[0] = v
-            used.add(v)
-            place(1)
-            used.discard(v)
-    return results
+from .graphs import GraphDatabase, subgraph_isomorphisms
 
 
 class ExtensionKey(NamedTuple):
@@ -110,7 +58,7 @@ def all_extensions(code: Sequence[Sequence[int]], db: GraphDatabase) -> dict[Ext
 
     for g in db.graphs:
         vl = g.vlabels
-        for fmap in enumerate_embeddings(pattern, g):
+        for fmap in subgraph_isomorphisms(pattern, g):
             parent = (g.gid, fmap)
             image = set(fmap)
             inverse = {img: k for k, img in enumerate(fmap)}
@@ -133,13 +81,12 @@ def all_extensions(code: Sequence[Sequence[int]], db: GraphDatabase) -> dict[Ext
 
 def total_occurrence(code: Sequence[Sequence[int]], db: GraphDatabase) -> int:
     pattern = code_to_graph(code)
-    return sum(len(enumerate_embeddings(pattern, g)) for g in db.graphs)
+    return sum(1 for g in db.graphs for _ in subgraph_isomorphisms(pattern, g))
 
 
 def is_closed(code: Sequence[Sequence[int]], db: GraphDatabase) -> bool:
     """True iff no one-edge extension has equivalent occurrence."""
-    pattern = code_to_graph(code)
-    total = sum(len(enumerate_embeddings(pattern, g)) for g in db.graphs)
+    total = total_occurrence(code, db)
     for ext in all_extensions(code, db).values():
         if len(ext.covered_parents) == total:
             return False

@@ -6,7 +6,6 @@ from graphmine.cgspan import (
     ClosedGraphHashTable,
     ClosedGraphRecord,
     DFSCodeTrie,
-    _embeds_in,
     add_closed_graph,
     create_edge_hash_key,
     detect_etf,
@@ -17,6 +16,7 @@ from graphmine.cgspan import (
 from graphmine.datasets import parse_dataset_text
 from graphmine.dfscode import DFSCode, code_to_graph
 from graphmine.embeddings import project_code
+from graphmine.graphs import subgraph_isomorphisms
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import filter_closed, is_closed, verify_run
 
@@ -351,29 +351,40 @@ def test_etf_db_end_to_end_rejection_path(etf_db):
     assert stats_off.trie_size == 0
 
 
-# ------------------------------------------------------------- _embeds_in
+# ------------------------------------------------- ETF witness containment
+
+
+def embeds_in(pattern, host) -> bool:
+    """The witness test of ``detect_etf``: does pattern embed in host?"""
+    return next(subgraph_isomorphisms(pattern, host), None) is not None
 
 
 def test_embeds_in_label_sensitive():
     host = code_to_graph(CG1)
-    assert _embeds_in(code_to_graph(DFSCode([(0, 1, 0, 0, 1)])), host)  # X-a-Y
-    assert not _embeds_in(code_to_graph(DFSCode([(0, 1, 0, 3, 1)])), host)  # X-d-Y
-    assert _embeds_in(host, host)
+    assert embeds_in(code_to_graph(DFSCode([(0, 1, 0, 0, 1)])), host)  # X-a-Y
+    assert not embeds_in(code_to_graph(DFSCode([(0, 1, 0, 3, 1)])), host)  # X-d-Y
+    assert embeds_in(host, host)
     bigger = code_to_graph(CG2)
-    assert not _embeds_in(bigger, code_to_graph(DFSCode([(0, 1, 0, 0, 1)])))
+    assert not embeds_in(bigger, code_to_graph(DFSCode([(0, 1, 0, 0, 1)])))
 
 
 def test_embeds_in_requires_injectivity():
-    # Two disjoint X-a-Y edges cannot embed into a single edge.
+    # Two disjoint X-a-Y edges form a disconnected pattern, which the
+    # matcher refuses whatever the host. Injectivity itself is pinned by
+    # test_oracle.py::test_embeddings_respect_injectivity.
     pattern = parse_dataset_text(
         "t # 0\nv 0 X\nv 1 Y\nv 2 X\nv 3 Y\ne 0 1 a\ne 2 3 a\n"
     ).graphs[0]
     host = parse_dataset_text("t # 0\nv 0 X\nv 1 Y\ne 0 1 a\n").graphs[0]
-    assert not _embeds_in(pattern, host)
-    host2 = parse_dataset_text(
-        "t # 0\nv 0 X\nv 1 Y\nv 2 X\nv 3 Y\ne 0 1 a\ne 2 3 a\n"
-    ).graphs[0]
-    assert _embeds_in(pattern, host2)
+    with pytest.raises(ValueError):
+        embeds_in(pattern, host)
+    with pytest.raises(ValueError):
+        embeds_in(pattern, pattern)
+    # Connected: Y-a-X-a-Y needs two distinct Ys, and the host has one.
+    spokes = parse_dataset_text("t # 0\nv 0 Y\nv 1 X\nv 2 Y\ne 0 1 a\ne 1 2 a\n").graphs[0]
+    host3 = parse_dataset_text("t # 0\nv 0 X\nv 1 Y\nv 2 Z\ne 0 1 a\ne 0 2 a\n").graphs[0]
+    assert not embeds_in(spokes, host3)
+    assert embeds_in(spokes, spokes)
 
 
 def test_leaf_deletion_failure_regression():

@@ -1,6 +1,16 @@
+from itertools import permutations
+
 import pytest
 
-from graphmine.graphs import GraphDatabase, LabeledGraph, component_of, induced_subgraph
+from graphmine.graphs import (
+    GraphDatabase,
+    LabeledGraph,
+    component_of,
+    induced_subgraph,
+    subgraph_isomorphisms,
+)
+
+from conftest import connected_labeled_graphs
 
 
 def triangle_with_tail() -> LabeledGraph:
@@ -91,3 +101,59 @@ def test_induced_subgraph_single_vertex():
     g = triangle_with_tail()
     sub = induced_subgraph(g, {3})
     assert sub.vertex_count == 1 and sub.edge_count == 0
+
+
+def build(vlabels, edges) -> LabeledGraph:
+    g = LabeledGraph()
+    for lbl in vlabels:
+        g.add_vertex(lbl)
+    for u, v, lbl in edges:
+        g.add_edge(u, v, lbl)
+    return g
+
+
+def brute_isomorphisms(pattern: LabeledGraph, host: LabeledGraph) -> list[tuple[int, ...]]:
+    """Every injective vertex map, by trying each ordered choice of host
+    vertices, kept when labels and labeled edges carry over."""
+    host_edges = {frozenset((u, v)): lbl for u, v, lbl in host.edges}
+    out = []
+    for image in permutations(range(host.vertex_count), pattern.vertex_count):
+        if any(host.vlabels[h] != lbl for h, lbl in zip(image, pattern.vlabels)):
+            continue
+        if all(host_edges.get(frozenset((image[u], image[v]))) == lbl for u, v, lbl in pattern.edges):
+            out.append(image)
+    return out
+
+
+def test_subgraph_isomorphisms_match_brute_force():
+    hosts = [
+        # triangle with tail, two labels
+        build([0, 1, 1, 0], [(0, 1, 0), (1, 2, 1), (0, 2, 0), (2, 3, 1)]),
+        # K4 with mixed labels
+        build([0, 0, 1, 1], [(0, 1, 0), (0, 2, 1), (0, 3, 0), (1, 2, 0), (1, 3, 1), (2, 3, 0)]),
+        # one-label 5-cycle with a chord: many automorphic images
+        build([0] * 5, [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 0, 0), (0, 2, 0)]),
+        # star around a label-1 centre with a pendant path
+        build([1, 0, 0, 1, 0], [(0, 1, 0), (0, 2, 1), (0, 3, 0), (3, 4, 1)]),
+    ]
+    found = 0
+    for pattern in connected_labeled_graphs(max_edges=3):
+        for host in hosts:
+            got = list(subgraph_isomorphisms(pattern, host))
+            assert sorted(got) == brute_isomorphisms(pattern, host)
+            found += len(got)
+    assert found > 1000
+
+
+def test_subgraph_isomorphisms_ignore_vertex_order():
+    # The path 0-2-1: vertex 1 is not adjacent to vertex 0, so ids do not
+    # follow discovery order. Both readings of the path are still found.
+    path = build([0, 0, 0], [(1, 2, 0), (0, 2, 0)])
+    assert sorted(subgraph_isomorphisms(path, path)) == [(0, 1, 2), (1, 0, 2)]
+
+
+def test_subgraph_isomorphisms_reject_an_empty_pattern():
+    # Disconnected patterns are rejected too (test_oracle.py,
+    # test_cgspan.py::test_embeds_in_requires_injectivity).
+    with pytest.raises(ValueError):
+        next(subgraph_isomorphisms(LabeledGraph(), triangle_with_tail()))

@@ -7,9 +7,9 @@ import pytest
 from graphmine import gspan
 from graphmine.cgspan import mine_closed
 from graphmine.dfscode import code_to_graph, min_dfs_code
-from graphmine.graphs import GraphDatabase, LabeledGraph
+from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
-from graphmine.oracle import enumerate_embeddings
+from graphmine.oracle import verify_run
 
 from conftest import key_set, random_database
 
@@ -42,7 +42,7 @@ def brute_frequent_codes(db, min_freq: int) -> set[tuple]:
     out = set()
     for code in candidates:
         pattern = code_to_graph(code)
-        found = sum(1 for g in db if enumerate_embeddings(pattern, g))
+        found = sum(1 for g in db if next(subgraph_isomorphisms(pattern, g), None) is not None)
         if found >= min_freq:
             out.add(code)
     return out
@@ -128,6 +128,12 @@ def test_max_pattern_edges_must_be_sane(cap):
         MiningConfig(max_pattern_edges=cap)
 
 
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_mine_frequent_rejects_closed_modes(sample_db, mode):
+    with pytest.raises(ValueError):
+        mine_frequent(sample_db, MiningConfig(min_support=2, mode=mode))
+
+
 def test_min_frequency_scaling():
     cfg = MiningConfig(min_support=0.1)
     assert cfg.min_frequency(340) == 34
@@ -175,15 +181,21 @@ def test_search_leaves_recursion_limit_alone(sample_db, mode, monkeypatch):
     assert seen and set(seen) == {1000}
 
 
-def test_long_path_mines_under_a_tight_recursion_limit():
+def path_pair(edges: int) -> GraphDatabase:
+    """Two copies of one path with vertex labels cycling through 0, 1, 2."""
     db = GraphDatabase()
     for _ in range(2):
         g = LabeledGraph()
-        for i in range(81):
+        for i in range(edges + 1):
             g.add_vertex(i % 3)
-        for i in range(80):
+        for i in range(edges):
             g.add_edge(i, i + 1, 0)
         db.append(g)
+    return db
+
+
+def call_under_tight_recursion_limit(fn, *args):
+    """``fn(*args)`` with the recursion limit 40 frames above this call."""
     depth = 0
     frame = sys._getframe()
     while frame is not None:
@@ -192,8 +204,20 @@ def test_long_path_mines_under_a_tight_recursion_limit():
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 40)
     try:
-        mined = mine_frequent(db, MiningConfig(min_support=2))
+        return fn(*args)
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_long_path_mines_under_a_tight_recursion_limit():
+    db = path_pair(80)
+    mined = call_under_tight_recursion_limit(mine_frequent, db, MiningConfig(min_support=2))
     assert len(mined) == 237
     assert max(len(p.code) for p in mined) == 80
+    # Closed mode also runs the failure-detection witness test.
+    closed = call_under_tight_recursion_limit(mine_closed, db, MiningConfig(mode="closed"))
+    assert len(closed) == 27
+    assert max(len(p.code) for p in closed) == 80
+    # The oracle enumerates embeddings of every frequent pattern.
+    report = call_under_tight_recursion_limit(verify_run, path_pair(50))
+    assert report.ok and report.oracle_count == report.mined_count
