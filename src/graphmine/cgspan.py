@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .dfscode import DFSCode, code_less_than_min, code_to_graph
-from .embeddings import chain_edges, equivalent_occurrence, vertex_map
+from .embeddings import equivalent_occurrence, vertex_maps
 from .graphs import GraphDatabase, component_of, induced_subgraph, subgraph_isomorphisms
 from .gspan import MinedPattern, MiningConfig, MiningStats, search
 
@@ -46,8 +46,14 @@ def create_edge_hash_key(
     want = frozenset(edge)
     for pos, t in enumerate(code):
         if frozenset((t[0], t[1])) == want:
-            n = len(code)
-            return frozenset((c.gid, chain_edges(c, n)[pos][2]) for c in projected)
+            hops = range(len(code) - 1 - pos)
+            key = set()
+            for c in projected:
+                gid = c.gid
+                for _ in hops:
+                    c = c.prev
+                key.add((gid, c.edge[2]))
+            return frozenset(key)
     raise ValueError(f"edge {edge!r} is not part of the code")
 
 
@@ -71,8 +77,8 @@ class ClosedGraphRecord:
         """
         if self._maps_by_gid is None:
             by_gid: dict[int, list] = {}
-            for c in self.chains:
-                by_gid.setdefault(c.gid, []).append(tuple(vertex_map(self.code, c)))
+            for c, vmap in zip(self.chains, vertex_maps(self.code, self.chains)):
+                by_gid.setdefault(c.gid, []).append(vmap)
             self._maps_by_gid = by_gid
             self._first = (self.chains[0].gid, by_gid[self.chains[0].gid][0])
         return self._maps_by_gid, self._first
@@ -100,12 +106,13 @@ def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> N
     A record is referenced at most once per bucket even if two of its edges
     happen to share an image set.
     """
-    n = len(record.code)
-    images: list[set] = [set() for _ in range(n)]
+    images: list[set] = [set() for _ in record.code]
+    last_first = images[::-1]
     for c in record.chains:
-        edges = chain_edges(c, n)
-        for pos in range(n):
-            images[pos].add((c.gid, edges[pos][2]))
+        gid = c.gid
+        for img in last_first:
+            img.add((gid, c.edge[2]))
+            c = c.prev
     for img in images:
         bucket = cght.buckets.setdefault(frozenset(img), [])
         if not any(r is record for r in bucket):
@@ -136,7 +143,7 @@ def early_termination(
         return False, None, None
 
     pairs = [(t[0], t[1]) for t in code]
-    fmaps = [(c.gid, tuple(vertex_map(code, c))) for c in projected]
+    fmaps = list(zip([c.gid for c in projected], vertex_maps(code, projected)))
     for record in bucket:
         by_gid, (ref_gid, ref_map) = record.materialize()
         image = set(ref_map)

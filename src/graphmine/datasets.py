@@ -47,6 +47,7 @@ def parse_dataset_text(text: str) -> GraphDatabase:
 def _parse(fh: TextIO) -> GraphDatabase:
     # First pass over records: raw tokens, validated structurally.
     raw: list[tuple[int, list, list]] = []  # (original id, vlines, elines)
+    seen_ids: set[int] = set()
     current = None
     vtokens: list[str] = []
     etokens: list[str] = []
@@ -64,6 +65,9 @@ def _parse(fh: TextIO) -> GraphDatabase:
                 _fail(lineno, f"graph id {parts[2]!r} is not an integer")
             if gid == -1:
                 break
+            if gid in seen_ids:
+                _fail(lineno, f"repeated graph id {gid}")
+            seen_ids.add(gid)
             current = (gid, [], [])
             raw.append(current)
         elif kind == "v":

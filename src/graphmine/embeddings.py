@@ -33,25 +33,37 @@ class Embedding:
         return f"Embedding(gid={self.gid}, edge={self.edge})"
 
 
-def chain_edges(emb: Embedding, length: int) -> list[tuple[int, int, int, int]]:
-    """Materialize a chain into its edge images in code order."""
-    edges = [None] * length
-    node = emb
-    for k in range(length - 1, -1, -1):
-        edges[k] = node.edge
-        node = node.prev
-    return edges
+def vertex_maps(code: Sequence[Sequence[int]], chains: list) -> list[tuple[int, ...]]:
+    """dfs id -> graph vertex, one tuple per chain of a DFS code."""
+    return list(_vertex_maps(code, chains))
 
 
 def vertex_map(code: Sequence[Sequence[int]], emb: Embedding) -> list[int]:
     """dfs id -> graph vertex for one chain."""
-    edges = chain_edges(emb, len(code))
-    n = max(max(t[0], t[1]) for t in code) + 1
-    vmap = [0] * n
-    for t, e in zip(code, edges):
-        vmap[t[0]] = e[0]
-        vmap[t[1]] = e[1]
-    return vmap
+    return list(vertex_maps(code, [emb])[0])
+
+
+def _vertex_maps(code: Sequence[Sequence[int]], chains):
+    """Read each chain in one backward walk.
+
+    In a DFS code vertex 0 and 1 come from the first tuple and every later
+    vertex from the forward tuple that introduces it, so a per-code plan
+    (the dfs id each position introduces, last position first, -1 for
+    backward tuples) says which link holds which image. Maps are yielded
+    one at a time so the extension scan never holds all of them.
+    """
+    vmap = [0] * (max(max(t[0], t[1]) for t in code) + 1)
+    plan = [t[1] if t[0] < t[1] else -1 for t in code[:0:-1]]
+    frm0, to0 = code[0][0], code[0][1]
+    for c in chains:
+        for v in plan:
+            if v >= 0:
+                vmap[v] = c.edge[1]
+            c = c.prev
+        e = c.edge
+        vmap[frm0] = e[0]
+        vmap[to0] = e[1]
+        yield tuple(vmap)
 
 
 def support(projected: list) -> int:
@@ -145,69 +157,64 @@ def rightmost_extensions(
     tuple-level growth filters of canonical search are applied, dropping
     extension tuples that can never head a minimal code; each surviving
     bucket holds every embedding either way. Keys are plain 5-tuples.
+
+    Graphs are simple (``LabeledGraph.add_edge`` rejects repeated edges)
+    and chains injective, so a graph edge between two images belongs to
+    the chain exactly when the code joins their dfs ids: backward targets
+    the code already joins to the right-most vertex are dropped once per
+    code, and no per-embedding set of used edges is kept. One pass over
+    the right-most vertex's adjacency finds its backward and forward
+    edges alike.
     """
     graphs = db.graphs
-    m = len(code)
     positions = rightmost_path(code).positions
-    rm_pos = positions[-1]
-    maxtoc = code[rm_pos][1]
-    rmlbl = code[rm_pos][4]
+    maxtoc = code[positions[-1]][1]
+    rmlbl = code[positions[-1]][4]
     min_vlb = code[0][2]
-    back = [
-        (pos, code[pos][0], code[pos][3], code[pos][4] <= rmlbl, code[pos][2])
+    joined = {t[1] for t in code if t[0] == maxtoc}
+    # backward target dfs id -> (label of the path edge leaving it, whether
+    # an equal edge label may close onto it, the target's own label)
+    back = {
+        code[pos][0]: (code[pos][3], code[pos][4] <= rmlbl, code[pos][2])
         for pos in positions[:-1]
-    ]
-    fwd = [
-        (pos, code[pos][0], code[pos][3], code[pos][4], code[pos][2])
-        for pos in reversed(positions)
-    ]
+        if code[pos][0] not in joined
+    }
+    fwd = [(code[pos][0], code[pos][3], code[pos][4], code[pos][2]) for pos in reversed(positions)]
     newv = maxtoc + 1
+    ids = range(newv)
     buckets: dict[tuple, list] = {}
 
-    for emb in projected:
+    for emb, vmap in zip(projected, _vertex_maps(code, projected)):
         gid = emb.gid
         g = graphs[gid]
         adj = g.adj
         vl = g.vlabels
-        edges = chain_edges(emb, m)
-        vused = set()
-        eused = set()
-        for e in edges:
-            vused.add(e[0])
-            vused.add(e[1])
-            eused.add(e[2])
-        rm_img = edges[rm_pos][1]
+        inverse = dict(zip(vmap, ids))
 
-        for pos, tgt, e1lbl, alloweq, tgtlbl in back:
-            w_img = edges[pos][0]
-            for e in adj[rm_img]:
-                if e[1] == w_img and e[2] not in eused:
-                    if not restricted or e[3] > e1lbl or (e[3] == e1lbl and alloweq):
-                        t = (maxtoc, tgt, rmlbl, e[3], tgtlbl)
-                        bucket = buckets.get(t)
-                        if bucket is None:
-                            bucket = buckets[t] = []
-                        bucket.append(Embedding(gid, e, emb))
-                    break
-
-        for e in adj[rm_img]:
+        for e in adj[vmap[maxtoc]]:
             to = e[1]
-            if to in vused:
+            j = inverse.get(to)
+            if j is None:
+                nlbl = vl[to]
+                if restricted and nlbl < min_vlb:
+                    continue
+                t = (maxtoc, newv, rmlbl, e[3], nlbl)
+            elif j in back:
+                e1lbl, alloweq, tgtlbl = back[j]
+                if restricted and not (e[3] > e1lbl or (e[3] == e1lbl and alloweq)):
+                    continue
+                t = (maxtoc, j, rmlbl, e[3], tgtlbl)
+            else:
                 continue
-            nlbl = vl[to]
-            if restricted and nlbl < min_vlb:
-                continue
-            t = (maxtoc, newv, rmlbl, e[3], nlbl)
             bucket = buckets.get(t)
             if bucket is None:
                 bucket = buckets[t] = []
             bucket.append(Embedding(gid, e, emb))
 
-        for pos, frm_dfs, e1lbl, e1tolbl, frmlbl in fwd:
-            u_img = edges[pos][0]
-            for e in adj[u_img]:
+        for frm_dfs, e1lbl, e1tolbl, frmlbl in fwd:
+            for e in adj[vmap[frm_dfs]]:
                 to = e[1]
-                if to in vused:
+                if to in inverse:
                     continue
                 nlbl = vl[to]
                 if restricted and (

@@ -51,14 +51,24 @@ def all_extensions(code: Sequence[Sequence[int]], db: GraphDatabase) -> dict[Ext
     child; the extension has equivalent occurrence with the pattern iff it
     covers every embedding in the database.
     """
+    return _extensions_and_occurrence(code, db)[0]
+
+
+def _extensions_and_occurrence(
+    code: Sequence[Sequence[int]], db: GraphDatabase
+) -> tuple[dict[ExtensionKey, Extension], int]:
+    """``all_extensions`` plus the number of embeddings it walked, which is
+    ``total_occurrence``."""
     pattern = code_to_graph(code)
     n = pattern.vertex_count
     existing = {frozenset((u, v)) for u, v, _ in pattern.edges}
     found: dict[ExtensionKey, Extension] = {}
+    total = 0
 
     for g in db.graphs:
         vl = g.vlabels
         for fmap in subgraph_isomorphisms(pattern, g):
+            total += 1
             parent = (g.gid, fmap)
             image = set(fmap)
             inverse = {img: k for k, img in enumerate(fmap)}
@@ -76,7 +86,7 @@ def all_extensions(code: Sequence[Sequence[int]], db: GraphDatabase) -> dict[Ext
                         ext = found[key] = Extension(key)
                     ext.covered_parents.add(parent)
                     ext.child_count += 1
-    return found
+    return found, total
 
 
 def total_occurrence(code: Sequence[Sequence[int]], db: GraphDatabase) -> int:
@@ -86,11 +96,8 @@ def total_occurrence(code: Sequence[Sequence[int]], db: GraphDatabase) -> int:
 
 def is_closed(code: Sequence[Sequence[int]], db: GraphDatabase) -> bool:
     """True iff no one-edge extension has equivalent occurrence."""
-    total = total_occurrence(code, db)
-    for ext in all_extensions(code, db).values():
-        if len(ext.covered_parents) == total:
-            return False
-    return True
+    found, total = _extensions_and_occurrence(code, db)
+    return all(len(ext.covered_parents) != total for ext in found.values())
 
 
 def filter_closed(patterns: Sequence, db: GraphDatabase) -> list:

@@ -111,6 +111,16 @@ def test_mine_malformed_input(tmp_path, capsys):
     assert "error:" in err and "line 3" in err
 
 
+def test_mine_rejects_repeated_graph_id(tmp_path, capsys):
+    # Mined as two graphs, the edge would be reported as "x 0 0".
+    bad = tmp_path / "twice.graphs"
+    bad.write_text("t # 0\nv 0 A\nv 1 B\ne 0 1 x\nt # 0\nv 0 A\nv 1 B\ne 0 1 x\n")
+    assert main(["mine", "--input", str(bad), "--min-support", "2", "--mode", "frequent"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "line 5" in captured.err
+    assert "x 0 0" not in captured.out
+
+
 # --------------------------------------------------------------- verify
 
 

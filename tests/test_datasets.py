@@ -55,6 +55,12 @@ def test_parse_rejects_malformed_input(text):
         parse_dataset_text(text)
 
 
+def test_parse_rejects_repeated_graph_id():
+    text = "t # 0\nv 0 A\nv 1 B\ne 0 1 x\nt # 1\nv 0 A\nt # 0\nv 0 A\nv 1 B\ne 0 1 x\n"
+    with pytest.raises(DatasetError, match="line 7: repeated graph id 0"):
+        parse_dataset_text(text)
+
+
 def test_numeric_labels_pass_through():
     db = parse_dataset_text("t # 0\nv 0 5\nv 1 2\ne 0 1 7\n")
     assert db.vlabel_names is None and db.elabel_names is None

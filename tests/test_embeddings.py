@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from graphmine.dfscode import DFSCode, is_min
+from graphmine import gspan
+from graphmine.cgspan import mine_closed
+from graphmine.dfscode import DFSCode, is_min, rightmost_path
 from graphmine.embeddings import (
-    chain_edges,
     child_sort_key,
     containing_graphs,
     equivalent_occurrence,
@@ -14,11 +15,113 @@ from graphmine.embeddings import (
     rightmost_extensions,
     support,
     vertex_map,
+    vertex_maps,
 )
 from graphmine.graphs import subgraph_isomorphisms
 from graphmine.gspan import MiningConfig, mine_frequent
 
 from conftest import EA, EB, ED, EF, P1, P2, W, X, Y, Z, random_database
+
+
+# Reference implementations: a chain read into its full edge list, and an
+# extension scan that keeps per-embedding sets of used vertices and edges
+# and scans the right-most vertex once per backward target. The package
+# reads chains from a per-code plan and scans in one pass; the differential
+# tests below hold it to the reference's output.
+
+
+def chain_edges(emb, length):
+    """Materialize a chain into its edge images in code order."""
+    edges = [None] * length
+    node = emb
+    for k in range(length - 1, -1, -1):
+        edges[k] = node.edge
+        node = node.prev
+    return edges
+
+
+def reference_vertex_map(code, emb):
+    edges = chain_edges(emb, len(code))
+    n = max(max(t[0], t[1]) for t in code) + 1
+    vmap = [0] * n
+    for t, e in zip(code, edges):
+        vmap[t[0]] = e[0]
+        vmap[t[1]] = e[1]
+    return vmap
+
+
+def reference_rightmost_extensions(code, projected, db, restricted=True):
+    """Per embedding: a used-vertex and a used-edge set, one adjacency scan
+    per backward target, then the forward scans; buckets hold
+    ``(gid, edge, prev)`` triples."""
+    graphs = db.graphs
+    m = len(code)
+    positions = rightmost_path(code).positions
+    rm_pos = positions[-1]
+    maxtoc = code[rm_pos][1]
+    rmlbl = code[rm_pos][4]
+    min_vlb = code[0][2]
+    back = [
+        (pos, code[pos][0], code[pos][3], code[pos][4] <= rmlbl, code[pos][2])
+        for pos in positions[:-1]
+    ]
+    fwd = [
+        (pos, code[pos][0], code[pos][3], code[pos][4], code[pos][2])
+        for pos in reversed(positions)
+    ]
+    newv = maxtoc + 1
+    buckets = {}
+
+    for emb in projected:
+        gid = emb.gid
+        g = graphs[gid]
+        adj = g.adj
+        vl = g.vlabels
+        edges = chain_edges(emb, m)
+        vused = set()
+        eused = set()
+        for e in edges:
+            vused.add(e[0])
+            vused.add(e[1])
+            eused.add(e[2])
+        rm_img = edges[rm_pos][1]
+
+        for pos, tgt, e1lbl, alloweq, tgtlbl in back:
+            w_img = edges[pos][0]
+            for e in adj[rm_img]:
+                if e[1] == w_img and e[2] not in eused:
+                    if not restricted or e[3] > e1lbl or (e[3] == e1lbl and alloweq):
+                        t = (maxtoc, tgt, rmlbl, e[3], tgtlbl)
+                        buckets.setdefault(t, []).append((gid, e, emb))
+                    break
+
+        for e in adj[rm_img]:
+            to = e[1]
+            if to in vused:
+                continue
+            nlbl = vl[to]
+            if restricted and nlbl < min_vlb:
+                continue
+            t = (maxtoc, newv, rmlbl, e[3], nlbl)
+            buckets.setdefault(t, []).append((gid, e, emb))
+
+        for pos, frm_dfs, e1lbl, e1tolbl, frmlbl in fwd:
+            u_img = edges[pos][0]
+            for e in adj[u_img]:
+                to = e[1]
+                if to in vused:
+                    continue
+                nlbl = vl[to]
+                if restricted and (
+                    nlbl < min_vlb
+                    or e[3] < e1lbl
+                    or (e[3] == e1lbl and nlbl < e1tolbl)
+                ):
+                    continue
+                t = (frm_dfs, newv, frmlbl, e[3], nlbl)
+                buckets.setdefault(t, []).append((gid, e, emb))
+
+    return buckets
 
 
 def test_frequent_single_edges_order_and_support(sample_db):
@@ -72,6 +175,51 @@ def test_vertex_map_and_chain_edges(sample_db):
         assert len(edges) == 2
         # Edge records are (frm, to, eid, elb) in code order.
         assert edges[0][3] == EA and edges[1][3] == EF
+
+
+def assert_scan_matches_reference(code, projected, db):
+    """Both scans of one node equal the reference: the same bucket keys and,
+    per bucket, the same (gid, edge, parent chain) sequence; and every
+    chain's vertex map equals the reference's."""
+    for restricted in (True, False):
+        got = rightmost_extensions(code, projected, db, restricted)
+        want = reference_rightmost_extensions(code, projected, db, restricted)
+        assert got.keys() == want.keys()
+        for t, bucket in got.items():
+            assert len(bucket) == len(want[t])
+            for e, (gid, edge, prev) in zip(bucket, want[t]):
+                assert e.gid == gid and e.edge == edge and e.prev is prev
+    assert vertex_maps(code, projected) == [tuple(reference_vertex_map(code, c)) for c in projected]
+
+
+def check_every_visited_node(db, monkeypatch) -> int:
+    """Mine every mode at supports 1-3, comparing each node the search scans
+    with the reference. Returns the number of nodes checked."""
+    nodes = 0
+
+    def checked(code, projected, db_, restricted=True):
+        nonlocal nodes
+        nodes += 1
+        assert_scan_matches_reference(code, projected, db_)
+        return rightmost_extensions(code, projected, db_, restricted)
+
+    monkeypatch.setattr(gspan, "rightmost_extensions", checked)
+    for sup in (1, 2, 3):
+        mine_frequent(db, MiningConfig(min_support=sup))
+        mine_closed(db, MiningConfig(min_support=sup, mode="closed"))
+    return nodes
+
+
+def test_scan_matches_reference_on_sample(sample_db, monkeypatch):
+    assert check_every_visited_node(sample_db, monkeypatch) > 0
+
+
+@pytest.mark.parametrize("n_vlabels", [1, 2, 3])
+def test_scan_matches_reference_on_random_databases(n_vlabels, monkeypatch):
+    rng = random.Random(60 + n_vlabels)
+    for _ in range(8):
+        db = random_database(rng, n_graphs=rng.randint(3, 6), max_vertices=6, n_vlabels=n_vlabels)
+        check_every_visited_node(db, monkeypatch)
 
 
 def test_rightmost_extensions_of_root(sample_db):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from graphmine.datasets import parse_dataset_text
@@ -14,7 +16,7 @@ from graphmine.oracle import (
     verify_run,
 )
 
-from conftest import CG2, EA, ED, EF, P1, P2, W, X, Y, Z, key_set
+from conftest import CG2, EA, ED, EF, P1, P2, W, X, Y, Z, key_set, random_database
 
 
 def rm_as_key(t) -> ExtensionKey:
@@ -126,6 +128,21 @@ def test_is_closed_on_sample_db(sample_db):
     assert is_closed(P2, sample_db)
     assert not is_closed(DFSCode([(0, 1, W, EA, X)]), sample_db)
     assert not is_closed(DFSCode([(0, 1, X, 1, Y)]), sample_db)
+
+
+def test_is_closed_counts_in_the_extension_walk():
+    """is_closed takes the occurrence count from the walk all_extensions
+    makes; it must agree with the separate total_occurrence count."""
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(6):
+        db = random_database(rng, n_graphs=4, max_vertices=6, n_vlabels=rng.choice([1, 2]))
+        for p in mine_frequent(db, MiningConfig(min_support=1)):
+            total = total_occurrence(p.code, db)
+            exts = all_extensions(p.code, db).values()
+            assert is_closed(p.code, db) == all(len(e.covered_parents) != total for e in exts)
+            checked += 1
+    assert checked > 0
 
 
 def test_filter_closed_on_sample_db(sample_db):
