@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .dfscode import DFSCode, code_less_than_min, code_to_graph
-from .embeddings import equivalent_occurrence, vertex_maps
+from .embeddings import dropped_extension_covers, equivalent_occurrence, vertex_maps
 from .graphs import GraphDatabase, component_of, induced_subgraph, subgraph_isomorphisms
 from .gspan import MinedPattern, MiningConfig, MiningStats, search
 
@@ -279,9 +279,13 @@ def mine_closed(
     failure detection and rejection; it can lose closed patterns and
     exists to measure what the failure handling contributes.
 
-    The search is gSpan's: ``enter`` adds the CGHT lookup, rejection and
-    failure detection before a node's children, ``leave`` the closure check
-    and the CGHT insert after them.
+    The search is gSpan's, restricted extension scan included: ``enter``
+    adds the CGHT lookup, rejection and failure detection before a node's
+    children, ``leave`` the closure check and the CGHT insert after them.
+    The closure check asks the cheap questions first: a covering stored
+    closed graph, then the frequent buckets the search already built, and
+    only then a walk over the chains for the tuples the restricted scan
+    dropped, which stops at the first chain no such tuple extends.
     """
     config = config or MiningConfig(mode="closed")
     if config.mode not in ("closed", "closed_no_etf"):
@@ -306,7 +310,11 @@ def mine_closed(
     def leave(code: list, projected: list, exts: dict, covered: bool, emit) -> None:
         # A pattern that triggered termination is covered by a stored
         # closed graph even when the trie forced its branch open.
-        if covered or any(equivalent_occurrence(projected, b) for b in exts.values()):
+        if (
+            covered
+            or any(equivalent_occurrence(projected, b) for b in exts.values())
+            or dropped_extension_covers(code, projected, db)
+        ):
             return
         pattern = emit(code, projected)
         add_closed_graph(cght, ClosedGraphRecord(pattern.code, projected, pattern.discovery_index))

@@ -48,6 +48,18 @@ def _load(path: str):
         return None
 
 
+def _open_output(path: str, newline: str | None = None):
+    """An output file opened for writing, or None after an ``error:`` line.
+
+    Commands open their destination before mining, so a bad path fails fast.
+    """
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _mine(db, config: MiningConfig, stats: MiningStats | None = None):
     if config.mode == "frequent":
         return mine_frequent(db, config, stats)
@@ -58,16 +70,19 @@ def _cmd_mine(args) -> int:
     db = _load(args.input)
     if db is None:
         return 1
-    config = MiningConfig(min_support=args.min_support, mode=args.mode.replace("-", "_"))
-    stats = MiningStats()
-    start = time.perf_counter()
-    patterns = _mine(db, config, stats)
-    wall = time.perf_counter() - start
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_patterns(patterns, db, fh)
-    else:
-        sys.stdout.write(write_patterns(patterns, db) or "")
+    out = _open_output(args.output) if args.output else sys.stdout
+    if out is None:
+        return 1
+    try:
+        config = MiningConfig(min_support=args.min_support, mode=args.mode.replace("-", "_"))
+        stats = MiningStats()
+        start = time.perf_counter()
+        patterns = _mine(db, config, stats)
+        wall = time.perf_counter() - start
+        write_patterns(patterns, db, out)
+    finally:
+        if args.output:
+            out.close()
     if args.stats:
         payload = {"schema": 1, **stats.as_dict(), "wall_secs": wall}
         print(json.dumps(payload), file=sys.stderr)
@@ -89,27 +104,29 @@ def _cmd_bench(args) -> int:
     db = _load(args.input)
     if db is None:
         return 1
-    rows = []
-    for sup in args.supports:
-        t0 = time.perf_counter()
-        frequent = mine_frequent(db, MiningConfig(min_support=sup, mode="frequent"))
-        t1 = time.perf_counter()
-        closed = mine_closed(db, MiningConfig(min_support=sup, mode="closed"))
-        t2 = time.perf_counter()
-        fsecs, csecs = t1 - t0, t2 - t1
-        rows.append(
-            (
-                sup,
-                len(frequent),
-                len(closed),
-                f"{len(closed) / len(frequent):.4f}" if frequent else "",
-                f"{fsecs:.6f}",
-                f"{csecs:.6f}",
-                f"{csecs / fsecs:.4f}" if fsecs > 0 else "",
-            )
-        )
-    out = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
+    out = _open_output(args.output, newline="") if args.output else sys.stdout
+    if out is None:
+        return 1
     try:
+        rows = []
+        for sup in args.supports:
+            t0 = time.perf_counter()
+            frequent = mine_frequent(db, MiningConfig(min_support=sup, mode="frequent"))
+            t1 = time.perf_counter()
+            closed = mine_closed(db, MiningConfig(min_support=sup, mode="closed"))
+            t2 = time.perf_counter()
+            fsecs, csecs = t1 - t0, t2 - t1
+            rows.append(
+                (
+                    sup,
+                    len(frequent),
+                    len(closed),
+                    f"{len(closed) / len(frequent):.4f}" if frequent else "",
+                    f"{fsecs:.6f}",
+                    f"{csecs:.6f}",
+                    f"{csecs / fsecs:.4f}" if fsecs > 0 else "",
+                )
+            )
         writer = csv.writer(out)
         writer.writerow(
             (

@@ -12,6 +12,7 @@ is what makes vertex maps recoverable from a chain.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Sequence
 
 from .dfscode import DFSCode, rightmost_path
@@ -87,8 +88,30 @@ def equivalent_occurrence(parent_projected: list, child_projected: list) -> bool
     i.e. the parent isomorphisms extendable under the canonical inclusion
     of the parent pattern in the child.
     """
+    if len(child_projected) < len(parent_projected):
+        return False
     covered = {id(e.prev) for e in child_projected}
     return len(covered) == len(parent_projected)
+
+
+def dropped_extension_covers(
+    code: Sequence[Sequence[int]], projected: list, db: GraphDatabase
+) -> bool:
+    """True iff some tuple the restricted scan drops extends every chain.
+
+    The restricted filter reads only the tuple, so the dropped tuples are
+    those of the first chain's unrestricted scan that its restricted scan
+    lacks; each further chain keeps the ones its own unrestricted scan
+    yields, and the walk stops once none is left.
+    """
+    first = projected[:1]
+    common = rightmost_extensions(code, first, db, False).keys()
+    common -= rightmost_extensions(code, first, db).keys()
+    for c in islice(projected, 1, None):
+        if not common:
+            return False
+        common &= rightmost_extensions(code, [c], db, False).keys()
+    return bool(common)
 
 
 def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCode, list]]:
@@ -156,7 +179,9 @@ def rightmost_extensions(
     path vertices and introduce the next dfs id. With ``restricted`` the
     tuple-level growth filters of canonical search are applied, dropping
     extension tuples that can never head a minimal code; each surviving
-    bucket holds every embedding either way. Keys are plain 5-tuples.
+    bucket holds every embedding either way. The filters read only the
+    tuple, never the embedding (``dropped_extension_covers`` relies on
+    it). Keys are plain 5-tuples.
 
     Graphs are simple (``LabeledGraph.add_edge`` rejects repeated edges)
     and chains injective, so a graph edge between two images belongs to
@@ -164,7 +189,9 @@ def rightmost_extensions(
     the code already joins to the right-most vertex are dropped once per
     code, and no per-embedding set of used edges is kept. One pass over
     the right-most vertex's adjacency finds its backward and forward
-    edges alike.
+    edges alike. A neighbour is in the pattern when its image is in the
+    chain's vertex map, and ``vmap.index`` gives its dfs id: injectivity
+    makes that exact, so no inverse map is built per chain.
     """
     graphs = db.graphs
     positions = rightmost_path(code).positions
@@ -181,7 +208,6 @@ def rightmost_extensions(
     }
     fwd = [(code[pos][0], code[pos][3], code[pos][4], code[pos][2]) for pos in reversed(positions)]
     newv = maxtoc + 1
-    ids = range(newv)
     buckets: dict[tuple, list] = {}
 
     for emb, vmap in zip(projected, _vertex_maps(code, projected)):
@@ -189,23 +215,22 @@ def rightmost_extensions(
         g = graphs[gid]
         adj = g.adj
         vl = g.vlabels
-        inverse = dict(zip(vmap, ids))
 
         for e in adj[vmap[maxtoc]]:
             to = e[1]
-            j = inverse.get(to)
-            if j is None:
+            if to not in vmap:
                 nlbl = vl[to]
                 if restricted and nlbl < min_vlb:
                     continue
                 t = (maxtoc, newv, rmlbl, e[3], nlbl)
-            elif j in back:
+            else:
+                j = vmap.index(to)
+                if j not in back:
+                    continue
                 e1lbl, alloweq, tgtlbl = back[j]
                 if restricted and not (e[3] > e1lbl or (e[3] == e1lbl and alloweq)):
                     continue
                 t = (maxtoc, j, rmlbl, e[3], tgtlbl)
-            else:
-                continue
             bucket = buckets.get(t)
             if bucket is None:
                 bucket = buckets[t] = []
@@ -214,7 +239,7 @@ def rightmost_extensions(
         for frm_dfs, e1lbl, e1tolbl, frmlbl in fwd:
             for e in adj[vmap[frm_dfs]]:
                 to = e[1]
-                if to in inverse:
+                if to in vmap:
                     continue
                 nlbl = vl[to]
                 if restricted and (

@@ -99,27 +99,26 @@ def search(
 ) -> list[MinedPattern]:
     """Depth-first search of the DFS-code tree, one visit per minimal code.
 
-    Without hooks every node is emitted in pre-order and the extension scan
-    is restricted: tuples that can never head a minimal code are not built.
-    Closed mining passes two hooks:
+    The extension scan is restricted in every mode: tuples that can never
+    head a minimal code are not built. Without hooks every node is emitted
+    in pre-order. Closed mining passes two hooks:
 
     - ``enter(code, projected)`` runs before the children. It returns None
       to cut the branch, otherwise whether the pattern is already known not
       to be closed.
     - ``leave(code, projected, exts, covered, emit)`` runs after the
-      children, with the node's frequent unrestricted extensions and
-      ``enter``'s result. It emits the pattern by calling
-      ``emit(code, projected)``, which returns the MinedPattern.
+      children, with the node's frequent restricted extensions (the
+      children's buckets) and ``enter``'s result. It emits the pattern by
+      calling ``emit(code, projected)``, which returns the MinedPattern.
+      Extensions the restricted scan drops are left to ``leave``.
 
     The scan reads ``db`` as given; nothing is copied or pruned up front.
     Only buckets with enough support are kept: a bucket that extends every
     embedding has the node's own support, so the closure check loses
-    nothing. Children are the kept buckets in ascending tuple order; those
-    an unrestricted scan adds fail ``is_min`` before they count as visited.
+    nothing. Children are the kept buckets in ascending tuple order.
     """
     min_freq = config.min_frequency(len(db.graphs))
     max_edges = config.max_pattern_edges
-    restricted = leave is None
     roots = frequent_single_edges(db, min_freq)
     out: list[MinedPattern] = []
 
@@ -153,13 +152,13 @@ def search(
         if covered is None:
             continue
         grow = max_edges is None or len(code) < max_edges
-        if restricted:
+        if leave is None:
             emit(code, projected)
             if not grow:
                 continue
         exts = {
             t: bucket
-            for t, bucket in rightmost_extensions(code, projected, db, restricted).items()
+            for t, bucket in rightmost_extensions(code, projected, db).items()
             if support(bucket) >= min_freq
         }
         if leave is not None:

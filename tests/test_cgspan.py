@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from graphmine import cgspan, gspan
 from graphmine.cgspan import (
     ClosedGraphHashTable,
     ClosedGraphRecord,
@@ -15,7 +16,13 @@ from graphmine.cgspan import (
 )
 from graphmine.datasets import parse_dataset_text
 from graphmine.dfscode import DFSCode, code_to_graph
-from graphmine.embeddings import project_code
+from graphmine.embeddings import (
+    dropped_extension_covers,
+    equivalent_occurrence,
+    project_code,
+    rightmost_extensions,
+    support,
+)
 from graphmine.graphs import subgraph_isomorphisms
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import filter_closed, is_closed, verify_run
@@ -464,3 +471,111 @@ SUPPORT_1_DEFECT = pytest.mark.xfail(
 def test_fuzz_regression_seeds_match_oracle(seed, sup):
     rep = verify_run(fuzz_database(seed), MiningConfig(min_support=sup, mode="closed"))
     assert rep.ok, "\n".join(rep.lines())
+
+
+# ------------------------------------------------------- closure decision
+
+
+def closure_decisions(db, config, monkeypatch) -> int:
+    """Mine ``db`` and hold every closure decision ``leave`` makes to the
+    rule it replaced: a pattern is not closed when a stored closed graph
+    covers it or some frequent bucket of the *unrestricted* scan extends
+    every chain. Returns how many nodes only the walk over the dropped
+    tuples settled (no cover, no kept bucket with equivalent occurrence)."""
+    terminate, scanned, emitted = {}, [], set()
+
+    def spy_lookup(code, projected, cght):
+        result = early_termination(code, projected, cght)
+        terminate[tuple(map(tuple, code))] = result[0]
+        return result
+
+    def spy_scan(code, projected, db_, *args):
+        scanned.append((list(code), projected))
+        return rightmost_extensions(code, projected, db_, *args)
+
+    def spy_insert(cght, record):
+        emitted.add(tuple(map(tuple, record.code)))
+        return add_closed_graph(cght, record)
+
+    monkeypatch.setattr(cgspan, "early_termination", spy_lookup)
+    monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
+    monkeypatch.setattr(cgspan, "add_closed_graph", spy_insert)
+    mined = mine_closed(db, config)
+    monkeypatch.undo()
+    min_freq = config.min_frequency(len(db.graphs))
+    assert emitted == key_set(mined)
+
+    walk_only = 0
+    for code, projected in scanned:
+        key = tuple(map(tuple, code))
+
+        def equivalent(restricted):
+            exts = rightmost_extensions(code, projected, db, restricted)
+            return any(
+                equivalent_occurrence(projected, b)
+                for b in exts.values()
+                if support(b) >= min_freq
+            )
+
+        not_closed = terminate[key] or equivalent(False)
+        assert (key in emitted) != not_closed, key
+        if not_closed and not terminate[key] and not equivalent(True):
+            walk_only += 1
+    return walk_only
+
+
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_closure_decision_matches_unrestricted_rule_on_sample(sample_db, etf_db, mode, monkeypatch):
+    for db in (sample_db, etf_db):
+        for sup in (1, 2, 3):
+            for cap in (None, 1, 2, 3):
+                config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+                closure_decisions(db, config, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_closure_decision_matches_unrestricted_rule_on_fuzz(mode, monkeypatch):
+    alphabets, walk_only = set(), 0
+    for seed in range(120):
+        db = fuzz_database(seed)
+        alphabets.add(len({lbl for g in db.graphs for lbl in g.vlabels}))
+        cap = 2 + seed % 2 if seed % 5 == 0 else None
+        for sup in (1, 2, 3):
+            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+            walk_only += closure_decisions(db, config, monkeypatch)
+    assert alphabets == {1, 2, 3}
+    if mode == "closed_no_etf":
+        assert walk_only > 0
+
+
+def test_walk_alone_settles_closure(monkeypatch):
+    # In mode closed_no_etf every visited node is uncovered; at support 1
+    # on fuzz database 0 this 3-edge star has no kept bucket with
+    # equivalent occurrence, yet a tuple the restricted scan drops extends
+    # every chain, so it is not closed.
+    db = fuzz_database(0)
+    code = DFSCode([(0, 1, 0, 1, 0), (1, 2, 0, 1, 1), (1, 3, 0, 1, 1)])
+    projected = project_code(code, db)
+    kept = rightmost_extensions(code, projected, db)
+    assert not any(equivalent_occurrence(projected, b) for b in kept.values())
+    assert dropped_extension_covers(code, projected, db)
+    mined = key_set(mine_closed(db, MiningConfig(min_support=1, mode="closed_no_etf")))
+    assert tuple(map(tuple, code)) not in mined
+    assert closure_decisions(db, MiningConfig(min_support=1, mode="closed_no_etf"), monkeypatch) > 0
+
+
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_closed_mining_scans_restricted(sample_db, etf_db, mode, monkeypatch):
+    calls = []
+
+    def spy(code, projected, db_, *args, **kwargs):
+        calls.append((args, kwargs))
+        return rightmost_extensions(code, projected, db_, *args, **kwargs)
+
+    monkeypatch.setattr(gspan, "rightmost_extensions", spy)
+    for db in (sample_db, etf_db, fuzz_database(0)):
+        for sup in (1, 2):
+            mine_closed(db, MiningConfig(min_support=sup, mode=mode))
+    assert calls
+    for args, kwargs in calls:
+        assert args in ((), (True,)) and kwargs in ({}, {"restricted": True})

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphmine import cli
 from graphmine.cli import _support, _support_list, build_parser, main
 from graphmine.datasets import parse_dataset_text, write_patterns
 from graphmine.gspan import MiningConfig, mine_frequent
@@ -121,6 +122,19 @@ def test_mine_rejects_repeated_graph_id(tmp_path, capsys):
     assert "x 0 0" not in captured.out
 
 
+def test_mine_unwritable_output_fails_before_mining(sample_file, tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("mined before the output was opened")
+
+    monkeypatch.setattr(cli, "mine_closed", never)
+    dest = tmp_path / "missing-dir" / "patterns.txt"
+    code = main(["mine", "--input", str(sample_file), "--min-support", "2", "--output", str(dest)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # --------------------------------------------------------------- verify
 
 
@@ -183,6 +197,17 @@ def test_bench_to_stdout(etf_file, capsys):
     assert main(["bench", "--input", str(etf_file), "--supports", "2"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("min_support,")
+
+
+def test_bench_unwritable_output_fails_before_mining(sample_file, tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("mined before the output was opened")
+
+    monkeypatch.setattr(cli, "mine_frequent", never)
+    dest = tmp_path / "missing-dir" / "bench.csv"
+    code = main(["bench", "--input", str(sample_file), "--supports", "2,1", "--output", str(dest)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # ------------------------------------------------------------- entrypoint

@@ -250,9 +250,11 @@ def test_restricted_extensions_drop_smaller_vertex_labels(sample_db):
 
 
 def assert_restriction_drops_only_non_minimal(db, max_edges=None):
-    """Closed mining scans unrestricted and leaves the extra tuples to
-    is_min: each tuple the restricted scan drops must fail is_min, and each
-    bucket it keeps must hold the same embeddings as the unrestricted one."""
+    """Every mode scans restricted, which is gSpan's search unchanged only
+    if each tuple the restricted scan drops fails is_min and each bucket it
+    keeps holds the same embeddings as the unrestricted one. (The closure
+    check still reads the dropped tuples, through
+    ``dropped_extension_covers``.)"""
     config = MiningConfig(min_support=1, max_pattern_edges=max_edges, emit_embeddings=True)
     for p in mine_frequent(db, config):
         code = list(p.code)
@@ -313,6 +315,16 @@ def test_equivalent_occurrence_true_and_false(sample_db):
     assert equivalent_occurrence(proj, exts[(0, 2, W, EF, Z)])
     # Only two of three extend by X-b-Y.
     assert not equivalent_occurrence(proj, exts[(1, 2, X, EB, Y)])
+
+
+def test_equivalent_occurrence_rejects_a_partial_bucket_by_length(sample_db):
+    root = DFSCode([(0, 1, W, EA, X)])
+    proj = project_code(root, sample_db)
+    partial = rightmost_extensions(root, proj, sample_db)[(1, 2, X, EB, Y)]
+    assert len(partial) < len(proj)
+    assert not equivalent_occurrence(proj, partial)
+    # Fewer chains than the parent settle it before any link is read.
+    assert not equivalent_occurrence(proj, [object()] * (len(proj) - 1))
 
 
 def test_child_sort_key_orders_backward_first():
