@@ -5,8 +5,11 @@ to already-discovered closed graphs: the pattern has equivalent occurrence,
 directly or through a chain of one-edge extensions, with a closed graph
 found earlier. Discovered closed graphs are indexed in a hash table (CGHT)
 keyed by the database images of single pattern edges, so each test touches
-few candidates. Known failure cases of that pruning rule are tracked in a
-code trie and force the branch to be explored anyway.
+few candidates. A lookup can only hit a closed graph with the pattern's
+support set, so the table files each closed graph under its support set and
+builds its edge keys only when a lookup first reaches that set. Known
+failure cases of that pruning rule are tracked in a code trie and force the
+branch to be explored anyway.
 """
 
 from __future__ import annotations
@@ -88,12 +91,23 @@ class ClosedGraphRecord:
 
 
 class ClosedGraphHashTable:
-    """Closed graphs indexed by the image sets of their single edges."""
+    """Closed graphs indexed by the image sets of their single edges.
 
-    __slots__ = ("buckets", "records")
+    ``buckets`` maps an edge image set, a frozenset of ``(gid, eid)``, to
+    the records with an edge of that image set, in insertion order.
+    ``groups`` maps a support set, a frozenset of graph ids, to the records
+    of that support set not yet in ``buckets``. Every graph id of a key is
+    in its records' support sets and every graph of a record has an image
+    of each of its edges, so a key only ever holds records of the group
+    equal to its own graph ids, and a group indexed in insertion order
+    fills each of its buckets as filing every record on insertion would.
+    """
+
+    __slots__ = ("buckets", "groups", "records")
 
     def __init__(self):
         self.buckets: dict[frozenset, list[ClosedGraphRecord]] = {}
+        self.groups: dict[frozenset, list[ClosedGraphRecord]] = {}
         self.records: list[ClosedGraphRecord] = []
 
     def __len__(self) -> int:
@@ -101,23 +115,34 @@ class ClosedGraphHashTable:
 
 
 def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> None:
-    """Index a closed graph under one key per pattern edge.
+    """File a closed graph under its support set; no chain is walked.
+
+    Its edge keys are built by the first ``early_termination`` that looks
+    up a pattern with the same support set, so the benchmark's per-layer
+    metrics book that work under ``cgspan.lookup``, not ``cgspan.insert``.
+    """
+    cght.groups.setdefault(frozenset(c.gid for c in record.chains), []).append(record)
+    cght.records.append(record)
+
+
+def _index_group(buckets: dict, records: list[ClosedGraphRecord]) -> None:
+    """Add each record under one key per pattern edge, in order.
 
     A record is referenced at most once per bucket even if two of its edges
     happen to share an image set.
     """
-    images: list[set] = [set() for _ in record.code]
-    last_first = images[::-1]
-    for c in record.chains:
-        gid = c.gid
-        for img in last_first:
-            img.add((gid, c.edge[2]))
-            c = c.prev
-    for img in images:
-        bucket = cght.buckets.setdefault(frozenset(img), [])
-        if not any(r is record for r in bucket):
-            bucket.append(record)
-    cght.records.append(record)
+    for record in records:
+        images: list[set] = [set() for _ in record.code]
+        last_first = images[::-1]
+        for c in record.chains:
+            gid = c.gid
+            for img in last_first:
+                img.add((gid, c.edge[2]))
+                c = c.prev
+        for img in images:
+            bucket = buckets.setdefault(frozenset(img), [])
+            if not any(r is record for r in bucket):
+                bucket.append(record)
 
 
 def early_termination(
@@ -134,9 +159,18 @@ def early_termination(
     pattern's last edge; candidate rhos are read off the embeddings that
     fall inside one reference embedding of g'. A true result proves the
     pattern is not closed.
+
+    Only closed graphs with the pattern's support set can be candidates.
+    The lookup misses at once when none was stored; otherwise it first
+    indexes that support set's records not yet in the table, in insertion
+    order, so that time is part of the lookup's.
     """
-    if not cght.records:
+    pending = cght.groups.get(frozenset(c.gid for c in projected))
+    if pending is None:
         return False, None, None
+    if pending:
+        _index_group(cght.buckets, pending)
+        pending.clear()
     key = frozenset((c.gid, c.edge[2]) for c in projected)
     bucket = cght.buckets.get(key)
     if not bucket:

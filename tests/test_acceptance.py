@@ -136,6 +136,11 @@ def test_hash_table_state():
             add_closed_graph(
                 cght, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
             )
+        # Records are indexed by the first lookup of their support set;
+        # both patterns occur in graphs 0 and 1, as alpha does.
+        assert cght.buckets == {}
+        alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
+        early_termination(alpha, project_code(alpha, db), cght)
         names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
         state = {
             tuple(sorted(key)): [names[tuple(map(tuple, r.code))] for r in bucket]
