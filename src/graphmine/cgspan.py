@@ -14,6 +14,7 @@ branch to be explored anyway.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from .dfscode import DFSCode, code_less_than_min, code_to_graph
@@ -160,6 +161,12 @@ def early_termination(
     fall inside one reference embedding of g'. A true result proves the
     pattern is not closed.
 
+    Both steps compare whole tuples in C: a rho is the record's inverse map
+    read through ``itemgetter`` at the pattern map's vertices, and a pattern
+    map f is covered under rho when it equals ``itemgetter(*rho)`` applied
+    to some map f'' of its graph. A pattern has at least two vertices, so
+    both getters return tuples.
+
     Only closed graphs with the pattern's support set can be candidates.
     The lookup misses at once when none was stored; otherwise it first
     indexes that support set's records not yet in the table, in insertion
@@ -188,19 +195,16 @@ def early_termination(
         for gid, fmap in fmaps:
             if gid != ref_gid or not image.issuperset(fmap):
                 continue
-            rho = tuple(inverse[v] for v in fmap)
+            rho = itemgetter(*fmap)(inverse)
             if rho in seen:
                 continue
             seen.add(rho)
             if all(frozenset((rho[a], rho[b])) in edge_pos for a, b in pairs):
                 rhos.append(rho)
         for rho in rhos:
+            get = itemgetter(*rho)
             for gid, fmap in fmaps:
-                k = len(fmap)
-                for m in by_gid.get(gid, ()):
-                    if all(m[rho[i]] == fmap[i] for i in range(k)):
-                        break
-                else:
+                if fmap not in map(get, by_gid.get(gid, ())):
                     break
             else:
                 return True, record, rho
@@ -319,7 +323,9 @@ def mine_closed(
     The closure check asks the cheap questions first: a covering stored
     closed graph, then the frequent buckets the search already built, and
     only then a walk over the chains for the tuples the restricted scan
-    dropped, which stops at the first chain no such tuple extends.
+    dropped. The walk scans the first chain alone for those tuples, tests
+    each later chain's vertex map for the candidates' own edges, and stops
+    at the first chain that has none of them.
     """
     config = config or MiningConfig(mode="closed")
     if config.mode not in ("closed", "closed_no_etf"):

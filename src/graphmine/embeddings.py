@@ -12,7 +12,6 @@ is what makes vertex maps recoverable from a chain.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Sequence
 
 from .dfscode import DFSCode, rightmost_path
@@ -101,17 +100,35 @@ def dropped_extension_covers(
 
     The restricted filter reads only the tuple, so the dropped tuples are
     those of the first chain's unrestricted scan that its restricted scan
-    lacks; each further chain keeps the ones its own unrestricted scan
-    yields, and the walk stops once none is left.
+    lacks. Each further chain is read once, as a vertex map, and keeps a
+    candidate only if it has that tuple's edge itself: a forward tuple
+    needs a half-edge of its label at the source's image leading outside
+    the map to a vertex of its label; a backward tuple needs the edge of its
+    label between its two images (graphs are simple, so there is at most
+    one). The walk stops at the first chain that keeps no candidate.
     """
     first = projected[:1]
     common = rightmost_extensions(code, first, db, False).keys()
     common -= rightmost_extensions(code, first, db).keys()
-    for c in islice(projected, 1, None):
+    if not common:
+        return False
+    rest = projected[1:]
+    graphs = db.graphs
+    for c, vmap in zip(rest, _vertex_maps(code, rest)):
+        g = graphs[c.gid]
+        adj, vl = g.adj, g.vlabels
+        common = {
+            t
+            for t in common
+            if (
+                any(e[3] == t[3] and e[1] not in vmap and vl[e[1]] == t[4] for e in adj[vmap[t[0]]])
+                if t[0] < t[1]
+                else any(e[1] == vmap[t[1]] and e[3] == t[3] for e in adj[vmap[t[0]]])
+            )
+        }
         if not common:
             return False
-        common &= rightmost_extensions(code, [c], db, False).keys()
-    return bool(common)
+    return True
 
 
 def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCode, list]]:

@@ -22,6 +22,7 @@ from graphmine.embeddings import (
     project_code,
     rightmost_extensions,
     support,
+    vertex_maps,
 )
 from graphmine.graphs import subgraph_isomorphisms
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
@@ -235,6 +236,37 @@ def test_early_termination_accepts_equal_vertex_images():
     # End to end the whole database yields exactly one closed pattern.
     rep = verify_run(db, MiningConfig(min_support=2, mode="closed"))
     assert rep.ok and rep.mined_count == 1
+
+
+def test_early_termination_one_edge_pattern():
+    # Two copies of the path 0-(5)-1-(6)-2. The stored path covers its
+    # first edge in both graphs through rho (0, 1), a rho of length 2.
+    path_db = parse_dataset_text(
+        "".join(f"t # {i}\nv 0 0\nv 1 1\nv 2 2\ne 0 1 5\ne 1 2 6\n" for i in range(2))
+    )
+    stored = DFSCode([(0, 1, 0, 5, 1), (1, 2, 1, 6, 2)])
+    cght = ClosedGraphHashTable()
+    add_closed_graph(cght, ClosedGraphRecord(stored, project_code(stored, path_db), 0))
+    edge = DFSCode([(0, 1, 0, 5, 1)])
+    proj = project_code(edge, path_db)
+    assert early_termination(edge, proj, cght) == (True, cght.records[0], (0, 1))
+    assert reference_cover(edge, proj, cght.records[0]) == (0, 1)
+
+    # Two copies of 0-(5)-0-(6)-1. The edge 0-(5)-0 occurs in both
+    # orientations and the stored path takes one of them, so both rhos,
+    # (0, 1) and (1, 0), leave a map uncovered; the edge is closed.
+    sym_db = parse_dataset_text(
+        "".join(f"t # {i}\nv 0 0\nv 1 0\nv 2 1\ne 0 1 5\ne 1 2 6\n" for i in range(2))
+    )
+    stored = DFSCode([(0, 1, 0, 5, 0), (1, 2, 0, 6, 1)])
+    cght = ClosedGraphHashTable()
+    add_closed_graph(cght, ClosedGraphRecord(stored, project_code(stored, sym_db), 0))
+    edge = DFSCode([(0, 1, 0, 5, 0)])
+    proj = project_code(edge, sym_db)
+    assert len(proj) == 4
+    assert early_termination(edge, proj, cght) == (False, None, None)
+    assert reference_cover(edge, proj, cght.records[0]) is None
+    assert is_closed(edge, sym_db)
 
 
 def test_early_termination_result_is_not_emitted_even_when_rejected():
@@ -513,11 +545,43 @@ def test_fuzz_regression_seeds_match_oracle(seed, sup):
 # ------------------------------------------------------------ lazy index
 
 
+def reference_cover(code, projected, record):
+    """The rho through which ``record`` covers the pattern, or None, from
+    the definition: candidate rhos are read off the pattern maps inside the
+    record's reference embedding (its first chain), in chain order, and keep
+    every pattern edge on a record edge; the first rho under which every
+    pattern map equals some record map of its graph composed with rho
+    wins."""
+    fmaps = list(zip([c.gid for c in projected], vertex_maps(code, projected)))
+    rmaps = vertex_maps(record.code, record.chains)
+    by_gid: dict[int, list] = {}
+    for c, m in zip(record.chains, rmaps):
+        by_gid.setdefault(c.gid, []).append(m)
+    ref_gid, ref_map = record.chains[0].gid, rmaps[0]
+    record_edges = {frozenset((t[0], t[1])) for t in record.code}
+    tried = set()
+    for gid, fmap in fmaps:
+        if gid != ref_gid or not set(fmap) <= set(ref_map):
+            continue
+        rho = tuple(ref_map.index(v) for v in fmap)
+        if rho in tried:
+            continue
+        tried.add(rho)
+        if not all(frozenset((rho[t[0]], rho[t[1]])) in record_edges for t in code):
+            continue
+        if all(
+            any(all(m[rho[i]] == fmap[i] for i in range(len(fmap))) for m in by_gid.get(gid, ()))
+            for gid, fmap in fmaps
+        ):
+            return rho
+    return None
+
+
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
 def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
     # Reference: every record is filed under each of its edge image sets as
     # it is inserted, and a lookup returns the first record of the pattern's
-    # bucket that covers the pattern on its own.
+    # bucket that covers the pattern, by the test-local coverage check.
     lookups = hits = 0
 
     def summary(result):
@@ -543,11 +607,9 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
                 got = early_termination(code, projected, cght)
                 want = (False, None, None)
                 for record in eager.get(frozenset((c.gid, c.edge[2]) for c in projected), ()):
-                    alone = ClosedGraphHashTable()
-                    add_closed_graph(alone, record)
-                    result = early_termination(code, projected, alone)
-                    if result[0]:
-                        want = result
+                    rho = reference_cover(code, projected, record)
+                    if rho is not None:
+                        want = (True, record, rho)
                         break
                 assert summary(got) == summary(want), (seed, sup, code)
                 lookups += 1
@@ -650,6 +712,69 @@ def test_walk_alone_settles_closure(monkeypatch):
     mined = key_set(mine_closed(db, MiningConfig(min_support=1, mode="closed_no_etf")))
     assert tuple(map(tuple, code)) not in mined
     assert closure_decisions(db, MiningConfig(min_support=1, mode="closed_no_etf"), monkeypatch) > 0
+
+
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
+    # Every node ``leave`` reaches is a node whose children were scanned.
+    # Reference: the walk by rescans, intersecting chain 0's dropped tuples
+    # with every later chain's unrestricted key set.
+    kinds, answers = set(), set()
+    for seed in range(120):
+        db = fuzz_database(seed)
+        cap = 2 + seed % 2 if seed % 5 == 0 else None
+        for sup in (1, 2, 3):
+            nodes = []
+
+            def spy_scan(code, projected, db_, *args):
+                nodes.append((list(code), projected))
+                return rightmost_extensions(code, projected, db_, *args)
+
+            monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
+            mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
+            monkeypatch.undo()
+            for code, projected in nodes:
+                got = dropped_extension_covers(code, projected, db)
+                first = projected[:1]
+                common = rightmost_extensions(code, first, db, False).keys()
+                common -= rightmost_extensions(code, first, db).keys()
+                if common and len(projected) > 1:
+                    kinds |= {"forward" if t[0] < t[1] else "backward" for t in common}
+                    answers.add(got)
+                for c in projected[1:]:
+                    common &= rightmost_extensions(code, [c], db, False).keys()
+                assert got == bool(common), (seed, sup, code)
+    assert kinds == {"forward", "backward"}
+    assert answers == {True, False}
+
+
+def test_dropped_backward_tuple_settles_closure():
+    # Two triangles, each two label-1 edges closed by a label-0 edge. The
+    # label-1 path's only extension is the closing edge, a backward tuple
+    # whose label is below the path's, so the restricted scan drops it.
+    def triangles(closed):
+        return parse_dataset_text(
+            "".join(
+                f"t # {i}\nv 0 0\nv 1 0\nv 2 0\ne 0 1 1\ne 1 2 1\n" + ("e 0 2 0\n" if c else "")
+                for i, c in enumerate(closed)
+            )
+        )
+
+    code = DFSCode([(0, 1, 0, 1, 0), (1, 2, 0, 1, 0)])
+    db = triangles((True, True))
+    projected = project_code(code, db)
+    assert len(projected) == 4
+    assert list(rightmost_extensions(code, projected, db, False)) == [(2, 0, 0, 0, 0)]
+    assert rightmost_extensions(code, projected, db) == {}
+    assert dropped_extension_covers(code, projected, db)
+    assert not is_closed(code, db)
+    # Without one graph's closing edge no tuple extends every chain,
+    # whichever graph holds chain 0.
+    for closed in ((True, False), (False, True)):
+        db = triangles(closed)
+        projected = project_code(code, db)
+        assert not dropped_extension_covers(code, projected, db)
+        assert is_closed(code, db)
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
