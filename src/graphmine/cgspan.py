@@ -317,15 +317,18 @@ def mine_closed(
     failure detection and rejection; it can lose closed patterns and
     exists to measure what the failure handling contributes.
 
-    The search is gSpan's, restricted extension scan included: ``enter``
-    adds the CGHT lookup, rejection and failure detection before a node's
-    children, ``leave`` the closure check and the CGHT insert after them.
-    The closure check asks the cheap questions first: a covering stored
-    closed graph, then the frequent buckets the search already built, and
-    only then a walk over the chains for the tuples the restricted scan
-    dropped. The walk scans the first chain alone for those tuples, tests
-    each later chain's vertex map for the candidates' own edges, and stops
-    at the first chain that has none of them.
+    The search is gSpan's: ``enter`` adds the CGHT lookup, rejection and
+    failure detection before a node's children, ``leave`` the closure check
+    and the CGHT insert after them. The closure check is the definition: a
+    pattern is emitted when no one-edge extension at any of its vertices
+    extends every chain. Early termination only prunes; a cut that was
+    wrong can lose a pattern but never emit one that is not closed. The
+    check asks the cheap questions first: a covering stored closed graph
+    (proof enough that the pattern is not closed), then the frequent
+    buckets the search already built, and only then a walk over the chains
+    for every other extension. The walk reads the candidates off the first
+    chain, tests each later chain's vertex map for the candidates' own
+    edges, and stops at the first chain that has none of them.
     """
     config = config or MiningConfig(mode="closed")
     if config.mode not in ("closed", "closed_no_etf"):
@@ -353,7 +356,7 @@ def mine_closed(
         if (
             covered
             or any(equivalent_occurrence(projected, b) for b in exts.values())
-            or dropped_extension_covers(code, projected, db)
+            or dropped_extension_covers(code, projected, db, exts)
         ):
             return
         pattern = emit(code, projected)

@@ -94,26 +94,48 @@ def equivalent_occurrence(parent_projected: list, child_projected: list) -> bool
 
 
 def dropped_extension_covers(
-    code: Sequence[Sequence[int]], projected: list, db: GraphDatabase
+    code: Sequence[Sequence[int]], projected: list, db: GraphDatabase, kept: dict
 ) -> bool:
-    """True iff some tuple the restricted scan drops extends every chain.
+    """True iff some one-edge extension not in ``kept`` extends every chain.
 
-    The restricted filter reads only the tuple, so the dropped tuples are
-    those of the first chain's unrestricted scan that its restricted scan
-    lacks. Each further chain is read once, as a vertex map, and keeps a
-    candidate only if it has that tuple's edge itself: a forward tuple
-    needs a half-edge of its label at the source's image leading outside
-    the map to a vertex of its label; a backward tuple needs the edge of its
-    label between its two images (graphs are simple, so there is at most
-    one). The walk stops at the first chain that keeps no candidate.
+    ``kept`` holds the node's frequent extension buckets. Each holds every
+    embedding of its tuple, so ``equivalent_occurrence`` settles it; every
+    other extension is tested here. The candidates are chain 0's one-edge
+    extensions at every pattern vertex, written as right-most tuples so the
+    keys of ``kept`` can be subtracted: ``(v, newv, lbl[v], elb, lbl_to)``
+    for a half-edge from v to a vertex outside the map, and
+    ``(hi, lo, lbl[hi], elb, lbl[lo])`` for an edge between two pattern
+    vertices the code does not join (graphs are simple and chains
+    injective, so such an edge belongs to the chain exactly when the code
+    joins its ends). Each further chain is read once, as a vertex map, and
+    keeps a candidate only if it has that tuple's edge itself: a forward
+    tuple needs a half-edge of its label at the source's image leading
+    outside the map to a vertex of its label; a backward tuple needs the
+    edge of its label between its two images. The walk stops at the first
+    chain that keeps no candidate.
     """
-    first = projected[:1]
-    common = rightmost_extensions(code, first, db, False).keys()
-    common -= rightmost_extensions(code, first, db).keys()
+    graphs = db.graphs
+    joined = {(t[0], t[1]) for t in code} | {(t[1], t[0]) for t in code}
+    c = projected[0]
+    vmap = next(_vertex_maps(code, [c]))
+    newv = len(vmap)
+    g = graphs[c.gid]
+    adj, vl = g.adj, g.vlabels
+    common = set()
+    for v, img in enumerate(vmap):
+        lbl = vl[img]
+        for e in adj[img]:
+            to = e[1]
+            if to not in vmap:
+                common.add((v, newv, lbl, e[3], vl[to]))
+            else:
+                j = vmap.index(to)
+                if j < v and (v, j) not in joined:
+                    common.add((v, j, lbl, e[3], vl[to]))
+    common.difference_update(kept)
     if not common:
         return False
     rest = projected[1:]
-    graphs = db.graphs
     for c, vmap in zip(rest, _vertex_maps(code, rest)):
         g = graphs[c.gid]
         adj, vl = g.adj, g.vlabels
@@ -164,9 +186,11 @@ def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCod
 def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
     """All embedding chains of a code, rebuilt from scratch.
 
-    Complete for minimum codes. The miners grow embeddings from the parent's
-    instead; this serves callers that hold only a code, growing the chains
-    one tuple at a time through the unrestricted extension scan.
+    Complete for minimum codes: each prefix of a minimum code is minimum
+    and each next tuple passes the extension scan's growth filters. The
+    miners grow embeddings from the parent's instead; this serves callers
+    that hold only a code, growing the chains one tuple at a time through
+    the extension scan the search uses.
     """
     _, _, flbl, elbl, tlbl = code[0]
     projected = [
@@ -178,8 +202,7 @@ def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
         if e[3] == elbl and g.vlabels[e[1]] == tlbl
     ]
     for k in range(1, len(code)):
-        exts = rightmost_extensions(code[:k], projected, db, restricted=False)
-        projected = exts.get(tuple(code[k]), [])
+        projected = rightmost_extensions(code[:k], projected, db).get(tuple(code[k]), [])
     return projected
 
 
@@ -187,18 +210,17 @@ def rightmost_extensions(
     code: Sequence[Sequence[int]],
     projected: list,
     db: GraphDatabase,
-    restricted: bool = True,
 ) -> dict[tuple, list]:
-    """All right-most extension tuples with complete embedding buckets.
+    """Right-most extension tuples that may head a minimal code, each with
+    its complete embedding bucket.
 
     Backward edges grow from the right-most vertex to right-most-path
     vertices (never the direct parent); forward edges grow from right-most
-    path vertices and introduce the next dfs id. With ``restricted`` the
-    tuple-level growth filters of canonical search are applied, dropping
-    extension tuples that can never head a minimal code; each surviving
-    bucket holds every embedding either way. The filters read only the
-    tuple, never the embedding (``dropped_extension_covers`` relies on
-    it). Keys are plain 5-tuples.
+    path vertices and introduce the next dfs id. The tuple-level growth
+    filters of canonical search drop extension tuples that can never head a
+    minimal code. The filters read only the tuple, never the embedding, so
+    each kept bucket holds every embedding of its tuple
+    (``dropped_extension_covers`` relies on it). Keys are plain 5-tuples.
 
     Graphs are simple (``LabeledGraph.add_edge`` rejects repeated edges)
     and chains injective, so a graph edge between two images belongs to
@@ -237,7 +259,7 @@ def rightmost_extensions(
             to = e[1]
             if to not in vmap:
                 nlbl = vl[to]
-                if restricted and nlbl < min_vlb:
+                if nlbl < min_vlb:
                     continue
                 t = (maxtoc, newv, rmlbl, e[3], nlbl)
             else:
@@ -245,7 +267,7 @@ def rightmost_extensions(
                 if j not in back:
                     continue
                 e1lbl, alloweq, tgtlbl = back[j]
-                if restricted and not (e[3] > e1lbl or (e[3] == e1lbl and alloweq)):
+                if not (e[3] > e1lbl or (e[3] == e1lbl and alloweq)):
                     continue
                 t = (maxtoc, j, rmlbl, e[3], tgtlbl)
             bucket = buckets.get(t)
@@ -259,11 +281,7 @@ def rightmost_extensions(
                 if to in vmap:
                     continue
                 nlbl = vl[to]
-                if restricted and (
-                    nlbl < min_vlb
-                    or e[3] < e1lbl
-                    or (e[3] == e1lbl and nlbl < e1tolbl)
-                ):
+                if nlbl < min_vlb or e[3] < e1lbl or (e[3] == e1lbl and nlbl < e1tolbl):
                     continue
                 t = (frm_dfs, newv, frmlbl, e[3], nlbl)
                 bucket = buckets.get(t)

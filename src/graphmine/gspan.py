@@ -99,18 +99,19 @@ def search(
 ) -> list[MinedPattern]:
     """Depth-first search of the DFS-code tree, one visit per minimal code.
 
-    The extension scan is restricted in every mode: tuples that can never
-    head a minimal code are not built. Without hooks every node is emitted
-    in pre-order. Closed mining passes two hooks:
+    The extension scan builds only tuples that may head a minimal code.
+    Without hooks every node is emitted in pre-order. Closed mining passes
+    two hooks:
 
     - ``enter(code, projected)`` runs before the children. It returns None
       to cut the branch, otherwise whether the pattern is already known not
       to be closed.
     - ``leave(code, projected, exts, covered, emit)`` runs after the
-      children, with the node's frequent restricted extensions (the
-      children's buckets) and ``enter``'s result. It emits the pattern by
-      calling ``emit(code, projected)``, which returns the MinedPattern.
-      Extensions the restricted scan drops are left to ``leave``.
+      children, with the node's frequent extension buckets (the children's,
+      also built at a node ``max_pattern_edges`` keeps childless) and
+      ``enter``'s result. It emits the pattern by calling
+      ``emit(code, projected)``, which returns the MinedPattern. Extensions
+      the scan does not build are left to ``leave``.
 
     The scan reads ``db`` as given; nothing is copied or pruned up front.
     Only buckets with enough support are kept: a bucket that extends every

@@ -1,6 +1,6 @@
 """Shared fixtures: the two worked-example databases, a seeded random
-database generator, and a brute-force DFS-code enumerator used as the
-canonical-form oracle."""
+database generator, a reference right-most extension scan, and a
+brute-force DFS-code enumerator used as the canonical-form oracle."""
 
 from __future__ import annotations
 
@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from graphmine.dfscode import DFSCode
+from graphmine.dfscode import DFSCode, rightmost_path
+from graphmine.embeddings import Embedding
 from graphmine.graphs import GraphDatabase, LabeledGraph
 from graphmine.datasets import parse_dataset_text
+from graphmine.oracle import ExtensionKey
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -130,6 +132,100 @@ def random_database(
             g.add_edge(u, v, rng.randrange(n_elabels))
         db.append(g)
     return db
+
+
+def chain_edges(emb, length):
+    """Materialize a chain into its edge images in code order."""
+    edges = [None] * length
+    node = emb
+    for k in range(length - 1, -1, -1):
+        edges[k] = node.edge
+        node = node.prev
+    return edges
+
+
+def reference_rightmost_extensions(code, projected, db, restricted=True):
+    """Right-most extensions, written independently of the package's scan:
+    per embedding a used-vertex and a used-edge set, one adjacency scan per
+    backward target, then the forward scans. With ``restricted`` the growth
+    filters of canonical search apply, as in the package's scan; without,
+    every right-most extension is built."""
+    graphs = db.graphs
+    m = len(code)
+    positions = rightmost_path(code).positions
+    rm_pos = positions[-1]
+    maxtoc = code[rm_pos][1]
+    rmlbl = code[rm_pos][4]
+    min_vlb = code[0][2]
+    back = [
+        (pos, code[pos][0], code[pos][3], code[pos][4] <= rmlbl, code[pos][2])
+        for pos in positions[:-1]
+    ]
+    fwd = [
+        (pos, code[pos][0], code[pos][3], code[pos][4], code[pos][2])
+        for pos in reversed(positions)
+    ]
+    newv = maxtoc + 1
+    buckets = {}
+
+    for emb in projected:
+        gid = emb.gid
+        g = graphs[gid]
+        adj = g.adj
+        vl = g.vlabels
+        edges = chain_edges(emb, m)
+        vused = set()
+        eused = set()
+        for e in edges:
+            vused.add(e[0])
+            vused.add(e[1])
+            eused.add(e[2])
+        rm_img = edges[rm_pos][1]
+
+        for pos, tgt, e1lbl, alloweq, tgtlbl in back:
+            w_img = edges[pos][0]
+            for e in adj[rm_img]:
+                if e[1] == w_img and e[2] not in eused:
+                    if not restricted or e[3] > e1lbl or (e[3] == e1lbl and alloweq):
+                        t = (maxtoc, tgt, rmlbl, e[3], tgtlbl)
+                        buckets.setdefault(t, []).append(Embedding(gid, e, emb))
+                    break
+
+        for e in adj[rm_img]:
+            to = e[1]
+            if to in vused:
+                continue
+            nlbl = vl[to]
+            if restricted and nlbl < min_vlb:
+                continue
+            t = (maxtoc, newv, rmlbl, e[3], nlbl)
+            buckets.setdefault(t, []).append(Embedding(gid, e, emb))
+
+        for pos, frm_dfs, e1lbl, e1tolbl, frmlbl in fwd:
+            u_img = edges[pos][0]
+            for e in adj[u_img]:
+                to = e[1]
+                if to in vused:
+                    continue
+                nlbl = vl[to]
+                if restricted and (
+                    nlbl < min_vlb
+                    or e[3] < e1lbl
+                    or (e[3] == e1lbl and nlbl < e1tolbl)
+                ):
+                    continue
+                t = (frm_dfs, newv, frmlbl, e[3], nlbl)
+                buckets.setdefault(t, []).append(Embedding(gid, e, emb))
+
+    return buckets
+
+
+def rm_as_key(t) -> ExtensionKey:
+    """The oracle key describing a right-most extension tuple."""
+    frm, to = t[0], t[1]
+    if to > frm:  # forward: new vertex
+        return ExtensionKey("f", frm, -1, t[3], t[4])
+    return ExtensionKey("b", min(frm, to), max(frm, to), t[3], -1)
 
 
 def all_dfs_codes(g: LabeledGraph) -> list[tuple]:

@@ -21,7 +21,7 @@ from graphmine.cgspan import (
 )
 from graphmine.datasets import parse_dataset, parse_dataset_text, write_patterns
 from graphmine.dfscode import DFSCode, is_min, min_dfs_code
-from graphmine.embeddings import project_code, rightmost_extensions
+from graphmine.embeddings import project_code
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import ExtensionKey, all_extensions, total_occurrence, verify_run
 
@@ -43,6 +43,7 @@ from conftest import (
     extension_family,
     random_code_walk,
     random_database,
+    reference_rightmost_extensions,
     tuple_precedes,
 )
 
@@ -310,7 +311,7 @@ def test_counting_oracle_on_random_databases():
                     gid for ext in oracle_exts.values() for gid, _ in ext.covered_parents
                 }
                 assert support(p.embeddings) == p.support
-                rm = rightmost_extensions(
+                rm = reference_rightmost_extensions(
                     p.code, p.embeddings, db, restricted=False
                 )
                 for t, bucket in rm.items():

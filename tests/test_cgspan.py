@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -26,9 +27,24 @@ from graphmine.embeddings import (
 )
 from graphmine.graphs import subgraph_isomorphisms
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
-from graphmine.oracle import filter_closed, is_closed, verify_run
+from graphmine.oracle import all_extensions, filter_closed, is_closed, verify_run
 
-from conftest import CG1, CG2, EA, ED, P1, P2, S, W, X, Z, key_set, random_database
+from conftest import (
+    CG1,
+    CG2,
+    EA,
+    ED,
+    P1,
+    P2,
+    S,
+    W,
+    X,
+    Z,
+    key_set,
+    random_database,
+    reference_rightmost_extensions,
+    rm_as_key,
+)
 
 
 def build_table(patterns):
@@ -501,9 +517,9 @@ def test_closed_mining_matches_oracle_on_random_databases():
 
 
 # Seeds of the differential fuzz (seeds 0-7199 at supports 1-3) whose closed
-# set differs from the oracle's (ROADMAP open item 1): every one of them at
-# support 1, and seeds 3277 and 4843 at support 2 too; the other pairings of
-# these seeds agree.
+# set lacks closed patterns the oracle finds (ROADMAP open item 1): every one
+# of them at support 1, and seeds 3277 and 4843 at support 2 too; the other
+# pairings of these seeds agree.
 DEFECT_SEEDS = (1227, 1307, 1712, 2079, 2394, 3217, 3242, 3277, 4843, 5026, 5851, 6013, 6330)
 DEFECT_RUNS = {(s, 1) for s in DEFECT_SEEDS} | {(3277, 2), (4843, 2)}
 
@@ -524,9 +540,14 @@ def fuzz_database(seed: int):
 
 CLOSED_SET_DEFECT = pytest.mark.xfail(
     strict=True,
-    reason="closed set differs from the oracle's at support 1 and on two seeds at support 2"
+    reason="closed mining loses closed patterns at support 1 and on two seeds at support 2"
     " (ROADMAP open item 1)",
 )
+
+
+@functools.cache
+def defect_seed_report(seed: int, sup: int):
+    return verify_run(fuzz_database(seed), MiningConfig(min_support=sup, mode="closed"))
 
 
 @pytest.mark.parametrize(
@@ -538,8 +559,38 @@ CLOSED_SET_DEFECT = pytest.mark.xfail(
     ],
 )
 def test_fuzz_regression_seeds_match_oracle(seed, sup):
-    rep = verify_run(fuzz_database(seed), MiningConfig(min_support=sup, mode="closed"))
+    rep = defect_seed_report(seed, sup)
     assert rep.ok, "\n".join(rep.lines())
+
+
+@pytest.mark.parametrize("seed,sup", [(s, sup) for s in DEFECT_SEEDS for sup in (1, 2, 3)])
+def test_fuzz_regression_seeds_emit_only_closed_patterns(seed, sup):
+    # Early termination only prunes: a wrong cut can lose closed patterns,
+    # never make the miner emit one that is not closed.
+    rep = defect_seed_report(seed, sup)
+    assert not rep.extra, "\n".join(rep.lines())
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_capped_closed_mining_matches_oracle_on_fixtures(sample_db, etf_db, cap):
+    # A capped node has no explored children, so no stored closed graph can
+    # cover it: its closure is decided by the extensions at every vertex.
+    for db in (sample_db, etf_db):
+        rep = verify_run(db, MiningConfig(min_support=1, mode="closed", max_pattern_edges=cap))
+        assert rep.ok, "\n".join(rep.lines())
+
+
+def test_capped_closed_mining_matches_oracle_on_fuzz():
+    mismatches = []
+    for seed in range(300):
+        db = fuzz_database(seed)
+        for sup in (1, 2, 3):
+            for cap in (2, 3, 4):
+                config = MiningConfig(min_support=sup, mode="closed", max_pattern_edges=cap)
+                rep = verify_run(db, config)
+                if not rep.ok:
+                    mismatches.append((seed, sup, cap, len(rep.missing), len(rep.extra)))
+    assert mismatches == []
 
 
 # ------------------------------------------------------------ lazy index
@@ -628,10 +679,10 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
 
 def closure_decisions(db, config, monkeypatch) -> int:
     """Mine ``db`` and hold every closure decision ``leave`` makes to the
-    rule it replaced: a pattern is not closed when a stored closed graph
-    covers it or some frequent bucket of the *unrestricted* scan extends
-    every chain. Returns how many nodes only the walk over the dropped
-    tuples settled (no cover, no kept bucket with equivalent occurrence)."""
+    oracle: at every node the search scans, the pattern is emitted exactly
+    when ``is_closed`` says so. Returns how many nodes only the walk
+    settled (no cover, no kept bucket with equivalent occurrence, yet not
+    closed)."""
     terminate, scanned, emitted = {}, [], set()
 
     def spy_lookup(code, projected, cght):
@@ -639,9 +690,10 @@ def closure_decisions(db, config, monkeypatch) -> int:
         terminate[tuple(map(tuple, code))] = result[0]
         return result
 
-    def spy_scan(code, projected, db_, *args):
-        scanned.append((list(code), projected))
-        return rightmost_extensions(code, projected, db_, *args)
+    def spy_scan(code, projected, db_):
+        exts = rightmost_extensions(code, projected, db_)
+        scanned.append((list(code), projected, exts))
+        return exts
 
     def spy_insert(cght, record):
         emitted.add(tuple(map(tuple, record.code)))
@@ -652,25 +704,15 @@ def closure_decisions(db, config, monkeypatch) -> int:
     monkeypatch.setattr(cgspan, "add_closed_graph", spy_insert)
     mined = mine_closed(db, config)
     monkeypatch.undo()
-    min_freq = config.min_frequency(len(db.graphs))
     assert emitted == key_set(mined)
 
     walk_only = 0
-    for code, projected in scanned:
+    for code, projected, exts in scanned:
         key = tuple(map(tuple, code))
-
-        def equivalent(restricted):
-            exts = rightmost_extensions(code, projected, db, restricted)
-            return any(
-                equivalent_occurrence(projected, b)
-                for b in exts.values()
-                if support(b) >= min_freq
-            )
-
-        not_closed = terminate[key] or equivalent(False)
-        assert (key in emitted) != not_closed, key
-        if not_closed and not terminate[key] and not equivalent(True):
-            walk_only += 1
+        closed = is_closed(code, db)
+        assert (key in emitted) == closed, key
+        if not closed and not terminate[key]:
+            walk_only += not any(equivalent_occurrence(projected, b) for b in exts.values())
     return walk_only
 
 
@@ -701,14 +743,14 @@ def test_closure_decision_matches_unrestricted_rule_on_fuzz(mode, monkeypatch):
 def test_walk_alone_settles_closure(monkeypatch):
     # In mode closed_no_etf every visited node is uncovered; at support 1
     # on fuzz database 0 this 3-edge star has no kept bucket with
-    # equivalent occurrence, yet a tuple the restricted scan drops extends
+    # equivalent occurrence, yet a tuple the scan does not build extends
     # every chain, so it is not closed.
     db = fuzz_database(0)
     code = DFSCode([(0, 1, 0, 1, 0), (1, 2, 0, 1, 1), (1, 3, 0, 1, 1)])
     projected = project_code(code, db)
     kept = rightmost_extensions(code, projected, db)
     assert not any(equivalent_occurrence(projected, b) for b in kept.values())
-    assert dropped_extension_covers(code, projected, db)
+    assert dropped_extension_covers(code, projected, db, kept)
     mined = key_set(mine_closed(db, MiningConfig(min_support=1, mode="closed_no_etf")))
     assert tuple(map(tuple, code)) not in mined
     assert closure_decisions(db, MiningConfig(min_support=1, mode="closed_no_etf"), monkeypatch) > 0
@@ -717,41 +759,49 @@ def test_walk_alone_settles_closure(monkeypatch):
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
 def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
     # Every node ``leave`` reaches is a node whose children were scanned.
-    # Reference: the walk by rescans, intersecting chain 0's dropped tuples
-    # with every later chain's unrestricted key set.
-    kinds, answers = set(), set()
+    # Reference: the oracle's extensions at every vertex, keeping those
+    # whose covered parents number the pattern's chains and which are not
+    # among the kept buckets. ``off_path`` counts the True answers that only
+    # an extension the right-most scan cannot build settles.
+    kinds, answers, off_path = set(), set(), 0
     for seed in range(120):
         db = fuzz_database(seed)
         cap = 2 + seed % 2 if seed % 5 == 0 else None
         for sup in (1, 2, 3):
             nodes = []
 
-            def spy_scan(code, projected, db_, *args):
-                nodes.append((list(code), projected))
-                return rightmost_extensions(code, projected, db_, *args)
+            def spy_scan(code, projected, db_):
+                exts = rightmost_extensions(code, projected, db_)
+                nodes.append((list(code), projected, exts))
+                return exts
 
             monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
             mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
             monkeypatch.undo()
-            for code, projected in nodes:
-                got = dropped_extension_covers(code, projected, db)
-                first = projected[:1]
-                common = rightmost_extensions(code, first, db, False).keys()
-                common -= rightmost_extensions(code, first, db).keys()
-                if common and len(projected) > 1:
-                    kinds |= {"forward" if t[0] < t[1] else "backward" for t in common}
+            for code, projected, exts in nodes:
+                kept = {t: b for t, b in exts.items() if support(b) >= sup}
+                got = dropped_extension_covers(code, projected, db, kept)
+                exts_all = all_extensions(code, db)
+                candidates = exts_all.keys() - {rm_as_key(t) for t in kept}
+                covering = {
+                    k for k in candidates if len(exts_all[k].covered_parents) == len(projected)
+                }
+                if candidates and len(projected) > 1:
+                    kinds |= {k.kind for k in candidates}
                     answers.add(got)
-                for c in projected[1:]:
-                    common &= rightmost_extensions(code, [c], db, False).keys()
-                assert got == bool(common), (seed, sup, code)
-    assert kinds == {"forward", "backward"}
+                rightmost = reference_rightmost_extensions(code, projected, db, restricted=False)
+                rightmost = {rm_as_key(t) for t in rightmost}
+                off_path += bool(covering) and not covering & rightmost
+                assert got == bool(covering), (seed, sup, code)
+    assert kinds == {"f", "b"}
     assert answers == {True, False}
+    assert off_path > 0
 
 
 def test_dropped_backward_tuple_settles_closure():
     # Two triangles, each two label-1 edges closed by a label-0 edge. The
     # label-1 path's only extension is the closing edge, a backward tuple
-    # whose label is below the path's, so the restricted scan drops it.
+    # whose label is below the path's, so the scan does not build it.
     def triangles(closed):
         return parse_dataset_text(
             "".join(
@@ -764,31 +814,14 @@ def test_dropped_backward_tuple_settles_closure():
     db = triangles((True, True))
     projected = project_code(code, db)
     assert len(projected) == 4
-    assert list(rightmost_extensions(code, projected, db, False)) == [(2, 0, 0, 0, 0)]
+    assert list(reference_rightmost_extensions(code, projected, db, False)) == [(2, 0, 0, 0, 0)]
     assert rightmost_extensions(code, projected, db) == {}
-    assert dropped_extension_covers(code, projected, db)
+    assert dropped_extension_covers(code, projected, db, {})
     assert not is_closed(code, db)
     # Without one graph's closing edge no tuple extends every chain,
     # whichever graph holds chain 0.
     for closed in ((True, False), (False, True)):
         db = triangles(closed)
         projected = project_code(code, db)
-        assert not dropped_extension_covers(code, projected, db)
+        assert not dropped_extension_covers(code, projected, db, {})
         assert is_closed(code, db)
-
-
-@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
-def test_closed_mining_scans_restricted(sample_db, etf_db, mode, monkeypatch):
-    calls = []
-
-    def spy(code, projected, db_, *args, **kwargs):
-        calls.append((args, kwargs))
-        return rightmost_extensions(code, projected, db_, *args, **kwargs)
-
-    monkeypatch.setattr(gspan, "rightmost_extensions", spy)
-    for db in (sample_db, etf_db, fuzz_database(0)):
-        for sup in (1, 2):
-            mine_closed(db, MiningConfig(min_support=sup, mode=mode))
-    assert calls
-    for args, kwargs in calls:
-        assert args in ((), (True,)) and kwargs in ({}, {"restricted": True})

@@ -4,7 +4,7 @@ import pytest
 
 from graphmine import gspan
 from graphmine.cgspan import mine_closed
-from graphmine.dfscode import DFSCode, is_min, rightmost_path
+from graphmine.dfscode import DFSCode, is_min
 from graphmine.embeddings import (
     child_sort_key,
     containing_graphs,
@@ -20,24 +20,26 @@ from graphmine.embeddings import (
 from graphmine.graphs import subgraph_isomorphisms
 from graphmine.gspan import MiningConfig, mine_frequent
 
-from conftest import EA, EB, ED, EF, P1, P2, W, X, Y, Z, random_database
+from conftest import (
+    EA,
+    EB,
+    ED,
+    EF,
+    P1,
+    P2,
+    W,
+    X,
+    Y,
+    Z,
+    chain_edges,
+    random_database,
+    reference_rightmost_extensions,
+)
 
 
-# Reference implementations: a chain read into its full edge list, and an
-# extension scan that keeps per-embedding sets of used vertices and edges
-# and scans the right-most vertex once per backward target. The package
+# Reference vertex map: a chain read into its full edge list. The package
 # reads chains from a per-code plan and scans in one pass; the differential
-# tests below hold it to the reference's output.
-
-
-def chain_edges(emb, length):
-    """Materialize a chain into its edge images in code order."""
-    edges = [None] * length
-    node = emb
-    for k in range(length - 1, -1, -1):
-        edges[k] = node.edge
-        node = node.prev
-    return edges
+# tests below hold it to this and to conftest's reference scan.
 
 
 def reference_vertex_map(code, emb):
@@ -48,80 +50,6 @@ def reference_vertex_map(code, emb):
         vmap[t[0]] = e[0]
         vmap[t[1]] = e[1]
     return vmap
-
-
-def reference_rightmost_extensions(code, projected, db, restricted=True):
-    """Per embedding: a used-vertex and a used-edge set, one adjacency scan
-    per backward target, then the forward scans; buckets hold
-    ``(gid, edge, prev)`` triples."""
-    graphs = db.graphs
-    m = len(code)
-    positions = rightmost_path(code).positions
-    rm_pos = positions[-1]
-    maxtoc = code[rm_pos][1]
-    rmlbl = code[rm_pos][4]
-    min_vlb = code[0][2]
-    back = [
-        (pos, code[pos][0], code[pos][3], code[pos][4] <= rmlbl, code[pos][2])
-        for pos in positions[:-1]
-    ]
-    fwd = [
-        (pos, code[pos][0], code[pos][3], code[pos][4], code[pos][2])
-        for pos in reversed(positions)
-    ]
-    newv = maxtoc + 1
-    buckets = {}
-
-    for emb in projected:
-        gid = emb.gid
-        g = graphs[gid]
-        adj = g.adj
-        vl = g.vlabels
-        edges = chain_edges(emb, m)
-        vused = set()
-        eused = set()
-        for e in edges:
-            vused.add(e[0])
-            vused.add(e[1])
-            eused.add(e[2])
-        rm_img = edges[rm_pos][1]
-
-        for pos, tgt, e1lbl, alloweq, tgtlbl in back:
-            w_img = edges[pos][0]
-            for e in adj[rm_img]:
-                if e[1] == w_img and e[2] not in eused:
-                    if not restricted or e[3] > e1lbl or (e[3] == e1lbl and alloweq):
-                        t = (maxtoc, tgt, rmlbl, e[3], tgtlbl)
-                        buckets.setdefault(t, []).append((gid, e, emb))
-                    break
-
-        for e in adj[rm_img]:
-            to = e[1]
-            if to in vused:
-                continue
-            nlbl = vl[to]
-            if restricted and nlbl < min_vlb:
-                continue
-            t = (maxtoc, newv, rmlbl, e[3], nlbl)
-            buckets.setdefault(t, []).append((gid, e, emb))
-
-        for pos, frm_dfs, e1lbl, e1tolbl, frmlbl in fwd:
-            u_img = edges[pos][0]
-            for e in adj[u_img]:
-                to = e[1]
-                if to in vused:
-                    continue
-                nlbl = vl[to]
-                if restricted and (
-                    nlbl < min_vlb
-                    or e[3] < e1lbl
-                    or (e[3] == e1lbl and nlbl < e1tolbl)
-                ):
-                    continue
-                t = (frm_dfs, newv, frmlbl, e[3], nlbl)
-                buckets.setdefault(t, []).append((gid, e, emb))
-
-    return buckets
 
 
 def test_frequent_single_edges_order_and_support(sample_db):
@@ -178,17 +106,16 @@ def test_vertex_map_and_chain_edges(sample_db):
 
 
 def assert_scan_matches_reference(code, projected, db):
-    """Both scans of one node equal the reference: the same bucket keys and,
+    """The scan of one node equals the reference: the same bucket keys and,
     per bucket, the same (gid, edge, parent chain) sequence; and every
     chain's vertex map equals the reference's."""
-    for restricted in (True, False):
-        got = rightmost_extensions(code, projected, db, restricted)
-        want = reference_rightmost_extensions(code, projected, db, restricted)
-        assert got.keys() == want.keys()
-        for t, bucket in got.items():
-            assert len(bucket) == len(want[t])
-            for e, (gid, edge, prev) in zip(bucket, want[t]):
-                assert e.gid == gid and e.edge == edge and e.prev is prev
+    got = rightmost_extensions(code, projected, db)
+    want = reference_rightmost_extensions(code, projected, db)
+    assert got.keys() == want.keys()
+    for t, bucket in got.items():
+        assert len(bucket) == len(want[t])
+        for e, w in zip(bucket, want[t]):
+            assert e.gid == w.gid and e.edge == w.edge and e.prev is w.prev
     assert vertex_maps(code, projected) == [tuple(reference_vertex_map(code, c)) for c in projected]
 
 
@@ -197,11 +124,11 @@ def check_every_visited_node(db, monkeypatch) -> int:
     with the reference. Returns the number of nodes checked."""
     nodes = 0
 
-    def checked(code, projected, db_, restricted=True):
+    def checked(code, projected, db_):
         nonlocal nodes
         nodes += 1
         assert_scan_matches_reference(code, projected, db_)
-        return rightmost_extensions(code, projected, db_, restricted)
+        return rightmost_extensions(code, projected, db_)
 
     monkeypatch.setattr(gspan, "rightmost_extensions", checked)
     for sup in (1, 2, 3):
@@ -225,7 +152,7 @@ def test_scan_matches_reference_on_random_databases(n_vlabels, monkeypatch):
 def test_rightmost_extensions_of_root(sample_db):
     root = DFSCode([(0, 1, W, EA, X)])
     proj = project_code(root, sample_db)
-    exts = rightmost_extensions(root, proj, sample_db, restricted=False)
+    exts = reference_rightmost_extensions(root, proj, sample_db, restricted=False)
     # Growth from both root vertices: forward only, no backward possible.
     assert all(t[0] < t[1] for t in exts)
     assert (1, 2, X, EB, Y) in exts
@@ -242,24 +169,23 @@ def test_restricted_extensions_drop_smaller_vertex_labels(sample_db):
     # enumeration keeps it.
     root = DFSCode([(0, 1, X, ED, Z)])
     proj = project_code(root, sample_db)
-    unrestricted = set(rightmost_extensions(root, proj, sample_db, restricted=False))
-    restricted = set(rightmost_extensions(root, proj, sample_db, restricted=True))
+    unrestricted = set(reference_rightmost_extensions(root, proj, sample_db, restricted=False))
+    restricted = set(rightmost_extensions(root, proj, sample_db))
     assert (1, 2, Z, EF, W) in unrestricted
     assert (1, 2, Z, EF, W) not in restricted
     assert restricted < unrestricted
 
 
 def assert_restriction_drops_only_non_minimal(db, max_edges=None):
-    """Every mode scans restricted, which is gSpan's search unchanged only
-    if each tuple the restricted scan drops fails is_min and each bucket it
-    keeps holds the same embeddings as the unrestricted one. (The closure
-    check still reads the dropped tuples, through
-    ``dropped_extension_covers``.)"""
+    """The scan is gSpan's search unchanged only if each right-most tuple it
+    drops fails is_min and each bucket it keeps holds the same embeddings as
+    the reference's unrestricted one. (The closure check still reads the
+    dropped tuples, through ``dropped_extension_covers``.)"""
     config = MiningConfig(min_support=1, max_pattern_edges=max_edges, emit_embeddings=True)
     for p in mine_frequent(db, config):
         code = list(p.code)
-        full = rightmost_extensions(code, p.embeddings, db, restricted=False)
-        kept = rightmost_extensions(code, p.embeddings, db, restricted=True)
+        full = reference_rightmost_extensions(code, p.embeddings, db, restricted=False)
+        kept = rightmost_extensions(code, p.embeddings, db)
         assert kept.keys() <= full.keys()
         for t, bucket in kept.items():
             same = [(e.gid, e.edge, id(e.prev)) for e in full[t]]
@@ -286,7 +212,7 @@ def check_infrequent_buckets_not_equivalent(db) -> int:
     infrequent = 0
     for sup in (2, 3):
         for p in mine_frequent(db, MiningConfig(min_support=sup, emit_embeddings=True)):
-            exts = rightmost_extensions(list(p.code), p.embeddings, db, restricted=False)
+            exts = reference_rightmost_extensions(list(p.code), p.embeddings, db, restricted=False)
             for bucket in exts.values():
                 if support(bucket) < sup:
                     infrequent += 1
@@ -310,7 +236,7 @@ def test_infrequent_buckets_never_have_equivalent_occurrence_one_label():
 def test_equivalent_occurrence_true_and_false(sample_db):
     root = DFSCode([(0, 1, W, EA, X)])
     proj = project_code(root, sample_db)
-    exts = rightmost_extensions(root, proj, sample_db, restricted=False)
+    exts = reference_rightmost_extensions(root, proj, sample_db, restricted=False)
     # Every W-a-X occurrence extends by W-f-Z (three of three).
     assert equivalent_occurrence(proj, exts[(0, 2, W, EF, Z)])
     # Only two of three extend by X-b-Y.

@@ -54,14 +54,14 @@ GROUPS = {
 
 GOLDEN = {
     ("sample", "frequent"): "2446fb458bd83ae1d63809606a722c686e53455885a9cfab098bfc961dbd0183",
-    ("sample", "closed"): "939d83d30e120218bd1b9266d10830d063b780b6c2796abf6f5607d3220e85a9",
-    ("sample", "closed_no_etf"): "5fe3d1de5360bfe0012a38af1b71daf02346fbea77ba3550606bcd5d39e43ead",
+    ("sample", "closed"): "df4ca84d125f5381a9bb4cfc57cf8b8839ae34c842400672d3891833d8c7dc6b",
+    ("sample", "closed_no_etf"): "5902d54cc09c93804b7f47decfe2508f1b5e06f3764cb96a5858dc38a703611d",
     ("etf", "frequent"): "7a660f50790ef100737267898afb249f000d8c929e352569b3a775b6790f8566",
-    ("etf", "closed"): "eb8d4580035706ffaaf2f9c31faa1cd875ffb583ca843042a9629c0157bbddbc",
+    ("etf", "closed"): "e4a0bb624f860d6e520c28528c2ff6be7c07939af810832b6e41a28c3fc6d9d9",
     ("etf", "closed_no_etf"): "9627179f8e2aefe6ca30fd0153d565c74d14775808a38c112a20ee3726bca350",
     ("random", "frequent"): "54fa58e1f9d15a93f746ecaa6f7b2ab969dbd729a1bd6d09c3ae54e8e7e1cd38",
-    ("random", "closed"): "4842806a8089e82d579b7851354f9fa3d42548d87f730703d758ecccaa0949ec",
-    ("random", "closed_no_etf"): "c12b1b14edba97bc50f47d853ccd009dcb564bb893b28d1a8e3d403fb7d58f27",
+    ("random", "closed"): "29c076f370d6b5f4cbf8feb077bef243e0e14703bac6d0222bfebf492782b22e",
+    ("random", "closed_no_etf"): "b41f9dc38b29fcfaa28d5eb1571b57a2e15103cfb31b6c840bf5a9e60c1e2808",
 }
 
 

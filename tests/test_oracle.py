@@ -4,7 +4,7 @@ import pytest
 
 from graphmine.datasets import parse_dataset_text
 from graphmine.dfscode import DFSCode, code_to_graph
-from graphmine.embeddings import project_code, rightmost_extensions
+from graphmine.embeddings import project_code
 from graphmine.graphs import LabeledGraph, subgraph_isomorphisms
 from graphmine.gspan import MiningConfig, mine_frequent
 from graphmine.oracle import (
@@ -16,15 +16,22 @@ from graphmine.oracle import (
     verify_run,
 )
 
-from conftest import CG2, EA, ED, EF, P1, P2, W, X, Y, Z, key_set, random_database
-
-
-def rm_as_key(t) -> ExtensionKey:
-    """The oracle key describing a right-most extension tuple."""
-    frm, to = t[0], t[1]
-    if to > frm:  # forward: new vertex
-        return ExtensionKey("f", frm, -1, t[3], t[4])
-    return ExtensionKey("b", min(frm, to), max(frm, to), t[3], -1)
+from conftest import (
+    CG2,
+    EA,
+    ED,
+    EF,
+    P1,
+    P2,
+    W,
+    X,
+    Y,
+    Z,
+    key_set,
+    random_database,
+    reference_rightmost_extensions,
+    rm_as_key,
+)
 
 
 # ----------------------------------------------------------- embeddings
@@ -105,7 +112,7 @@ def test_extensions_cover_non_rightmost_vertices():
     )
     code = DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 0, 2), (1, 3, 1, 0, 3)])
     proj = project_code(code, db)
-    rm = rightmost_extensions(code, proj, db, restricted=False)
+    rm = reference_rightmost_extensions(code, proj, db, restricted=False)
     oracle = set(all_extensions(code, db))
     assert rm == {}
     assert oracle == {ExtensionKey("f", 2, -1, 0, 4)}
@@ -116,7 +123,7 @@ def test_extensions_match_rightmost_on_single_edge(sample_db):
     # the two enumerations describe the same edges.
     code = DFSCode([(0, 1, W, EA, X)])
     proj = project_code(code, sample_db)
-    rm = rightmost_extensions(code, proj, sample_db, restricted=False)
+    rm = reference_rightmost_extensions(code, proj, sample_db, restricted=False)
     assert {rm_as_key(t) for t in rm} == set(all_extensions(code, sample_db))
 
 
