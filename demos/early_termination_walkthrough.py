@@ -6,8 +6,8 @@ occurrence with an already-stored closed graph: every occurrence of the
 pattern extends to an occurrence of that graph, so nothing below the branch
 can be closed. The cut is usually sound, but a stored graph can shadow a
 branch that still hides an unreached closed pattern; the miner therefore
-registers such risky codes in a trie (detect_etf) and abandons exactly the
-terminations that walk into them (reject_early_termination).
+registers every prefix of such risky codes as unsafe (detect_etf) and
+abandons exactly the terminations that walk into one (reject_early_termination).
 
 This database is the smallest shape that trips the failure: cutting the
 branch of X(-a-Y)(-c-Z) after storing X(-a-Y-b-X)(-c-Z) would lose the
@@ -21,7 +21,6 @@ from graphmine import MiningConfig, MiningStats, mine_closed, parse_dataset_text
 from graphmine.cgspan import (
     ClosedGraphHashTable,
     ClosedGraphRecord,
-    DFSCodeTrie,
     add_closed_graph,
     detect_etf,
     early_termination,
@@ -90,7 +89,7 @@ def main() -> int:
             print(f"  {render(p.code, db)}")
         print(f"  terminations applied={stats.early_terminations_applied} "
               f"rejected={stats.early_terminations_rejected} "
-              f"trie size={stats.trie_size}")
+              f"unsafe prefixes={stats.trie_size}")
         report = verify_run(db, MiningConfig(min_support=2, mode=mode))
         print(f"  oracle verdict: {'match' if report.ok else 'MISMATCH'}")
         for code in report.missing:
@@ -105,27 +104,30 @@ def main() -> int:
     record = ClosedGraphRecord(CG1, project_code(CG1, db), discovery_index=0)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
-    print(f"hash table now holds {len(cght)} record under {len(cght.buckets)} keys,")
-    print("one key per pattern edge: the set of database edges it maps onto.")
-    for key in cght.buckets:
-        print(f"  key {sorted(key)}")
+    graphs = sorted(next(iter(cght.groups)))
+    print(f"hash table files it under its support set, graphs {graphs}; its keys")
+    print("are built by the first lookup of a pattern with that support set.")
 
     print(f"\ncandidate for termination: {render(DOOMED, db)}")
     projected = project_code(DOOMED, db)
     terminate, rec, rho = early_termination(DOOMED, projected, cght)
     print(f"early_termination -> {terminate}, via stored graph #{rec.discovery_index}, "
           f"vertex map rho={rho}")
+    print(f"the lookup indexed the record under {len(cght.buckets)} keys, one per pattern")
+    print("edge: the set of database edges (graph, edge id) it maps onto.")
+    for key in cght.buckets:
+        print(f"  key {sorted(key)}")
     print("every occurrence of the candidate extends to an occurrence of the")
     print("stored graph, so plain early termination would cut the branch here.")
 
-    trie = DFSCodeTrie()
-    registered = detect_etf(CG1, trie)
+    unsafe: set = set()
+    registered = detect_etf(CG1, unsafe)
     print(f"\ndetect_etf on the stored graph's code -> {registered}")
     print("deleting its dfs-vertex 1 (the Y hub) leaves X-c-Z, a part that is")
     print("not in the code's parent and sorts after the code itself: a branch")
-    print("that has not been searched yet. The code is registered as unsafe.")
+    print("that has not been searched yet. The code and its prefixes are now unsafe.")
 
-    rejected = reject_early_termination(DOOMED, rec, rho, trie)
+    rejected = reject_early_termination(DOOMED, rec, rho, unsafe)
     print(f"\nreject_early_termination -> {rejected}")
     print("the candidate's edges map into the registered code's risky prefix,")
     print("so the cut is abandoned and the branch stays open; mining it finds")

@@ -8,8 +8,8 @@ keyed by the database images of single pattern edges, so each test touches
 few candidates. A lookup can only hit a closed graph with the pattern's
 support set, so the table files each closed graph under its support set and
 builds its edge keys only when a lookup first reaches that set. Known
-failure cases of that pruning rule are tracked in a code trie and force the
-branch to be explored anyway.
+failure cases of that pruning rule are tracked as a set of code prefixes and
+force the branch to be explored anyway.
 """
 
 from __future__ import annotations
@@ -25,40 +25,12 @@ from .gspan import MinedPattern, MiningConfig, MiningStats, search
 __all__ = [
     "ClosedGraphRecord",
     "ClosedGraphHashTable",
-    "DFSCodeTrie",
-    "create_edge_hash_key",
     "add_closed_graph",
     "early_termination",
     "detect_etf",
     "reject_early_termination",
     "mine_closed",
 ]
-
-
-def create_edge_hash_key(
-    edge: tuple[int, int],
-    code: Sequence[Sequence[int]],
-    projected: list,
-) -> frozenset:
-    """The set of database images ``(gid, eid)`` of one pattern edge under
-    all embeddings.
-
-    ``edge`` names the pattern edge by its dfs vertex pair, in either
-    orientation. Keys are order-free, so patterns sharing an edge's entire
-    image set collide regardless of their own shape.
-    """
-    want = frozenset(edge)
-    for pos, t in enumerate(code):
-        if frozenset((t[0], t[1])) == want:
-            hops = range(len(code) - 1 - pos)
-            key = set()
-            for c in projected:
-                gid = c.gid
-                for _ in hops:
-                    c = c.prev
-                key.add((gid, c.edge[2]))
-            return frozenset(key)
-    raise ValueError(f"edge {edge!r} is not part of the code")
 
 
 class ClosedGraphRecord:
@@ -104,15 +76,11 @@ class ClosedGraphHashTable:
     fills each of its buckets as filing every record on insertion would.
     """
 
-    __slots__ = ("buckets", "groups", "records")
+    __slots__ = ("buckets", "groups")
 
     def __init__(self):
         self.buckets: dict[frozenset, list[ClosedGraphRecord]] = {}
         self.groups: dict[frozenset, list[ClosedGraphRecord]] = {}
-        self.records: list[ClosedGraphRecord] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> None:
@@ -123,7 +91,6 @@ def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> N
     metrics book that work under ``cgspan.lookup``, not ``cgspan.insert``.
     """
     cght.groups.setdefault(frozenset(c.gid for c in record.chains), []).append(record)
-    cght.records.append(record)
 
 
 def _index_group(buckets: dict, records: list[ClosedGraphRecord]) -> None:
@@ -211,49 +178,11 @@ def early_termination(
     return False, None, None
 
 
-class DFSCodeTrie:
-    """Prefix store of DFS codes registered as unsafe termination sources.
-
-    Membership is path existence: a code is contained when it is a prefix
-    of (or equal to) some registered code.
-    """
-
-    __slots__ = ("_root", "_size")
-
-    def __init__(self):
-        self._root: dict = {}
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def insert(self, code: Sequence[Sequence[int]]) -> None:
-        node = self._root
-        for t in code:
-            t = tuple(t)
-            child = node.get(t)
-            if child is None:
-                child = node[t] = {}
-                self._size += 1
-            node = child
-
-    def walk_depth(self, code: Sequence[Sequence[int]]) -> int:
-        """Length of the longest prefix of ``code`` present in the trie."""
-        node = self._root
-        depth = 0
-        for t in code:
-            node = node.get(tuple(t))
-            if node is None:
-                break
-            depth += 1
-        return depth
-
-    def __contains__(self, code) -> bool:
-        return len(code) > 0 and self.walk_depth(code) == len(code)
-
-
-def detect_etf(code: Sequence[Sequence[int]], trie: DFSCodeTrie) -> bool:
+def detect_etf(code: Sequence[Sequence[int]], unsafe: set) -> bool:
     """Register the code when terminating through it could lose patterns.
+
+    Registering adds every prefix of the code, as a tuple of tuples, to
+    ``unsafe``.
 
     Witness search: deleting any vertex w other than the right-most one
     must leave a nonempty part beta around the right-most vertex such that
@@ -277,7 +206,7 @@ def detect_etf(code: Sequence[Sequence[int]], trie: DFSCodeTrie) -> bool:
         if next(subgraph_isomorphisms(beta, parent), None) is not None:
             continue
         if code_less_than_min(code, beta):
-            trie.insert(code)
+            unsafe.update(tuple(code[:k]) for k in range(1, len(code) + 1))
             return True
     return False
 
@@ -286,19 +215,20 @@ def reject_early_termination(
     code: Sequence[Sequence[int]],
     record: ClosedGraphRecord,
     rho: tuple[int, ...],
-    trie: DFSCodeTrie,
+    unsafe: set,
 ) -> bool:
     """True when the planned termination must be abandoned.
 
     Projects the pattern's edges through rho into the terminating closed
     graph's code, takes the last covered position n, and rejects when any
-    registered code starts with that code's first n+1 tuples.
+    registered code starts with that code's first n+1 tuples, that is when
+    those tuples are in ``unsafe``.
     """
-    if not len(trie):
+    if not unsafe:
         return False
     edge_pos = record.edge_pos
     n = max(edge_pos[frozenset((rho[t[0]], rho[t[1]]))] for t in code)
-    return trie.walk_depth(record.code) >= n + 1
+    return tuple(record.code[: n + 1]) in unsafe
 
 
 def mine_closed(
@@ -336,23 +266,23 @@ def mine_closed(
     stats = stats if stats is not None else MiningStats()
     use_etf = config.mode == "closed"
     cght = ClosedGraphHashTable()
-    trie = DFSCodeTrie()
+    unsafe: set[tuple] = set()
 
     def enter(code: list, projected: list) -> bool | None:
         terminate, record, rho = early_termination(code, projected, cght)
         if terminate:
-            if use_etf and reject_early_termination(code, record, rho, trie):
+            if use_etf and reject_early_termination(code, record, rho, unsafe):
                 stats.early_terminations_rejected += 1
             else:
                 stats.early_terminations_applied += 1
                 return None
         if use_etf:
-            detect_etf(code, trie)
+            detect_etf(code, unsafe)
         return terminate
 
     def leave(code: list, projected: list, exts: dict, covered: bool, emit) -> None:
         # A pattern that triggered termination is covered by a stored
-        # closed graph even when the trie forced its branch open.
+        # closed graph even when failure detection forced its branch open.
         if (
             covered
             or any(equivalent_occurrence(projected, b) for b in exts.values())
@@ -363,5 +293,5 @@ def mine_closed(
         add_closed_graph(cght, ClosedGraphRecord(pattern.code, projected, pattern.discovery_index))
 
     out = search(db, config, stats, enter, leave)
-    stats.trie_size = len(trie)
+    stats.trie_size = len(unsafe)
     return out

@@ -9,14 +9,16 @@ File format, one record per line, whitespace separated:
     x ...                 ignored (pattern-file occurrence lists)
     t # -1                explicit terminator; EOF works too
 
-Labels: when every label token in a namespace (vertex or edge) is a decimal
-integer, the numeric values are used directly; otherwise tokens are interned
-to ints by first appearance and the vocabulary is kept for output.
+Labels: when every label token in a namespace (vertex or edge) is an integer
+written the way ``str`` writes it (ASCII digits, an optional leading ``-``,
+no leading zeros), the numeric values are used directly; otherwise tokens are
+interned to ints by first appearance and the vocabulary is kept for output.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from pathlib import Path
 from typing import TextIO
 
@@ -119,19 +121,21 @@ def _parse(fh: TextIO) -> GraphDatabase:
     return db
 
 
+_INT_LABEL = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def _label_mapping(tokens: list[str]) -> tuple[dict[str, int], list[str] | None]:
-    """Numeric tokens map to their own values; otherwise intern by appearance."""
-    try:
-        return {tok: int(tok) for tok in tokens}, None
-    except ValueError:
-        pass
-    mapping: dict[str, int] = {}
-    names: list[str] = []
-    for tok in tokens:
-        if tok not in mapping:
-            mapping[tok] = len(names)
-            names.append(tok)
-    return mapping, names
+    """Numeric tokens map to their own values; otherwise intern by appearance.
+
+    A namespace is numeric only when each distinct token is the ``str`` of
+    its integer, so no two distinct tokens share a value: ``int`` alone also
+    reads ``1_0``, non-ASCII digits and ``007``, which would merge them with
+    ``10``, ``3`` and ``7``.
+    """
+    distinct = dict.fromkeys(tokens)
+    if all(_INT_LABEL.fullmatch(tok) for tok in distinct):
+        return {tok: int(tok) for tok in distinct}, None
+    return {tok: i for i, tok in enumerate(distinct)}, list(distinct)
 
 
 def dump_dataset(db: GraphDatabase, dest: TextIO | None = None) -> str | None:

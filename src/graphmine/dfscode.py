@@ -135,129 +135,98 @@ def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
     tuple over all embeddings of the prefix in g extends the global minimum.
     Consumers that only need a prefix can stop early.
 
-    This does not reuse ``embeddings.rightmost_extensions``: that scan
-    builds every extension bucket, while this one stops at the first
-    non-empty group (backward edges by target from the root side, then
-    forward edges from the right-most vertex, then from each path vertex
-    toward the root). Routing ``is_min`` and ``code_less_than_min``
-    through the full scan made them about 2.5x slower on the calls a
-    ``dense`` benchmark run makes.
+    Each embedding of the prefix is a vertex map, a tuple from dfs id to
+    vertex of g, as everywhere else in the package. Graphs are simple and
+    maps injective, so a graph edge between two images belongs to the
+    embedding exactly when the code joins their dfs ids: backward targets
+    the code already joins to the right-most vertex are skipped, and no
+    per-embedding set of used vertices or edges is kept. Backward steps
+    only filter the maps; a forward step extends only the maps that carry
+    the winning label pair.
+
+    Groups are tried in tuple order and the first non-empty one wins:
+    backward edges by target from the root side, then forward edges from
+    the right-most vertex (no growth filter) and from each right-most path
+    vertex toward the root (growth filter against the path edge leaving
+    it), all in one loop. This does not reuse
+    ``embeddings.rightmost_extensions``: that scan builds every extension
+    bucket, and routing ``is_min`` and ``code_less_than_min`` through it
+    made them about 2.5x slower on the calls a ``dense`` benchmark run
+    makes.
     """
     adj = g.adj
     vl = g.vlabels
     m = g.edge_count
     if m == 0:
         return
-    best = None
-    for u in range(len(vl)):
-        lu = vl[u]
-        for e in adj[u]:
-            trip = (lu, e[3], vl[e[1]])
-            if best is None or trip < best:
-                best = trip
+    best = min([(vl[e[0]], e[3], vl[e[1]]) for es in adj for e in es])
     min_vlb = best[0]
-    yield (0, 1, best[0], best[1], best[2])
-    embs = [
-        ((e,), frozenset((e[0], e[1])), frozenset((e[2],)))
+    code: list[tuple] = [(0, 1) + best]
+    yield code[0]
+    vmaps = [
+        (u, e[1])
         for u in range(len(vl))
-        if vl[u] == best[0]
+        if vl[u] == min_vlb
         for e in adj[u]
         if e[3] == best[1] and vl[e[1]] == best[2]
     ]
-    code: list[tuple] = [(0, 1, best[0], best[1], best[2])]
     positions = [0]
     maxtoc = 1
+    joined: set[int] = set()  # targets of backward tuples from maxtoc
 
     while len(code) < m:
-        rm_pos = positions[-1]
-        rmlbl = code[rm_pos][4]
-
+        rmlbl = code[positions[-1]][4]
         # Backward first: scan targets from the root side so the smallest
         # target wins; among hits at that target, the smallest edge label.
-        emitted = False
         for pos in positions[:-1]:
-            tgt_dfs = code[pos][0]
-            e1lbl = code[pos][3]
-            alloweq = code[pos][4] <= rmlbl
+            tgt, _, tgtlbl, e1lbl, e1tolbl = code[pos]
+            if tgt in joined:
+                continue
+            alloweq = e1tolbl <= rmlbl
             hits = []
-            for edges, vused, eused in embs:
-                u_img = edges[rm_pos][1]
-                w_img = edges[pos][0]
-                for e in adj[u_img]:
-                    if e[1] == w_img and e[2] not in eused:
+            for vmap in vmaps:
+                w = vmap[tgt]
+                for e in adj[vmap[maxtoc]]:
+                    if e[1] == w:
                         if e[3] > e1lbl or (e[3] == e1lbl and alloweq):
-                            hits.append((edges, vused, eused, e))
+                            hits.append((e[3], vmap))
                         break
             if hits:
-                min_elb = min(h[3][3] for h in hits)
-                t = (maxtoc, tgt_dfs, rmlbl, min_elb, code[pos][2])
+                elb = min(hits)[0]
+                t = (maxtoc, tgt, rmlbl, elb, tgtlbl)
                 yield t
                 code.append(t)
-                embs = [
-                    (edges + (e,), vused, eused | {e[2]})
-                    for edges, vused, eused, e in hits
-                    if e[3] == min_elb
-                ]
-                emitted = True
+                vmaps = [vmap for lb, vmap in hits if lb == elb]
+                joined.add(tgt)
                 break
-        if emitted:
-            continue
-
-        # Pure forward from the right-most vertex beats any forward edge
-        # from deeper on the path (larger frm sorts first).
-        hits = []
-        for edges, vused, eused in embs:
-            u_img = edges[rm_pos][1]
-            for e in adj[u_img]:
-                if e[1] not in vused and vl[e[1]] >= min_vlb:
-                    hits.append((edges, vused, eused, e))
-        if hits:
-            pair = min((h[3][3], vl[h[3][1]]) for h in hits)
-            t = (maxtoc, maxtoc + 1, rmlbl, pair[0], pair[1])
-            yield t
-            code.append(t)
-            embs = [
-                (edges + (e,), vused | {e[1]}, eused | {e[2]})
-                for edges, vused, eused, e in hits
-                if e[3] == pair[0] and vl[e[1]] == pair[1]
-            ]
-            positions.append(len(code) - 1)
-            maxtoc += 1
-            continue
-
-        emitted = False
-        for idx in range(len(positions) - 1, -1, -1):
-            pos = positions[idx]
-            frm_dfs = code[pos][0]
-            e1lbl = code[pos][3]
-            e1tolbl = code[pos][4]
-            hits = []
-            for edges, vused, eused in embs:
-                u_img = edges[pos][0]
-                for e in adj[u_img]:
-                    if e[1] in vused:
-                        continue
-                    nlbl = vl[e[1]]
-                    if nlbl < min_vlb:
-                        continue
-                    if e[3] > e1lbl or (e[3] == e1lbl and nlbl >= e1tolbl):
-                        hits.append((edges, vused, eused, e))
-            if hits:
-                pair = min((h[3][3], vl[h[3][1]]) for h in hits)
-                t = (frm_dfs, maxtoc + 1, code[pos][2], pair[0], pair[1])
-                yield t
-                code.append(t)
-                embs = [
-                    (edges + (e,), vused | {e[1]}, eused | {e[2]})
-                    for edges, vused, eused, e in hits
-                    if e[3] == pair[0] and vl[e[1]] == pair[1]
-                ]
-                positions = positions[:idx] + [len(code) - 1]
-                maxtoc += 1
-                emitted = True
-                break
-        if not emitted:
-            raise ValueError("graph is not connected; no DFS code covers it")
+        else:
+            # Forward: a deeper source sorts first. The right-most vertex
+            # has no growth filter (None); a path vertex needs at least the
+            # (edge, target) labels of the path edge leaving it.
+            sources = [(maxtoc, rmlbl, None)]
+            sources += [(code[p][0], code[p][2], code[p][3:]) for p in reversed(positions)]
+            for k, (frm, frmlbl, floor) in enumerate(sources):
+                hits = []
+                for vmap in vmaps:
+                    for e in adj[vmap[frm]]:
+                        to = e[1]
+                        if to in vmap:
+                            continue
+                        nlbl = vl[to]
+                        if nlbl >= min_vlb and (floor is None or (e[3], nlbl) >= floor):
+                            hits.append((e[3], nlbl, vmap, to))
+                if hits:
+                    elb, nlbl = min(hits)[:2]
+                    t = (frm, maxtoc + 1, frmlbl, elb, nlbl)
+                    yield t
+                    code.append(t)
+                    vmaps = [vmap + (to,) for lb, nl, vmap, to in hits if lb == elb and nl == nlbl]
+                    positions = positions[: len(positions) - k] + [len(code) - 1]
+                    maxtoc += 1
+                    joined = set()
+                    break
+            else:
+                raise ValueError("graph is not connected; no DFS code covers it")
 
 
 def min_dfs_code(g: LabeledGraph) -> DFSCode:

@@ -38,11 +38,6 @@ def vertex_maps(code: Sequence[Sequence[int]], chains: list) -> list[tuple[int, 
     return list(_vertex_maps(code, chains))
 
 
-def vertex_map(code: Sequence[Sequence[int]], emb: Embedding) -> list[int]:
-    """dfs id -> graph vertex for one chain."""
-    return list(vertex_maps(code, [emb])[0])
-
-
 def _vertex_maps(code: Sequence[Sequence[int]], chains):
     """Read each chain in one backward walk.
 
@@ -69,11 +64,6 @@ def _vertex_maps(code: Sequence[Sequence[int]], chains):
 def support(projected: list) -> int:
     """Number of distinct graphs the chains live in."""
     return len({e.gid for e in projected})
-
-
-def occurrence(projected: list) -> int:
-    """Number of subgraph isomorphisms, one per chain."""
-    return len(projected)
 
 
 def containing_graphs(projected: list) -> list[int]:

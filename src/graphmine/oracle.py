@@ -5,7 +5,7 @@ Everything here recomputes embeddings from scratch with
 it shares only the graph containers, that subgraph matcher (also the
 closed miner's failure-detection witness test) and canonical forms; it
 uses none of their embedding chains, right-most extension scan, closed-graph
-hash table or DFS-code trie. Intended for verification at desk scale, not
+hash table or failure set. Intended for verification at desk scale, not
 for large datasets.
 """
 

@@ -379,9 +379,10 @@ def brute_min_code(g: LabeledGraph) -> tuple:
     return best
 
 
-def connected_labeled_graphs(max_edges: int = 4, n_vlabels: int = 2, n_elabels: int = 2):
+def connected_labeled_graphs(max_edges: int = 4, n_vlabels: int = 2, n_elabels: int = 2, lowest_label: int = 0):
     """Every connected labeled graph with 1..max_edges edges, one instance
-    per edge-set skeleton and labeling. Yields LabeledGraph."""
+    per edge-set skeleton and labeling, with vertex and edge labels counted
+    up from ``lowest_label``. Yields LabeledGraph."""
     from itertools import combinations, product
 
     for nv in range(2, max_edges + 2):
@@ -405,8 +406,8 @@ def connected_labeled_graphs(max_edges: int = 4, n_vlabels: int = 2, n_elabels: 
                             frontier.append(o)
                 if len(seen) != nv or any(v not in adj for v in range(nv)):
                     continue
-                for vlabels in product(range(n_vlabels), repeat=nv):
-                    for elabels in product(range(n_elabels), repeat=ne):
+                for vlabels in product(range(lowest_label, lowest_label + n_vlabels), repeat=nv):
+                    for elabels in product(range(lowest_label, lowest_label + n_elabels), repeat=ne):
                         g = LabeledGraph()
                         for lbl in vlabels:
                             g.add_vertex(lbl)

@@ -7,9 +7,7 @@ from graphmine import cgspan, gspan
 from graphmine.cgspan import (
     ClosedGraphHashTable,
     ClosedGraphRecord,
-    DFSCodeTrie,
     add_closed_graph,
-    create_edge_hash_key,
     detect_etf,
     early_termination,
     mine_closed,
@@ -40,6 +38,7 @@ from conftest import (
     W,
     X,
     Z,
+    chain_edges,
     key_set,
     random_database,
     reference_rightmost_extensions,
@@ -137,18 +136,6 @@ def test_hash_table_state_matches_worked_example(sample_db, sample_closed):
         ((0, 0), (0, 1), (1, 0)): ["p2"],
     }
     assert len(cght.buckets) == 5
-    assert len(cght) == 2
-
-
-def test_create_edge_hash_key_worked_example(sample_db):
-    alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
-    proj = project_code(alpha, sample_db)
-    key = create_edge_hash_key((1, 2), alpha, proj)
-    assert key == frozenset({(0, 4), (1, 3)})
-    # Either orientation of the edge pair is accepted.
-    assert create_edge_hash_key((2, 1), alpha, proj) == key
-    with pytest.raises(ValueError):
-        create_edge_hash_key((0, 2), alpha, proj)
 
 
 def test_record_dedup_within_bucket(sample_db, sample_closed):
@@ -261,12 +248,13 @@ def test_early_termination_one_edge_pattern():
         "".join(f"t # {i}\nv 0 0\nv 1 1\nv 2 2\ne 0 1 5\ne 1 2 6\n" for i in range(2))
     )
     stored = DFSCode([(0, 1, 0, 5, 1), (1, 2, 1, 6, 2)])
+    record = ClosedGraphRecord(stored, project_code(stored, path_db), 0)
     cght = ClosedGraphHashTable()
-    add_closed_graph(cght, ClosedGraphRecord(stored, project_code(stored, path_db), 0))
+    add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 1)])
     proj = project_code(edge, path_db)
-    assert early_termination(edge, proj, cght) == (True, cght.records[0], (0, 1))
-    assert reference_cover(edge, proj, cght.records[0]) == (0, 1)
+    assert early_termination(edge, proj, cght) == (True, record, (0, 1))
+    assert reference_cover(edge, proj, record) == (0, 1)
 
     # Two copies of 0-(5)-0-(6)-1. The edge 0-(5)-0 occurs in both
     # orientations and the stored path takes one of them, so both rhos,
@@ -275,18 +263,19 @@ def test_early_termination_one_edge_pattern():
         "".join(f"t # {i}\nv 0 0\nv 1 0\nv 2 1\ne 0 1 5\ne 1 2 6\n" for i in range(2))
     )
     stored = DFSCode([(0, 1, 0, 5, 0), (1, 2, 0, 6, 1)])
+    record = ClosedGraphRecord(stored, project_code(stored, sym_db), 0)
     cght = ClosedGraphHashTable()
-    add_closed_graph(cght, ClosedGraphRecord(stored, project_code(stored, sym_db), 0))
+    add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 0)])
     proj = project_code(edge, sym_db)
     assert len(proj) == 4
     assert early_termination(edge, proj, cght) == (False, None, None)
-    assert reference_cover(edge, proj, cght.records[0]) is None
+    assert reference_cover(edge, proj, record) is None
     assert is_closed(edge, sym_db)
 
 
 def test_early_termination_result_is_not_emitted_even_when_rejected():
-    # Same chord database: the path triggers termination, the failure trie
+    # Same chord database: the path triggers termination, failure detection
     # forces its branch open, and it still must not be emitted because the
     # stored cover proves it is not closed.
     text = "".join(
@@ -306,54 +295,49 @@ def test_early_termination_result_is_not_emitted_even_when_rejected():
     assert stats.early_terminations_applied == 0
 
 
-# ------------------------------------------------------------------ trie
+# ----------------------------------------------------------- failure set
 
 
-def test_trie_membership_is_path_existence():
-    trie = DFSCodeTrie()
-    assert len(trie) == 0
-    code = [(0, 1, 0, 0, 1), (1, 2, 1, 1, 0), (0, 3, 0, 2, 2)]
-    trie.insert(code)
-    assert len(trie) == 3
-    assert code in trie
-    assert code[:1] in trie and code[:2] in trie  # prefixes are members
-    assert [] not in trie
-    assert [(0, 1, 0, 0, 2)] not in trie
-    assert trie.walk_depth(code) == 3
-    assert trie.walk_depth(code[:2] + [(9, 9, 9, 9, 9)]) == 2
-    trie.insert(code)  # idempotent
-    assert len(trie) == 3
-    trie.insert(code[:2] + [(2, 3, 0, 0, 1)])
-    assert len(trie) == 4
+def test_registration_stores_every_prefix_once():
+    unsafe = set()
+    assert detect_etf(CG1, unsafe)
+    assert tuple(CG1[:1]) in unsafe and tuple(CG1[:2]) in unsafe
+    assert () not in unsafe
+    assert ((0, 1, 0, 0, 2),) not in unsafe
+    assert detect_etf(CG1, unsafe)  # idempotent
+    assert len(unsafe) == 3
+    # A sibling sharing CG1's first two tuples adds only its own last prefix.
+    assert detect_etf(DFSCode(CG1[:2] + [(2, 3, 0, 0, 1)]), unsafe)
+    assert len(unsafe) == 4
 
 
 # ------------------------------------------------------------ detect_etf
 
 
 def test_detect_etf_registers_cg1():
-    trie = DFSCodeTrie()
-    assert detect_etf(CG1, trie)
-    assert CG1 in trie
-    assert len(trie) == 3
+    unsafe = set()
+    assert detect_etf(CG1, unsafe)
+    assert tuple(CG1) in unsafe
+    assert len(unsafe) == 3
 
 
 def test_detect_etf_skips_one_edge_codes():
-    trie = DFSCodeTrie()
-    assert not detect_etf(DFSCode([(0, 1, 0, 0, 1)]), trie)
-    assert len(trie) == 0
+    unsafe = set()
+    assert not detect_etf(DFSCode([(0, 1, 0, 0, 1)]), unsafe)
+    assert not unsafe
 
 
 def test_detect_etf_two_edge_codes_depend_on_remainder():
-    trie = DFSCodeTrie()
+    unsafe = set()
     # A-x-B-x-A: dropping either leaf leaves an edge the parent already
     # contains, so nothing registers.
-    assert not detect_etf(DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 0, 0)]), trie)
-    assert len(trie) == 0
+    assert not detect_etf(DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 0, 0)]), unsafe)
+    assert not unsafe
     # A-x-B-y-C: dropping the A leaf leaves B-y-C, absent from the parent
     # A-x-B and canonically later; the code registers.
     code = DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 1, 2)])
-    assert detect_etf(code, trie)
-    assert code in trie
+    assert detect_etf(code, unsafe)
+    assert tuple(code) in unsafe
 
 
 def test_detect_etf_registers_on_leaf_deletion():
@@ -361,26 +345,26 @@ def test_detect_etf_registers_on_leaf_deletion():
     # but deleting the first A leaves B-A-B, which needs a degree-2 A and
     # cannot embed in the parent path A-B-A; the code registers.
     code = DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 0, 0), (2, 3, 0, 0, 1)])
-    trie = DFSCodeTrie()
-    assert detect_etf(code, trie)
-    assert code in trie
+    unsafe = set()
+    assert detect_etf(code, unsafe)
+    assert tuple(code) in unsafe
 
 
 def test_detect_etf_no_witness_on_triangle():
     # Unlabeled triangle: any deletion leaves a single edge that embeds in
     # the parent path, so nothing registers.
     code = DFSCode([(0, 1, 0, 0, 0), (1, 2, 0, 0, 0), (2, 0, 0, 0, 0)])
-    trie = DFSCodeTrie()
-    assert not detect_etf(code, trie)
-    assert len(trie) == 0
+    unsafe = set()
+    assert not detect_etf(code, unsafe)
+    assert not unsafe
 
 
 def test_detect_etf_registers_sample_pattern():
     # Deleting the X hub of the 4-edge closed pattern leaves W-f-Z, whose
     # canonical code sorts after the pattern's own; the code registers.
-    trie = DFSCodeTrie()
-    assert detect_etf(P1, trie)
-    assert P1 in trie
+    unsafe = set()
+    assert detect_etf(P1, unsafe)
+    assert tuple(P1) in unsafe
 
 
 # ------------------------------------------------- reject_early_termination
@@ -388,24 +372,24 @@ def test_detect_etf_registers_sample_pattern():
 
 def test_reject_worked_example(etf_db):
     # Termination of X(-a-Y)(-c-Z) via the stored CG1 projects its edges to
-    # positions 0 and 2; the full CG1 code is registered, so the walk
-    # reaches depth 3 >= n+1 and the termination is rejected.
+    # positions 0 and 2; the full CG1 code is registered, so its first
+    # n+1 = 3 tuples are unsafe and the termination is rejected.
     db = etf_db
     rec = ClosedGraphRecord(CG1, project_code(CG1, db), 0)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, rec)
-    trie = DFSCodeTrie()
-    assert detect_etf(CG1, trie)
+    unsafe = set()
+    assert detect_etf(CG1, unsafe)
 
     s = DFSCode([(0, 1, 0, 0, 1), (0, 2, 0, 2, 2)])  # X(-a-Y)(-c-Z)
     proj = project_code(s, db)
     terminate, record, rho = early_termination(s, proj, cght)
     assert terminate and record is rec
     assert rho == (0, 1, 3)
-    assert reject_early_termination(s, record, rho, trie)
+    assert reject_early_termination(s, record, rho, unsafe)
 
 
-def test_reject_false_when_trie_lacks_the_prefix(etf_db):
+def test_reject_false_when_the_prefix_is_not_registered(etf_db):
     db = etf_db
     rec = ClosedGraphRecord(CG1, project_code(CG1, db), 0)
     cght = ClosedGraphHashTable()
@@ -415,11 +399,14 @@ def test_reject_false_when_trie_lacks_the_prefix(etf_db):
     terminate, record, rho = early_termination(s, proj, cght)
     assert terminate
 
-    empty = DFSCodeTrie()
-    assert not reject_early_termination(s, record, rho, empty)
-    other = DFSCodeTrie()
-    other.insert([(0, 1, 0, 0, 1), (1, 2, 1, 3, 0)])  # diverges at position 1
+    assert not reject_early_termination(s, record, rho, set())
+    other = set()
+    assert detect_etf(DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 3, 0)]), other)  # diverges at position 1
     assert not reject_early_termination(s, record, rho, other)
+    # A code sharing CG1's first two tuples: the termination needs three.
+    sibling = set()
+    assert detect_etf(DFSCode(CG1[:2] + [(2, 3, 0, 0, 1)]), sibling)
+    assert not reject_early_termination(s, record, rho, sibling)
 
 
 def test_etf_db_end_to_end_rejection_path(etf_db):
@@ -646,8 +633,9 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
             eager: dict[frozenset, list] = {}
 
             def spy_insert(cght, record):
-                for t in record.code:
-                    key = create_edge_hash_key((t[0], t[1]), record.code, record.chains)
+                images = [(c.gid, chain_edges(c, len(record.code))) for c in record.chains]
+                for pos in range(len(record.code)):
+                    key = frozenset((gid, edges[pos][2]) for gid, edges in images)
                     bucket = eager.setdefault(key, [])
                     if not any(r is record for r in bucket):
                         bucket.append(record)

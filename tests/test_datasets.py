@@ -69,6 +69,25 @@ def test_numeric_labels_pass_through():
     assert db.vertex_label_name(5) == "5"
 
 
+def test_negative_labels_pass_through():
+    db = parse_dataset_text("t # 0\nv 0 -3\nv 1 3\ne 0 1 -1\n")
+    assert db.vlabel_names is None and db.elabel_names is None
+    assert db.graphs[0].vlabels == [-3, 3]
+    assert db.graphs[0].edges == [(0, 1, -1)]
+
+
+@pytest.mark.parametrize("odd", ["1_0", "\u0661\u0660", "010", "+10"])
+def test_tokens_int_reads_as_ten_stay_distinct_from_10(odd):
+    # int() reads each of these as 10 (Arabic-Indic digits included), which
+    # would merge it with the label 10; the namespace is interned instead.
+    text = f"t # 0\nv 0 {odd}\nv 1 10\nv 2 -3\ne 0 1 0\ne 1 2 0\n"
+    db = parse_dataset_text(text)
+    assert db.graphs[0].vlabels == [0, 1, 2]
+    assert db.vlabel_names == [odd, "10", "-3"]
+    assert db.elabel_names is None
+    assert dump_dataset(db) == text
+
+
 def test_terminator_and_pattern_lines_ignored():
     db = parse_dataset_text("t # 0\nv 0 A\nv 1 B\ne 0 1 x\nx 0 1 2\nt # -1\nt # 9\n")
     assert len(db) == 1  # records after the -1 terminator are not read

@@ -80,15 +80,21 @@ def test_non_minimal_code_detected():
 
 
 def test_canonical_form_matches_brute_force():
-    # Exhaustive: every connected labeled graph with <= 4 edges over a
-    # 2x2 label alphabet.
-    checked = 0
-    for g in connected_labeled_graphs(max_edges=4, n_vlabels=2, n_elabels=2):
-        expected = brute_min_code(g)
-        got = tuple(map(tuple, min_dfs_code(g)))
-        assert got == expected, f"min code mismatch on {g.vlabels} {g.edges}"
-        checked += 1
-    assert checked > 10000
+    # Exhaustive: every connected labeled graph of each size and alphabet,
+    # as (max edges, labels per namespace, lowest label, graph count).
+    sweeps = [
+        (4, 2, 0, 70056),  # a 2x2 label alphabet
+        (3, 2, -2, 2216),  # the same alphabet below zero
+        (5, 1, 0, 1685),  # one label: many automorphisms and backward edges
+    ]
+    for max_edges, n_labels, lowest_label, count in sweeps:
+        checked = 0
+        for g in connected_labeled_graphs(max_edges, n_labels, n_labels, lowest_label):
+            expected = brute_min_code(g)
+            got = tuple(map(tuple, min_dfs_code(g)))
+            assert got == expected, f"min code mismatch on {g.vlabels} {g.edges}"
+            checked += 1
+        assert checked == count
 
 
 def test_is_min_agrees_with_brute_force_on_small_graphs():

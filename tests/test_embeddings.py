@@ -10,11 +10,9 @@ from graphmine.embeddings import (
     containing_graphs,
     equivalent_occurrence,
     frequent_single_edges,
-    occurrence,
     project_code,
     rightmost_extensions,
     support,
-    vertex_map,
     vertex_maps,
 )
 from graphmine.graphs import subgraph_isomorphisms
@@ -62,16 +60,16 @@ def test_frequent_single_edges_order_and_support(sample_db):
         (0, 1, X, ED, Z),
     ]
     by_code = {tuple(code[0]): proj for code, proj in roots}
-    assert occurrence(by_code[(0, 1, W, EA, X)]) == 3
+    assert len(by_code[(0, 1, W, EA, X)]) == 3
     assert support(by_code[(0, 1, W, EA, X)]) == 2
-    assert occurrence(by_code[(0, 1, W, EF, Z)]) == 2
+    assert len(by_code[(0, 1, W, EF, Z)]) == 2
     # Infrequent labels (c to S, e to T) are filtered out.
     assert len(roots) == 4
 
 
 def test_occurrence_counts_of_sample_patterns(sample_db):
-    assert occurrence(project_code(P1, sample_db)) == 2
-    assert occurrence(project_code(P2, sample_db)) == 3
+    assert len(project_code(P1, sample_db)) == 2
+    assert len(project_code(P2, sample_db)) == 3
     assert support(project_code(P2, sample_db)) == 2
     assert containing_graphs(project_code(P1, sample_db)) == [0, 1]
 
@@ -80,8 +78,8 @@ def test_project_code_matches_mining_embeddings(sample_db):
     mined = mine_frequent(sample_db, MiningConfig(min_support=2, emit_embeddings=True))
     for p in mined:
         chains = project_code(p.code, sample_db)
-        got = {(c.gid, tuple(vertex_map(p.code, c))) for c in chains}
-        expected = {(c.gid, tuple(vertex_map(p.code, c))) for c in p.embeddings}
+        got = set(zip([c.gid for c in chains], vertex_maps(p.code, chains)))
+        expected = set(zip([c.gid for c in p.embeddings], vertex_maps(p.code, p.embeddings)))
         assert got == expected
 
 
@@ -96,7 +94,7 @@ def test_project_code_matches_oracle_counts(sample_db):
 def test_vertex_map_and_chain_edges(sample_db):
     chains = project_code(P2, sample_db)
     for c in chains:
-        vm = vertex_map(P2, c)
+        vm = vertex_maps(P2, [c])[0]
         g = sample_db.graphs[c.gid]
         assert g.vlabels[vm[0]] == W and g.vlabels[vm[1]] == X and g.vlabels[vm[2]] == Z
         edges = chain_edges(c, len(P2))
@@ -160,7 +158,7 @@ def test_rightmost_extensions_of_root(sample_db):
     assert (0, 2, W, EF, Z) in exts
     # Bucket contents are child embeddings chained onto parents.
     bucket = exts[(1, 2, X, EB, Y)]
-    assert support(bucket) == 2 and occurrence(bucket) == 2
+    assert support(bucket) == 2 and len(bucket) == 2
 
 
 def test_restricted_extensions_drop_smaller_vertex_labels(sample_db):

@@ -16,7 +16,7 @@ import pytest
 
 from graphmine.cgspan import mine_closed
 from graphmine.datasets import parse_dataset_text, write_patterns
-from graphmine.embeddings import vertex_map
+from graphmine.embeddings import vertex_maps
 from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
 
 from conftest import ETF_TEXT, SAMPLE_TEXT, random_database
@@ -75,7 +75,8 @@ def run_digest(db, mode, min_support, max_edges, emit) -> bytes:
         "stats": stats.as_dict(),
         "order": [[p.discovery_index, [list(t) for t in p.code]] for p in patterns],
         "embeddings": [
-            [[c.gid, vertex_map(p.code, c)] for c in p.embeddings] if emit else None for p in patterns
+            [[c.gid, vm] for c, vm in zip(p.embeddings, vertex_maps(p.code, p.embeddings))] if emit else None
+            for p in patterns
         ],
     }
     return json.dumps(record, sort_keys=True).encode()
