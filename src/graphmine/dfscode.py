@@ -133,7 +133,10 @@ def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
     Greedy construction: every prefix yielded so far is the minimum code of
     some subgraph reachable by right-most extension, so the minimal next
     tuple over all embeddings of the prefix in g extends the global minimum.
-    Consumers that only need a prefix can stop early.
+    Consumers that only need a prefix can stop early. A graph that is not
+    connected raises ValueError: at the first position no tuple reaches,
+    or after the last tuple when the rest of the graph is isolated
+    vertices.
 
     Each embedding of the prefix is a vertex map, a tuple from dfs id to
     vertex of g, as everywhere else in the package. Graphs are simple and
@@ -227,10 +230,17 @@ def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
                     break
             else:
                 raise ValueError("graph is not connected; no DFS code covers it")
+    if maxtoc + 1 < len(vl):
+        # Every edge is placed, yet a vertex has no dfs id: it is isolated.
+        raise ValueError("graph is not connected; no DFS code covers it")
 
 
 def min_dfs_code(g: LabeledGraph) -> DFSCode:
-    """The minimum DFS code of a connected graph with at least one edge."""
+    """The minimum DFS code of a connected graph with at least one edge.
+
+    Raises ValueError on a graph that is not connected, a graph with an
+    isolated vertex included.
+    """
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
     return DFSCode(_min_code_stream(g))

@@ -8,6 +8,11 @@ occurrence count I(g, D) and distinct graph ids give the support.
 Edge images are the directed half-edge tuples ``(frm, to, eid, elb)`` of the
 owning graph, oriented the way the code tuple at that position reads, which
 is what makes vertex maps recoverable from a chain.
+
+The extension scan builds no link. It files each hit in its tuple's Bucket
+as a parent chain and a half-edge, and ``Bucket.link`` builds the child's
+chains only for the children the search visits: most buckets are
+infrequent or head a code that is not minimal, and are never linked.
 """
 
 from __future__ import annotations
@@ -31,6 +36,32 @@ class Embedding:
 
     def __repr__(self) -> str:
         return f"Embedding(gid={self.gid}, edge={self.edge})"
+
+
+class Bucket:
+    """The hits of one extension tuple, not yet linked: per hit the parent
+    chain in ``prevs`` and the oriented half-edge in ``edges``.
+
+    ``len`` is the number of hits, the occurrence count the linked chains
+    would have.
+    """
+
+    __slots__ = ("prevs", "edges")
+
+    def __init__(self):
+        self.prevs: list[Embedding] = []
+        self.edges: list[tuple[int, int, int, int]] = []
+
+    def __len__(self) -> int:
+        return len(self.prevs)
+
+    def support(self) -> int:
+        """Number of distinct graphs the hits lie in."""
+        return len({p.gid for p in self.prevs})
+
+    def link(self) -> list[Embedding]:
+        """The child's embedding list: one chain link per hit, in hit order."""
+        return [Embedding(p.gid, e, p) for p, e in zip(self.prevs, self.edges)]
 
 
 def vertex_maps(code: Sequence[Sequence[int]], chains: list) -> list[tuple[int, ...]]:
@@ -70,17 +101,16 @@ def containing_graphs(projected: list) -> list[int]:
     return sorted({e.gid for e in projected})
 
 
-def equivalent_occurrence(parent_projected: list, child_projected: list) -> bool:
+def equivalent_occurrence(parent_projected: list, bucket: Bucket) -> bool:
     """True iff every parent chain extends into the child: L = I.
 
-    L counts the distinct parent chains referenced by the child's chains,
-    i.e. the parent isomorphisms extendable under the canonical inclusion
-    of the parent pattern in the child.
+    L counts the distinct parent chains among the bucket's ``prevs``, i.e.
+    the parent isomorphisms extendable under the canonical inclusion of the
+    parent pattern in the child. The bucket need not be linked.
     """
-    if len(child_projected) < len(parent_projected):
+    if len(bucket) < len(parent_projected):
         return False
-    covered = {id(e.prev) for e in child_projected}
-    return len(covered) == len(parent_projected)
+    return len(set(map(id, bucket.prevs))) == len(parent_projected)
 
 
 def dropped_extension_covers(
@@ -89,7 +119,7 @@ def dropped_extension_covers(
     """True iff some one-edge extension not in ``kept`` extends every chain.
 
     ``kept`` holds the node's frequent extension buckets. Each holds every
-    embedding of its tuple, so ``equivalent_occurrence`` settles it; every
+    hit of its tuple, so ``equivalent_occurrence`` settles it; every
     other extension is tested here. The candidates are chain 0's one-edge
     extensions at every pattern vertex, written as right-most tuples so the
     keys of ``kept`` can be subtracted: ``(v, newv, lbl[v], elb, lbl_to)``
@@ -180,7 +210,8 @@ def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
     and each next tuple passes the extension scan's growth filters. The
     miners grow embeddings from the parent's instead; this serves callers
     that hold only a code, growing the chains one tuple at a time through
-    the extension scan the search uses.
+    the extension scan the search uses and linking each prefix's bucket as
+    it goes.
     """
     _, _, flbl, elbl, tlbl = code[0]
     projected = [
@@ -192,7 +223,10 @@ def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
         if e[3] == elbl and g.vlabels[e[1]] == tlbl
     ]
     for k in range(1, len(code)):
-        projected = rightmost_extensions(code[:k], projected, db).get(tuple(code[k]), [])
+        bucket = rightmost_extensions(code[:k], projected, db).get(tuple(code[k]))
+        if bucket is None:
+            return []
+        projected = bucket.link()
     return projected
 
 
@@ -200,16 +234,20 @@ def rightmost_extensions(
     code: Sequence[Sequence[int]],
     projected: list,
     db: GraphDatabase,
-) -> dict[tuple, list]:
+) -> dict[tuple, Bucket]:
     """Right-most extension tuples that may head a minimal code, each with
-    its complete embedding bucket.
+    the Bucket of all its hits.
+
+    No chain link is built: a hit appends its parent chain and half-edge
+    to the bucket's two lists, and the search links a bucket only once its
+    child passes ``is_min``.
 
     Backward edges grow from the right-most vertex to right-most-path
     vertices (never the direct parent); forward edges grow from right-most
     path vertices and introduce the next dfs id. The tuple-level growth
     filters of canonical search drop extension tuples that can never head a
     minimal code. The filters read only the tuple, never the embedding, so
-    each kept bucket holds every embedding of its tuple
+    each kept bucket holds every hit of its tuple
     (``dropped_extension_covers`` relies on it). Keys are plain 5-tuples.
 
     Graphs are simple (``LabeledGraph.add_edge`` rejects repeated edges)
@@ -237,11 +275,10 @@ def rightmost_extensions(
     }
     fwd = [(code[pos][0], code[pos][3], code[pos][4], code[pos][2]) for pos in reversed(positions)]
     newv = maxtoc + 1
-    buckets: dict[tuple, list] = {}
+    buckets: dict[tuple, Bucket] = {}
 
     for emb, vmap in zip(projected, _vertex_maps(code, projected)):
-        gid = emb.gid
-        g = graphs[gid]
+        g = graphs[emb.gid]
         adj = g.adj
         vl = g.vlabels
 
@@ -262,8 +299,9 @@ def rightmost_extensions(
                 t = (maxtoc, j, rmlbl, e[3], tgtlbl)
             bucket = buckets.get(t)
             if bucket is None:
-                bucket = buckets[t] = []
-            bucket.append(Embedding(gid, e, emb))
+                bucket = buckets[t] = Bucket()
+            bucket.prevs.append(emb)
+            bucket.edges.append(e)
 
         for frm_dfs, e1lbl, e1tolbl, frmlbl in fwd:
             for e in adj[vmap[frm_dfs]]:
@@ -276,8 +314,9 @@ def rightmost_extensions(
                 t = (frm_dfs, newv, frmlbl, e[3], nlbl)
                 bucket = buckets.get(t)
                 if bucket is None:
-                    bucket = buckets[t] = []
-                bucket.append(Embedding(gid, e, emb))
+                    bucket = buckets[t] = Bucket()
+                bucket.prevs.append(emb)
+                bucket.edges.append(e)
 
     return buckets
 

@@ -116,7 +116,11 @@ def search(
     The scan reads ``db`` as given; nothing is copied or pruned up front.
     Only buckets with enough support are kept: a bucket that extends every
     embedding has the node's own support, so the closure check loses
-    nothing. Children are the kept buckets in ascending tuple order.
+    nothing. Children are the kept buckets in ascending tuple order. A
+    child's bucket is linked into its embedding list only once the child
+    passes ``is_min``, so the hooks, ``emit`` and the next scan see
+    ``Embedding`` chains while ``exts`` holds unlinked buckets. The 1-edge
+    roots come linked from the seeding.
     """
     min_freq = config.min_frequency(len(db.graphs))
     max_edges = config.max_pattern_edges
@@ -148,6 +152,8 @@ def search(
         code, projected = node
         if not is_min(code):
             continue
+        if len(code) > 1:
+            projected = projected.link()
         stats.visited_nodes += 1
         covered = enter(code, projected) if enter is not None else False
         if covered is None:
@@ -160,7 +166,7 @@ def search(
         exts = {
             t: bucket
             for t, bucket in rightmost_extensions(code, projected, db).items()
-            if support(bucket) >= min_freq
+            if bucket.support() >= min_freq
         }
         if leave is not None:
             stack.append((code, projected, exts, covered))

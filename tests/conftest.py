@@ -1,5 +1,6 @@
 """Shared fixtures: the two worked-example databases, a seeded random
-database generator, a reference right-most extension scan, and a
+database generator, a reference right-most extension scan (with helpers
+that compare its chains with the package's unlinked buckets), and a
 brute-force DFS-code enumerator used as the canonical-form oracle."""
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from graphmine.dfscode import DFSCode, rightmost_path
-from graphmine.embeddings import Embedding
+from graphmine.embeddings import Bucket, Embedding
 from graphmine.graphs import GraphDatabase, LabeledGraph
 from graphmine.datasets import parse_dataset_text
 from graphmine.oracle import ExtensionKey
@@ -218,6 +219,27 @@ def reference_rightmost_extensions(code, projected, db, restricted=True):
                 buckets.setdefault(t, []).append(Embedding(gid, e, emb))
 
     return buckets
+
+
+def as_bucket(chains) -> Bucket:
+    """A reference bucket's chains in the package's unlinked form: per chain
+    its parent chain and its last edge image."""
+    bucket = Bucket()
+    for c in chains:
+        bucket.prevs.append(c.prev)
+        bucket.edges.append(c.edge)
+    return bucket
+
+
+def assert_links_match(bucket, chains) -> None:
+    """The bucket links into exactly the given chains: as many hits, and
+    per chain the same graph id, edge image and parent chain object."""
+    assert len(bucket) == len(chains)
+    linked = bucket.link()
+    assert len(linked) == len(chains)
+    for e, w in zip(linked, chains):
+        assert type(e) is Embedding
+        assert e.gid == w.gid and e.edge == w.edge and e.prev is w.prev
 
 
 def rm_as_key(t) -> ExtensionKey:

@@ -37,6 +37,8 @@ from conftest import (
     X,
     Z,
     all_dfs_codes,
+    as_bucket,
+    assert_links_match,
     brute_min_code,
     connected_labeled_graphs,
     extension_family,
@@ -290,7 +292,11 @@ def test_order_laws_on_random_inputs():
 
 def test_counting_oracle_on_random_databases():
     with criterion("counting: support/occurrence/equivalence match brute force"):
-        from graphmine.embeddings import equivalent_occurrence, support
+        from graphmine.embeddings import (
+            equivalent_occurrence,
+            rightmost_extensions,
+            support,
+        )
 
         rng = random.Random(4242)
         for _ in range(6):
@@ -309,6 +315,10 @@ def test_counting_oracle_on_random_databases():
                 rm = reference_rightmost_extensions(
                     p.code, p.embeddings, db, restricted=False
                 )
+                scanned = rightmost_extensions(p.code, p.embeddings, db)
+                assert scanned.keys() <= rm.keys()
+                for t, bucket in scanned.items():
+                    assert_links_match(bucket, rm[t])
                 for t, bucket in rm.items():
                     if t[1] > t[0]:
                         key = ExtensionKey("f", t[0], -1, t[3], t[4])
@@ -317,9 +327,13 @@ def test_counting_oracle_on_random_databases():
                             "b", min(t[0], t[1]), max(t[0], t[1]), t[3], -1
                         )
                     covered = len(oracle_exts[key].covered_parents)
-                    assert equivalent_occurrence(p.embeddings, bucket) == (
+                    assert equivalent_occurrence(p.embeddings, as_bucket(bucket)) == (
                         covered == total
                     )
+                    if t in scanned:
+                        assert equivalent_occurrence(p.embeddings, scanned[t]) == (
+                            covered == total
+                        )
 
 
 def test_determinism():

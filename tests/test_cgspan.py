@@ -38,6 +38,7 @@ from conftest import (
     W,
     X,
     Z,
+    assert_links_match,
     chain_edges,
     key_set,
     random_database,
@@ -767,7 +768,7 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
             mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
             monkeypatch.undo()
             for code, projected, exts in nodes:
-                kept = {t: b for t, b in exts.items() if support(b) >= sup}
+                kept = {t: b for t, b in exts.items() if b.support() >= sup}
                 got = dropped_extension_covers(code, projected, db, kept)
                 exts_all = all_extensions(code, db)
                 candidates = exts_all.keys() - {rm_as_key(t) for t in kept}
@@ -778,6 +779,9 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
                     kinds |= {k.kind for k in candidates}
                     answers.add(got)
                 rightmost = reference_rightmost_extensions(code, projected, db, restricted=False)
+                for t, b in kept.items():
+                    assert b.support() == support(rightmost[t])
+                    assert_links_match(b, rightmost[t])
                 rightmost = {rm_as_key(t) for t in rightmost}
                 off_path += bool(covering) and not covering & rightmost
                 assert got == bool(covering), (seed, sup, code)

@@ -72,6 +72,25 @@ def test_min_dfs_code_requires_edges():
         min_dfs_code(g)
 
 
+def test_min_dfs_code_rejects_an_isolated_vertex():
+    # Labels (0, 0, 5) with the one edge 0-1: vertex 2 has no edge, so no
+    # DFS code covers the graph, just as with two components.
+    g = LabeledGraph()
+    for lbl in (0, 0, 5):
+        g.add_vertex(lbl)
+    g.add_edge(0, 1, 0)
+    with pytest.raises(ValueError, match="graph is not connected"):
+        min_dfs_code(g)
+    g.add_edge(2, 0, 0)
+    assert min_dfs_code(g) == [(0, 1, 0, 0, 0), (1, 2, 0, 0, 5)]
+    two = code_to_graph([(0, 1, 0, 0, 0)])
+    two.add_vertex(0)
+    two.add_vertex(0)
+    two.add_edge(2, 3, 0)
+    with pytest.raises(ValueError, match="graph is not connected"):
+        min_dfs_code(two)
+
+
 def test_non_minimal_code_detected():
     # The same 4-edge pattern written starting from its d-edge branch.
     other = DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 3, 4), (2, 0, 4, 4, 0), (1, 3, 1, 1, 2)])

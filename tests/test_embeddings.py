@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from graphmine import gspan
+from graphmine import embeddings, gspan
 from graphmine.cgspan import mine_closed
 from graphmine.dfscode import DFSCode, is_min
 from graphmine.embeddings import (
+    Embedding,
     child_sort_key,
     containing_graphs,
     equivalent_occurrence,
@@ -29,6 +30,8 @@ from conftest import (
     X,
     Y,
     Z,
+    as_bucket,
+    assert_links_match,
     chain_edges,
     random_database,
     reference_rightmost_extensions,
@@ -105,15 +108,15 @@ def test_vertex_map_and_chain_edges(sample_db):
 
 def assert_scan_matches_reference(code, projected, db):
     """The scan of one node equals the reference: the same bucket keys and,
-    per bucket, the same (gid, edge, parent chain) sequence; and every
+    per bucket, as many hits as reference chains, the same support, and
+    links with the same (gid, edge, parent chain) sequence; and every
     chain's vertex map equals the reference's."""
     got = rightmost_extensions(code, projected, db)
     want = reference_rightmost_extensions(code, projected, db)
     assert got.keys() == want.keys()
     for t, bucket in got.items():
-        assert len(bucket) == len(want[t])
-        for e, w in zip(bucket, want[t]):
-            assert e.gid == w.gid and e.edge == w.edge and e.prev is w.prev
+        assert bucket.support() == support(want[t])
+        assert_links_match(bucket, want[t])
     assert vertex_maps(code, projected) == [tuple(reference_vertex_map(code, c)) for c in projected]
 
 
@@ -187,7 +190,8 @@ def assert_restriction_drops_only_non_minimal(db, max_edges=None):
         assert kept.keys() <= full.keys()
         for t, bucket in kept.items():
             same = [(e.gid, e.edge, id(e.prev)) for e in full[t]]
-            assert [(e.gid, e.edge, id(e.prev)) for e in bucket] == same
+            assert len(bucket) == len(same)
+            assert [(e.gid, e.edge, id(e.prev)) for e in bucket.link()] == same
         for t in full.keys() - kept.keys():
             assert not is_min(code + [t])
 
@@ -214,7 +218,7 @@ def check_infrequent_buckets_not_equivalent(db) -> int:
             for bucket in exts.values():
                 if support(bucket) < sup:
                     infrequent += 1
-                    assert not equivalent_occurrence(p.embeddings, bucket)
+                    assert not equivalent_occurrence(p.embeddings, as_bucket(bucket))
     return infrequent
 
 
@@ -235,10 +239,16 @@ def test_equivalent_occurrence_true_and_false(sample_db):
     root = DFSCode([(0, 1, W, EA, X)])
     proj = project_code(root, sample_db)
     exts = reference_rightmost_extensions(root, proj, sample_db, restricted=False)
+    scanned = rightmost_extensions(root, proj, sample_db)
+    for t in ((0, 2, W, EF, Z), (1, 2, X, EB, Y)):
+        assert_links_match(scanned[t], exts[t])
+        assert_links_match(as_bucket(exts[t]), exts[t])
     # Every W-a-X occurrence extends by W-f-Z (three of three).
-    assert equivalent_occurrence(proj, exts[(0, 2, W, EF, Z)])
+    assert equivalent_occurrence(proj, scanned[(0, 2, W, EF, Z)])
+    assert equivalent_occurrence(proj, as_bucket(exts[(0, 2, W, EF, Z)]))
     # Only two of three extend by X-b-Y.
-    assert not equivalent_occurrence(proj, exts[(1, 2, X, EB, Y)])
+    assert not equivalent_occurrence(proj, scanned[(1, 2, X, EB, Y)])
+    assert not equivalent_occurrence(proj, as_bucket(exts[(1, 2, X, EB, Y)]))
 
 
 def test_equivalent_occurrence_rejects_a_partial_bucket_by_length(sample_db):
@@ -249,6 +259,110 @@ def test_equivalent_occurrence_rejects_a_partial_bucket_by_length(sample_db):
     assert not equivalent_occurrence(proj, partial)
     # Fewer chains than the parent settle it before any link is read.
     assert not equivalent_occurrence(proj, [object()] * (len(proj) - 1))
+
+
+class CountingEmbedding(Embedding):
+    """Counts every chain link the package builds while it is patched in."""
+
+    __slots__ = ()
+    built = 0
+
+    def __init__(self, gid, edge, prev):
+        CountingEmbedding.built += 1
+        super().__init__(gid, edge, prev)
+
+
+def count_links(monkeypatch):
+    """Patch the link class the package builds with; returns the counter."""
+    monkeypatch.setattr(embeddings, "Embedding", CountingEmbedding)
+    CountingEmbedding.built = 0
+    return CountingEmbedding
+
+
+def test_scan_builds_no_link(sample_db, monkeypatch):
+    mined = mine_frequent(sample_db, MiningConfig(min_support=1, emit_embeddings=True))
+    counter = count_links(monkeypatch)
+    hits = 0
+    for p in mined:
+        counter.built = 0
+        scanned = rightmost_extensions(list(p.code), p.embeddings, sample_db)
+        assert counter.built == 0
+        hits += sum(map(len, scanned.values()))
+        for bucket in scanned.values():
+            before = counter.built
+            assert all(type(e) is CountingEmbedding for e in bucket.link())
+            assert counter.built - before == len(bucket)
+    assert hits > 0
+
+
+def links_built_by_mining(db, min_support, monkeypatch) -> int:
+    """Mine frequent patterns with every link counted, and check the count:
+    the seeding builds one chain per half-edge it buckets; after that a
+    bucket is linked only for a child that passes is_min, so every other
+    chain built is a chain of an emitted pattern. Returns how many children
+    failed is_min, unlinked."""
+    seeds = sum(
+        1
+        for g in db.graphs
+        for u, lu in enumerate(g.vlabels)
+        for e in g.adj[u]
+        if lu <= g.vlabels[e[1]]
+    )
+    hits = rejected = 0
+
+    def spy_scan(code, projected, db_):
+        nonlocal hits
+        exts = rightmost_extensions(code, projected, db_)
+        hits += sum(map(len, exts.values()))
+        return exts
+
+    def spy_is_min(code):
+        nonlocal rejected
+        minimal = is_min(code)
+        rejected += not minimal
+        return minimal
+
+    counter = count_links(monkeypatch)
+    monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
+    monkeypatch.setattr(gspan, "is_min", spy_is_min)
+    mined = mine_frequent(db, MiningConfig(min_support=min_support))
+    monkeypatch.undo()
+    linked = sum(p.occurrence for p in mined if len(p.code) >= 2)
+    assert counter.built == seeds + linked
+    # Infrequent buckets and children that fail is_min are never linked.
+    assert linked < hits
+    return rejected
+
+
+def test_mining_links_only_visited_children(sample_db, monkeypatch):
+    links_built_by_mining(sample_db, 2, monkeypatch)
+
+
+def test_mining_links_no_child_that_fails_is_min(monkeypatch):
+    rng = random.Random(8)
+    rejected = 0
+    for _ in range(4):
+        db = random_database(rng, n_graphs=4, max_vertices=6, n_vlabels=1)
+        rejected += links_built_by_mining(db, 2, monkeypatch)
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("mode", ["frequent", "closed", "closed_no_etf"])
+def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode):
+    miner = mine_frequent if mode == "frequent" else mine_closed
+    for db in (sample_db, etf_db):
+        mined = miner(db, MiningConfig(min_support=1, mode=mode, emit_embeddings=True))
+        assert mined
+        for p in mined:
+            assert len(p.embeddings) == p.occurrence
+            for c in p.embeddings:
+                for _ in p.code:
+                    assert type(c) is Embedding
+                    c = c.prev
+                assert c is None
+            chains = project_code(p.code, db)
+            got = set(zip([c.gid for c in p.embeddings], vertex_maps(p.code, p.embeddings)))
+            assert got == set(zip([c.gid for c in chains], vertex_maps(p.code, chains)))
 
 
 def test_child_sort_key_orders_backward_first():
