@@ -236,23 +236,24 @@ def mine_closed(
     config: MiningConfig | None = None,
     stats: MiningStats | None = None,
 ) -> list[MinedPattern]:
-    """All closed frequent patterns, in completion order.
+    """All closed frequent patterns, in gSpan's pre-order.
 
     A pattern is closed when no frequent proper supergraph occurs at every
-    one of its occurrences. Each pattern is settled only after its branch
-    is exhausted (its supergraphs are known by then), so the output order
-    is the order branches complete, not the visit order.
+    one of its occurrences. Each pattern is settled when the search visits
+    it, from its own extensions alone, so the output is ``mine_frequent``'s
+    list with the patterns that are not closed left out.
 
     Mode ``closed_no_etf`` keeps the early-termination pruning but skips
     failure detection and rejection; it can lose closed patterns and
     exists to measure what the failure handling contributes.
 
     The search is gSpan's: ``enter`` adds the CGHT lookup, rejection and
-    failure detection before a node's children, ``leave`` the closure check
-    and the CGHT insert after them. The closure check is the definition: a
-    pattern is emitted when no one-edge extension at any of its vertices
-    extends every chain. Early termination only prunes; a cut that was
-    wrong can lose a pattern but never emit one that is not closed. The
+    failure detection before a node's extension scan, ``settle`` the
+    closure check and the CGHT insert after it. The closure check is the
+    definition: a pattern is emitted when no one-edge extension at any of
+    its vertices extends every chain. Early termination only prunes; a cut
+    that was wrong can lose a pattern but never emit one that is not
+    closed. The
     check asks the cheap questions first: a covering stored closed graph
     (proof enough that the pattern is not closed), then the frequent
     buckets the search already built, and only then a walk over the chains
@@ -280,7 +281,7 @@ def mine_closed(
             detect_etf(code, unsafe)
         return terminate
 
-    def leave(code: list, projected: list, exts: dict, covered: bool, emit) -> None:
+    def settle(code: list, projected: list, exts: dict, covered: bool, emit) -> None:
         # A pattern that triggered termination is covered by a stored
         # closed graph even when failure detection forced its branch open.
         if (
@@ -292,6 +293,6 @@ def mine_closed(
         pattern = emit(code, projected)
         add_closed_graph(cght, ClosedGraphRecord(pattern.code, projected, pattern.discovery_index))
 
-    out = search(db, config, stats, enter, leave)
+    out = search(db, config, stats, enter, settle)
     stats.trie_size = len(unsafe)
     return out

@@ -4,7 +4,8 @@ The search tree has one node per DFS code; children are right-most
 extensions sorted ascending, and a node is expanded only when its code is
 minimal, so every frequent pattern is visited exactly once, at its
 canonical form, in pre-order. The closed miner runs the same search with
-hooks around each node.
+two hooks, both run in the node's own visit before its children are pushed,
+so it emits a filtered pre-order.
 """
 
 from __future__ import annotations
@@ -95,23 +96,24 @@ def search(
     config: MiningConfig,
     stats: MiningStats,
     enter=None,
-    leave=None,
+    settle=None,
 ) -> list[MinedPattern]:
     """Depth-first search of the DFS-code tree, one visit per minimal code.
 
     The extension scan builds only tuples that may head a minimal code.
     Without hooks every node is emitted in pre-order. Closed mining passes
-    two hooks:
+    two hooks, both run when the node is visited:
 
-    - ``enter(code, projected)`` runs before the children. It returns None
-      to cut the branch, otherwise whether the pattern is already known not
-      to be closed.
-    - ``leave(code, projected, exts, covered, emit)`` runs after the
-      children, with the node's frequent extension buckets (the children's,
-      also built at a node ``max_pattern_edges`` keeps childless) and
-      ``enter``'s result. It emits the pattern by calling
-      ``emit(code, projected)``, which returns the MinedPattern. Extensions
-      the scan does not build are left to ``leave``.
+    - ``enter(code, projected)`` runs before the scan. It returns None to
+      cut the branch, otherwise whether the pattern is already known not to
+      be closed.
+    - ``settle(code, projected, exts, covered, emit)`` runs after the scan
+      and before the children are pushed, with the node's frequent
+      extension buckets (the children's, also built at a node
+      ``max_pattern_edges`` keeps childless) and ``enter``'s result. It
+      emits the pattern by calling ``emit(code, projected)``, which returns
+      the MinedPattern. Extensions the scan does not build are left to
+      ``settle``.
 
     The scan reads ``db`` as given; nothing is copied or pruned up front.
     Only buckets with enough support are kept: a bucket that extends every
@@ -140,16 +142,10 @@ def search(
         stats.pattern_count += 1
         return pattern
 
-    # A node pushes its children in reverse so they pop in ascending order;
-    # in closed mode a 4-tuple frame below them runs ``leave`` once the
-    # whole subtree is done.
+    # A node pushes its children in reverse so they pop in ascending order.
     stack: list[tuple] = [(list(c), p) for c, p in reversed(roots)]
     while stack:
-        node = stack.pop()
-        if len(node) == 4:
-            leave(*node, emit)
-            continue
-        code, projected = node
+        code, projected = stack.pop()
         if not is_min(code):
             continue
         if len(code) > 1:
@@ -159,7 +155,7 @@ def search(
         if covered is None:
             continue
         grow = max_edges is None or len(code) < max_edges
-        if leave is None:
+        if settle is None:
             emit(code, projected)
             if not grow:
                 continue
@@ -168,8 +164,8 @@ def search(
             for t, bucket in rightmost_extensions(code, projected, db).items()
             if bucket.support() >= min_freq
         }
-        if leave is not None:
-            stack.append((code, projected, exts, covered))
+        if settle is not None:
+            settle(code, projected, exts, covered, emit)
         if grow:
             for t in sorted(exts, key=child_sort_key, reverse=True):
                 stack.append((code + [t], exts[t]))

@@ -1,12 +1,13 @@
 """Differential fuzz of closed mining over a fixed seed range.
 
 Runs ``verify_run`` in mode ``closed`` on ``fuzz_database(seed)`` for seeds
-0-1999 at supports 1, 2 and 3, and exits 1 unless the runs that differ from
-the oracle are exactly the known defect runs of that range
-(``test_cgspan.DEFECT_RUNS``): a new loss and a fix both fail it, so the
-pinned list moves with the miner. The name keeps pytest from collecting it.
+0 to N-1 (N = 2000 by default) at supports 1, 2 and 3, and exits 1 unless
+the runs that differ from the oracle are exactly the known defect runs of
+that range (``test_cgspan.DEFECT_RUNS``): a new loss and a fix both fail it,
+so the pinned list moves with the miner. ``DEFECT_RUNS`` covers seeds
+0-7199. The name keeps pytest from collecting it.
 
-Usage: python tests/fuzz_range.py
+Usage: python tests/fuzz_range.py [N]
 """
 
 from __future__ import annotations
@@ -21,19 +22,19 @@ from graphmine.gspan import MiningConfig  # noqa: E402
 from graphmine.oracle import verify_run  # noqa: E402
 from test_cgspan import DEFECT_RUNS, fuzz_database  # noqa: E402
 
-SEEDS = range(2000)
 SUPPORTS = (1, 2, 3)
 
 
-def main() -> int:
+def main(n_seeds: int) -> int:
+    seeds = range(n_seeds)
     failing = set()
-    for seed in SEEDS:
+    for seed in seeds:
         db = fuzz_database(seed)
         for sup in SUPPORTS:
             if not verify_run(db, MiningConfig(min_support=sup, mode="closed")).ok:
                 failing.add((seed, sup))
-    expected = {(s, sup) for s, sup in DEFECT_RUNS if s in SEEDS and sup in SUPPORTS}
-    runs = len(SEEDS) * len(SUPPORTS)
+    expected = {(s, sup) for s, sup in DEFECT_RUNS if s in seeds and sup in SUPPORTS}
+    runs = len(seeds) * len(SUPPORTS)
     print(f"{runs} runs, {len(failing)} differ from the oracle: {sorted(failing)}")
     if failing != expected:
         print(f"new mismatches: {sorted(failing - expected)}")
@@ -43,4 +44,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 2000))

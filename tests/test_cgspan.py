@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -92,20 +93,51 @@ def test_mine_closed_rejects_frequent_mode(sample_db):
         mine_closed(sample_db, MiningConfig(min_support=2, mode="frequent"))
 
 
-def test_emission_is_postorder(sample_db, sample_closed):
-    # A closed pattern is settled only once its branch is exhausted, so a
-    # closed supergraph discovered in the subtree precedes its closed
-    # subgraph prefix in the output.
-    index = {tuple(map(tuple, p.code)): p.discovery_index for p in sample_closed}
-    assert sorted(index.values()) == list(range(len(index)))
-    assert index[tuple(map(tuple, P1))] < index[tuple(map(tuple, P2))]
+def codes(patterns):
+    """Pattern codes as tuples, in output order."""
+    return [tuple(map(tuple, p.code)) for p in patterns]
+
+
+def oracle_codes(db, config):
+    """The oracle's closed patterns, in ``mine_frequent``'s pre-order."""
+    return codes(filter_closed(mine_frequent(db, replace(config, mode="frequent")), db))
+
+
+# (database, min_support, max_pattern_edges) where mode closed_no_etf loses
+# a closed pattern of etf_db, the loss its failure handling exists to stop.
+NO_ETF_LOSSES = {("etf", 1, None), ("etf", 1, 3), ("etf", 2, None), ("etf", 2, 3)}
+
+
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+@pytest.mark.parametrize("name", ["sample", "etf"])
+def test_closed_output_is_filtered_preorder(request, name, mode):
+    # Each pattern is settled when the search visits it, so the closed list
+    # is the frequent pre-order with the patterns that are not closed left
+    # out; a closed pattern never waits for the closed graphs below it.
+    db = request.getfixturevalue(f"{name}_db")
+    for sup in (1, 2, 3):
+        for cap in (None, 1, 2, 3):
+            if mode == "closed_no_etf" and (name, sup, cap) in NO_ETF_LOSSES:
+                continue
+            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+            assert codes(mine_closed(db, config)) == oracle_codes(db, config), (sup, cap)
+
+
+def test_closed_output_is_filtered_preorder_on_fuzz():
+    for seed in range(200):
+        db = fuzz_database(seed)
+        for sup in (1, 2, 3):
+            if (seed, sup) in DEFECT_RUNS:
+                continue
+            config = MiningConfig(min_support=sup, mode="closed")
+            assert codes(mine_closed(db, config)) == oracle_codes(db, config), (seed, sup)
 
 
 def test_closed_set_equals_oracle_filter(sample_db, etf_db):
     for db in (sample_db, etf_db):
-        mined = key_set(mine_closed(db, MiningConfig(min_support=2, mode="closed")))
+        mined = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
         frequent = mine_frequent(db, MiningConfig(min_support=2))
-        assert mined == key_set(filter_closed(frequent, db))
+        assert codes(mined) == codes(filter_closed(frequent, db))
 
 
 # ---------------------------------------------------------- hash table
@@ -505,11 +537,14 @@ def test_closed_mining_matches_oracle_on_random_databases():
 
 
 # Seeds of the differential fuzz (seeds 0-7199 at supports 1-3) whose closed
-# set lacks closed patterns the oracle finds (ROADMAP open item 1): every one
-# of them at support 1, and seeds 3277 and 4843 at support 2 too; the other
-# pairings of these seeds agree.
+# set lacks, or once lacked, closed patterns the oracle finds (ROADMAP open
+# item 1). The defect runs are every seed but 1227 at support 1, and seeds
+# 3277 and 4843 at support 2 too; the other pairings agree. Seed 1227 lost a
+# pattern at support 1 until the closure check moved into the node's visit,
+# which reorders the records within the hash table's buckets, so the cut
+# that lost it is now rejected.
 DEFECT_SEEDS = (1227, 1307, 1712, 2079, 2394, 3217, 3242, 3277, 4843, 5026, 5851, 6013, 6330)
-DEFECT_RUNS = {(s, 1) for s in DEFECT_SEEDS} | {(3277, 2), (4843, 2)}
+DEFECT_RUNS = {(s, 1) for s in DEFECT_SEEDS if s != 1227} | {(3277, 2), (4843, 2)}
 
 
 def fuzz_database(seed: int):
@@ -667,7 +702,7 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
 
 
 def closure_decisions(db, config, monkeypatch) -> int:
-    """Mine ``db`` and hold every closure decision ``leave`` makes to the
+    """Mine ``db`` and hold every closure decision ``settle`` makes to the
     oracle: at every node the search scans, the pattern is emitted exactly
     when ``is_closed`` says so. Returns how many nodes only the walk
     settled (no cover, no kept bucket with equivalent occurrence, yet not
@@ -747,7 +782,7 @@ def test_walk_alone_settles_closure(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
 def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
-    # Every node ``leave`` reaches is a node whose children were scanned.
+    # Every node ``settle`` reaches is a node whose extensions were scanned.
     # Reference: the oracle's extensions at every vertex, keeping those
     # whose covered parents number the pattern's chains and which are not
     # among the kept buckets. ``off_path`` counts the True answers that only

@@ -6,6 +6,12 @@ embeddings are emitted, their vertex maps. The digests were recorded before
 the two miners were folded into one search driver; a refactor must leave
 them unchanged. A change that alters output on purpose re-records them and
 says why.
+
+The six closed-mode digests were re-recorded when the closure check moved
+into the node's visit: closed output went from completion order to gSpan's
+pre-order. Every case kept its sorted patterns (code, support, occurrence,
+containing graphs, embedding vertex maps) and its counters; only the order
+and the discovery indices moved. The ``frequent`` digests did not change.
 """
 
 import hashlib
@@ -54,14 +60,14 @@ GROUPS = {
 
 GOLDEN = {
     ("sample", "frequent"): "2446fb458bd83ae1d63809606a722c686e53455885a9cfab098bfc961dbd0183",
-    ("sample", "closed"): "df4ca84d125f5381a9bb4cfc57cf8b8839ae34c842400672d3891833d8c7dc6b",
-    ("sample", "closed_no_etf"): "5902d54cc09c93804b7f47decfe2508f1b5e06f3764cb96a5858dc38a703611d",
+    ("sample", "closed"): "9c371d88fc5437d6d041ae9c261a58ce78fb8f9b114e6dc79ea963b4f066d0db",
+    ("sample", "closed_no_etf"): "a777ba159e8356ffc1d4a48e4c587fe021ee79dc747fb0de91378e3ef40f9596",
     ("etf", "frequent"): "7a660f50790ef100737267898afb249f000d8c929e352569b3a775b6790f8566",
-    ("etf", "closed"): "e4a0bb624f860d6e520c28528c2ff6be7c07939af810832b6e41a28c3fc6d9d9",
-    ("etf", "closed_no_etf"): "9627179f8e2aefe6ca30fd0153d565c74d14775808a38c112a20ee3726bca350",
+    ("etf", "closed"): "bba4ac39d12407b886449c3ffd0703f5e7a19392c86c48d6051b3cda269a37fb",
+    ("etf", "closed_no_etf"): "c55db46888f132e56a4aa2afeccbc2c39cfd03a0de17acb9dcf4554f49b90255",
     ("random", "frequent"): "54fa58e1f9d15a93f746ecaa6f7b2ab969dbd729a1bd6d09c3ae54e8e7e1cd38",
-    ("random", "closed"): "29c076f370d6b5f4cbf8feb077bef243e0e14703bac6d0222bfebf492782b22e",
-    ("random", "closed_no_etf"): "b41f9dc38b29fcfaa28d5eb1571b57a2e15103cfb31b6c840bf5a9e60c1e2808",
+    ("random", "closed"): "5032b836acd8e9825640f0bd4476e36c8e8af8c198c0fa888a4e39b0539b5be5",
+    ("random", "closed_no_etf"): "0ecdeb39beea07f59133e06462dc588778f18b317c5482188152d017e9ee7b43",
 }
 
 
