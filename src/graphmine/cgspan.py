@@ -137,7 +137,10 @@ def early_termination(
     Only closed graphs with the pattern's support set can be candidates.
     The lookup misses at once when none was stored; otherwise it first
     indexes that support set's records not yet in the table, in insertion
-    order, so that time is part of the lookup's.
+    order, so that time is part of the lookup's. A record with no more
+    edges than the pattern is skipped unread: rho would carry the pattern
+    onto all of it, making it the same pattern, and the search visits each
+    pattern once.
     """
     pending = cght.groups.get(frozenset(c.gid for c in projected))
     if pending is None:
@@ -153,6 +156,8 @@ def early_termination(
     pairs = [(t[0], t[1]) for t in code]
     fmaps = list(zip([c.gid for c in projected], vertex_maps(code, projected)))
     for record in bucket:
+        if len(record.code) <= len(code):
+            continue
         by_gid, (ref_gid, ref_map) = record.materialize()
         image = set(ref_map)
         inverse = {v: i for i, v in enumerate(ref_map)}

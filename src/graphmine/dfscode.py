@@ -4,7 +4,7 @@ A DFS code is a sequence of 5-tuples ``(frm, to, lbl_frm, lbl_edge, lbl_to)``
 over dfs vertex ids assigned in discovery order. A forward tuple (frm < to)
 introduces vertex ``to``; a backward tuple (frm > to) closes a cycle between
 known vertices. The minimum code under the lexicographic extension of the
-tuple order below is the graph's canonical form.
+tuple order below (``child_sort_key``) is the graph's canonical form.
 """
 
 from __future__ import annotations
@@ -30,38 +30,17 @@ class EdgeTuple(NamedTuple):
         return self.frm > self.to
 
 
-def tuple_less(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Strict order on tuples that can extend one common code position.
+def child_sort_key(t: Sequence[int]) -> tuple:
+    """Sort key of the tuple order, on tuples that extend one common code.
 
-    Backward-before-forward from the same growth point; backward tuples by
-    (to, lbl_edge); forward tuples by (deeper frm first, then the label
-    triple). Total on tuples that are comparable at one position.
+    That is the only domain the order is ever applied to: every backward
+    tuple leaves the right-most vertex and every forward tuple introduces
+    the next dfs id. Backward tuples come first, by (to, lbl_edge); forward
+    tuples by deeper frm first, then the label triple.
     """
-    a_fwd = a[0] < a[1]
-    b_fwd = b[0] < b[1]
-    if a_fwd:
-        if b_fwd:
-            if a[1] != b[1]:
-                return a[1] < b[1]
-            if a[0] != b[0]:
-                return a[0] > b[0]
-            return a[2:] < b[2:]
-        return a[1] <= b[0]
-    if b_fwd:
-        return a[0] < b[1]
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return a[3] < b[3]
-
-
-def code_less(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """Lexicographic extension of tuple_less; a proper prefix is smaller."""
-    for ta, tb in zip(a, b):
-        if ta != tb:
-            return tuple_less(ta, tb)
-    return len(a) < len(b)
+    if t[0] > t[1]:
+        return (0, t[1], t[3], 0, 0)
+    return (1, -t[0], t[2], t[3], t[4])
 
 
 class DFSCode(list):
@@ -275,5 +254,6 @@ def code_less_than_min(code: Sequence[Sequence[int]], g: LabeledGraph) -> bool:
             return True
         ck = tuple(code[k])
         if ck != t:
-            return tuple_less(ck, t)
+            # Both extend the common prefix code[:k].
+            return child_sort_key(ck) < child_sort_key(t)
     return False

@@ -9,10 +9,12 @@ Edge images are the directed half-edge tuples ``(frm, to, eid, elb)`` of the
 owning graph, oriented the way the code tuple at that position reads, which
 is what makes vertex maps recoverable from a chain.
 
-The extension scan builds no link. It files each hit in its tuple's Bucket
-as a parent chain and a half-edge, and ``Bucket.link`` builds the child's
-chains only for the children the search visits: most buckets are
-infrequent or head a code that is not minimal, and are never linked.
+Every chain ends at its graph's empty chain, ``Embedding(gid, None, None)``,
+the parent of each 1-edge hit. Neither the seeding nor the extension scan
+builds a link: each files its hits in the tuple's Bucket as a parent chain
+and a half-edge, and ``Bucket.link`` builds the child's chains only for the
+children the search visits. Most buckets are infrequent or head a code
+that is not minimal, and are never linked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .graphs import GraphDatabase
 
 class Embedding:
     """One chain link: graph id, oriented image of the last code edge, and
-    the parent chain (None for 1-edge codes)."""
+    the parent chain. A graph's empty chain, the parent of its 1-edge
+    chains, has neither edge nor parent."""
 
     __slots__ = ("gid", "edge", "prev")
 
@@ -39,8 +42,9 @@ class Embedding:
 
 
 class Bucket:
-    """The hits of one extension tuple, not yet linked: per hit the parent
-    chain in ``prevs`` and the oriented half-edge in ``edges``.
+    """The hits of one code tuple, not yet linked: per hit the parent
+    chain in ``prevs`` (a graph's empty chain for a 1-edge code) and the
+    oriented half-edge in ``edges``.
 
     ``len`` is the number of hits, the occurrence count the linked chains
     would have.
@@ -173,20 +177,20 @@ def dropped_extension_covers(
     return True
 
 
-def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCode, list]]:
-    """All frequent 1-edge codes with their embeddings, sorted ascending.
+def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCode, Bucket]]:
+    """All frequent 1-edge codes with the Bucket of their hits, sorted
+    ascending.
 
-    One pass buckets the half-edges by label triple; buckets found in fewer
-    than ``min_freq`` graphs are dropped.
-
-    An edge with distinct endpoint labels yields one chain in its canonical
-    orientation; equal endpoint labels yield both orientations, matching the
-    two isomorphisms of the pattern onto that edge.
+    One pass files the half-edges by label triple, each with its graph's
+    empty chain as parent; buckets found in fewer than ``min_freq`` graphs
+    are dropped. An edge with distinct endpoint labels is one hit in its
+    canonical orientation; equal endpoint labels give both orientations,
+    matching the two isomorphisms of the pattern onto that edge.
     """
-    buckets: dict[tuple, list] = {}
+    buckets: dict[tuple, Bucket] = {}
     for g in db.graphs:
         vl = g.vlabels
-        gid = g.gid
+        empty = Embedding(g.gid, None, None)
         for u, lu in enumerate(vl):
             for e in g.adj[u]:
                 lv = vl[e[1]]
@@ -194,12 +198,13 @@ def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCod
                     trip = (lu, e[3], lv)
                     bucket = buckets.get(trip)
                     if bucket is None:
-                        bucket = buckets[trip] = []
-                    bucket.append(Embedding(gid, e, None))
+                        bucket = buckets[trip] = Bucket()
+                    bucket.prevs.append(empty)
+                    bucket.edges.append(e)
     return [
         (DFSCode([(0, 1) + trip]), buckets[trip])
         for trip in sorted(buckets)
-        if support(buckets[trip]) >= min_freq
+        if buckets[trip].support() >= min_freq
     ]
 
 
@@ -209,25 +214,19 @@ def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
     Complete for minimum codes: each prefix of a minimum code is minimum
     and each next tuple passes the extension scan's growth filters. The
     miners grow embeddings from the parent's instead; this serves callers
-    that hold only a code, growing the chains one tuple at a time through
-    the extension scan the search uses and linking each prefix's bucket as
-    it goes.
+    that hold only a code, taking the first tuple's bucket from the
+    miners' seeding and growing the chains one tuple at a time through the
+    extension scan the search uses, linking each prefix's bucket as it
+    goes. A first tuple the seeding never writes, one with
+    ``lbl_frm > lbl_to``, gives ``[]``.
     """
-    _, _, flbl, elbl, tlbl = code[0]
-    projected = [
-        Embedding(g.gid, e, None)
-        for g in db.graphs
-        for v, lbl in enumerate(g.vlabels)
-        if lbl == flbl
-        for e in g.adj[v]
-        if e[3] == elbl and g.vlabels[e[1]] == tlbl
-    ]
+    seeds = {c[0]: bucket for c, bucket in frequent_single_edges(db, 1)}
+    bucket = seeds.get(tuple(code[0]))
     for k in range(1, len(code)):
-        bucket = rightmost_extensions(code[:k], projected, db).get(tuple(code[k]))
         if bucket is None:
             return []
-        projected = bucket.link()
-    return projected
+        bucket = rightmost_extensions(code[:k], bucket.link(), db).get(tuple(code[k]))
+    return [] if bucket is None else bucket.link()
 
 
 def rightmost_extensions(
@@ -320,9 +319,3 @@ def rightmost_extensions(
 
     return buckets
 
-
-def child_sort_key(t: Sequence[int]):
-    """Sort key realizing tuple_less among extensions of one code."""
-    if t[0] > t[1]:
-        return (0, t[1], t[3], 0, 0)
-    return (1, -t[0], t[2], t[3], t[4])

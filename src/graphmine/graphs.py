@@ -78,7 +78,9 @@ class GraphDatabase:
     """An ordered collection of LabeledGraphs plus label vocabularies.
 
     ``original_ids`` maps the dense position back to the id found in the
-    source file, so reports can name graphs the way the input did.
+    source file, so reports can name graphs the way the input did; it
+    needs one id per graph. Graphs given to the constructor are numbered
+    by position, as ``append`` numbers them, whatever ``gid`` they had.
     ``vlabel_names`` / ``elabel_names`` translate interned labels back to
     their source tokens; they stay None for databases built from ints.
     """
@@ -93,8 +95,12 @@ class GraphDatabase:
         elabel_names: list[str] | None = None,
     ):
         self.graphs: list[LabeledGraph] = graphs if graphs is not None else []
+        for gid, g in enumerate(self.graphs):
+            g.gid = gid
         if original_ids is None:
             original_ids = list(range(len(self.graphs)))
+        elif len(original_ids) != len(self.graphs):
+            raise ValueError(f"{len(original_ids)} original ids for {len(self.graphs)} graphs")
         self.original_ids = original_ids
         self.vlabel_names = vlabel_names
         self.elabel_names = elabel_names

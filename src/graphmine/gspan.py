@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dfscode import DFSCode, is_min
+from .dfscode import DFSCode, child_sort_key, is_min
 from .embeddings import (
-    child_sort_key,
     containing_graphs,
     frequent_single_edges,
     rightmost_extensions,
@@ -118,15 +117,14 @@ def search(
     The scan reads ``db`` as given; nothing is copied or pruned up front.
     Only buckets with enough support are kept: a bucket that extends every
     embedding has the node's own support, so the closure check loses
-    nothing. Children are the kept buckets in ascending tuple order. A
-    child's bucket is linked into its embedding list only once the child
-    passes ``is_min``, so the hooks, ``emit`` and the next scan see
-    ``Embedding`` chains while ``exts`` holds unlinked buckets. The 1-edge
-    roots come linked from the seeding.
+    nothing. Children are the kept buckets in ascending tuple order. Every
+    node, a 1-edge root from the seeding included, arrives as an unlinked
+    bucket and is linked into its embedding list only once it passes
+    ``is_min``, so the hooks, ``emit`` and the next scan see ``Embedding``
+    chains while ``exts`` holds unlinked buckets.
     """
     min_freq = config.min_frequency(len(db.graphs))
     max_edges = config.max_pattern_edges
-    roots = frequent_single_edges(db, min_freq)
     out: list[MinedPattern] = []
 
     def emit(code: list, projected: list) -> MinedPattern:
@@ -143,13 +141,14 @@ def search(
         return pattern
 
     # A node pushes its children in reverse so they pop in ascending order.
-    stack: list[tuple] = [(list(c), p) for c, p in reversed(roots)]
+    stack: list[tuple] = [
+        (list(c), b) for c, b in reversed(frequent_single_edges(db, min_freq))
+    ]
     while stack:
         code, projected = stack.pop()
         if not is_min(code):
             continue
-        if len(code) > 1:
-            projected = projected.link()
+        projected = projected.link()
         stats.visited_nodes += 1
         covered = enter(code, projected) if enter is not None else False
         if covered is None:

@@ -316,44 +316,6 @@ def extension_family(rng):
     return draw
 
 
-def random_code_walk(rng, max_len: int = 4, prefix: list | None = None) -> list[tuple]:
-    """A structurally valid random code: backward edges come right after
-    their source vertex's discovery in ascending target order, forward
-    growth only from the right-most path."""
-    code = list(prefix) if prefix else []
-    if not code:
-        code = [(0, 1, rng.randrange(3), rng.randrange(3), rng.randrange(3))]
-    vlabels: dict[int, int] = {}
-    rmpath = [0]
-    nverts = 1
-    last_back = -1
-    for t in code:  # replay to recover the walk state
-        if t[0] < t[1]:
-            i = rmpath.index(t[0])
-            rmpath = rmpath[: i + 1] + [t[1]]
-            vlabels[t[0]], vlabels[t[1]] = t[2], t[4]
-            nverts = max(nverts, t[1] + 1)
-            last_back = -1
-        else:
-            last_back = t[1]
-    while len(code) < max_len and rng.random() < 0.75:
-        r = rmpath[-1]
-        back_opts = [j for j in rmpath[:-2] if j > last_back]
-        if back_opts and rng.random() < 0.4:
-            j = rng.choice(back_opts)
-            code.append((r, j, vlabels[r], rng.randrange(3), vlabels[j]))
-            last_back = j
-        else:
-            i = rng.choice(rmpath)
-            lbl = rng.randrange(3)
-            code.append((i, nverts, vlabels[i], rng.randrange(3), lbl))
-            rmpath = rmpath[: rmpath.index(i) + 1] + [nverts]
-            vlabels[nverts] = lbl
-            nverts += 1
-            last_back = -1
-    return code
-
-
 def tuple_precedes(a, b) -> bool:
     """Strict DFS-code tuple order, restated from its definition so the
     brute-force canonical form shares nothing with the library comparator.

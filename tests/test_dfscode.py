@@ -1,19 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphmine.dfscode import (
     DFSCode,
     EdgeTuple,
-    code_less,
     code_less_than_min,
     code_to_graph,
     is_min,
     min_dfs_code,
     rightmost_path,
-    tuple_less,
 )
 from graphmine.graphs import LabeledGraph
 
@@ -25,8 +21,6 @@ from conftest import (
     all_dfs_codes,
     brute_min_code,
     connected_labeled_graphs,
-    extension_family,
-    random_code_walk,
 )
 
 
@@ -152,50 +146,3 @@ def test_code_less_than_min_three_outcomes():
     # A proper prefix of the minimum counts as less.
     assert code_less_than_min(DFSCode(list(CG1)[:2]), g_cg1)
 
-
-# The tuple order is defined over tuples that can extend one common code
-# position: backward tuples share the right-most vertex and determined
-# endpoint labels, forward tuples target the next fresh id. Law inputs are
-# drawn from such families.
-def test_tuple_less_strict_total_order_laws():
-    rng = random.Random(11)
-    for _ in range(10_000):
-        draw = extension_family(rng)
-        a, b, c = draw(), draw(), draw()
-        assert not tuple_less(a, a)  # irreflexive
-        assert not (tuple_less(a, b) and tuple_less(b, a))  # asymmetric
-        if tuple_less(a, b) and tuple_less(b, c):
-            assert tuple_less(a, c)  # transitive
-        if a != b:
-            assert tuple_less(a, b) or tuple_less(b, a)  # total
-
-
-def test_code_less_strict_total_order_laws():
-    rng = random.Random(13)
-    for _ in range(10_000):
-        a = random_code_walk(rng)
-        # b shares a random prefix of a, so any divergence point compares
-        # extensions of one common code.
-        cut = rng.randint(0, len(a))
-        b = random_code_walk(rng, prefix=a[:cut]) if cut else random_code_walk(rng)
-        assert not code_less(a, a)
-        assert not (code_less(a, b) and code_less(b, a))
-        if a != b:
-            assert code_less(a, b) or code_less(b, a)
-        if len(a) > 1:
-            assert code_less(a[:-1], a)  # proper prefix sorts first
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=300, deadline=None)
-def test_code_less_laws_hypothesis(seed):
-    rng = random.Random(seed)
-    a = random_code_walk(rng)
-    cut = rng.randint(0, len(a))
-    b = random_code_walk(rng, prefix=a[:cut]) if cut else random_code_walk(rng)
-    c = random_code_walk(rng, prefix=a[: rng.randint(0, len(a))])
-    assert (a == b) or code_less(a, b) or code_less(b, a)
-    if code_less(a, b):
-        assert not code_less(b, a)
-    if code_less(a, b) and code_less(b, c):
-        assert code_less(a, c)

@@ -4,10 +4,9 @@ import pytest
 
 from graphmine import embeddings, gspan
 from graphmine.cgspan import mine_closed
-from graphmine.dfscode import DFSCode, is_min
+from graphmine.dfscode import DFSCode, child_sort_key, is_min
 from graphmine.embeddings import (
     Embedding,
-    child_sort_key,
     containing_graphs,
     equivalent_occurrence,
     frequent_single_edges,
@@ -62,12 +61,21 @@ def test_frequent_single_edges_order_and_support(sample_db):
         (0, 1, X, EB, Y),
         (0, 1, X, ED, Z),
     ]
-    by_code = {tuple(code[0]): proj for code, proj in roots}
+    by_code = {tuple(code[0]): bucket for code, bucket in roots}
     assert len(by_code[(0, 1, W, EA, X)]) == 3
-    assert support(by_code[(0, 1, W, EA, X)]) == 2
+    assert by_code[(0, 1, W, EA, X)].support() == 2
     assert len(by_code[(0, 1, W, EF, Z)]) == 2
     # Infrequent labels (c to S, e to T) are filtered out.
     assert len(roots) == 4
+    # Every hit is a half-edge of its graph under that graph's empty chain,
+    # one chain object per graph.
+    empty = {}
+    for _, bucket in roots:
+        for prev, e in zip(bucket.prevs, bucket.edges):
+            assert type(prev) is Embedding and prev.edge is None and prev.prev is None
+            assert empty.setdefault(prev.gid, prev) is prev
+            assert e in sample_db.graphs[prev.gid].adj[e[0]]
+    assert sorted(empty) == [0, 1]
 
 
 def test_occurrence_counts_of_sample_patterns(sample_db):
@@ -81,9 +89,17 @@ def test_project_code_matches_mining_embeddings(sample_db):
     mined = mine_frequent(sample_db, MiningConfig(min_support=2, emit_embeddings=True))
     for p in mined:
         chains = project_code(p.code, sample_db)
-        got = set(zip([c.gid for c in chains], vertex_maps(p.code, chains)))
-        expected = set(zip([c.gid for c in p.embeddings], vertex_maps(p.code, p.embeddings)))
+        got = list(zip([c.gid for c in chains], vertex_maps(p.code, chains)))
+        expected = list(zip([c.gid for c in p.embeddings], vertex_maps(p.code, p.embeddings)))
         assert got == expected
+
+
+def test_project_code_of_a_first_tuple_the_seeding_never_writes(sample_db):
+    # The seeding writes each edge from its smaller label, so X-a-W has no
+    # chain although W-a-X has three.
+    assert len(project_code(DFSCode([(0, 1, W, EA, X)]), sample_db)) == 3
+    assert project_code(DFSCode([(0, 1, X, EA, W)]), sample_db) == []
+    assert project_code(DFSCode([(0, 1, X, EA, W), (1, 2, W, EF, Z)]), sample_db) == []
 
 
 def test_project_code_matches_oracle_counts(sample_db):
@@ -297,17 +313,10 @@ def test_scan_builds_no_link(sample_db, monkeypatch):
 
 def links_built_by_mining(db, min_support, monkeypatch) -> int:
     """Mine frequent patterns with every link counted, and check the count:
-    the seeding builds one chain per half-edge it buckets; after that a
-    bucket is linked only for a child that passes is_min, so every other
-    chain built is a chain of an emitted pattern. Returns how many children
-    failed is_min, unlinked."""
-    seeds = sum(
-        1
-        for g in db.graphs
-        for u, lu in enumerate(g.vlabels)
-        for e in g.adj[u]
-        if lu <= g.vlabels[e[1]]
-    )
+    the seeding builds one empty chain per graph; after that a bucket, a
+    root's included, is linked only for a node that passes is_min, so every
+    other chain built is a chain of an emitted pattern. Returns how many
+    children failed is_min, unlinked."""
     hits = rejected = 0
 
     def spy_scan(code, projected, db_):
@@ -327,10 +336,9 @@ def links_built_by_mining(db, min_support, monkeypatch) -> int:
     monkeypatch.setattr(gspan, "is_min", spy_is_min)
     mined = mine_frequent(db, MiningConfig(min_support=min_support))
     monkeypatch.undo()
-    linked = sum(p.occurrence for p in mined if len(p.code) >= 2)
-    assert counter.built == seeds + linked
+    assert counter.built == len(db.graphs) + sum(p.occurrence for p in mined)
     # Infrequent buckets and children that fail is_min are never linked.
-    assert linked < hits
+    assert sum(p.occurrence for p in mined if len(p.code) >= 2) < hits
     return rejected
 
 
@@ -356,13 +364,16 @@ def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode):
         for p in mined:
             assert len(p.embeddings) == p.occurrence
             for c in p.embeddings:
+                gid = c.gid
                 for _ in p.code:
-                    assert type(c) is Embedding
+                    assert type(c) is Embedding and c.gid == gid and c.edge is not None
                     c = c.prev
-                assert c is None
+                # The chain ends at its graph's empty chain.
+                assert type(c) is Embedding and c.gid == gid
+                assert c.edge is None and c.prev is None
             chains = project_code(p.code, db)
-            got = set(zip([c.gid for c in p.embeddings], vertex_maps(p.code, p.embeddings)))
-            assert got == set(zip([c.gid for c in chains], vertex_maps(p.code, chains)))
+            got = list(zip([c.gid for c in p.embeddings], vertex_maps(p.code, p.embeddings)))
+            assert got == list(zip([c.gid for c in chains], vertex_maps(p.code, chains)))
 
 
 def test_child_sort_key_orders_backward_first():

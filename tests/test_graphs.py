@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from graphmine.datasets import dump_dataset
 from graphmine.graphs import (
     GraphDatabase,
     LabeledGraph,
@@ -9,6 +10,7 @@ from graphmine.graphs import (
     induced_subgraph,
     subgraph_isomorphisms,
 )
+from graphmine.gspan import MiningConfig, mine_frequent
 
 from conftest import connected_labeled_graphs
 
@@ -62,6 +64,45 @@ def test_database_append_assigns_dense_gids():
     assert [g.gid for g in db] == [0, 1]
     assert db.original_ids == [42, 1]
     assert len(db) == 2
+
+
+def labeled_path(labels) -> LabeledGraph:
+    g = LabeledGraph()
+    for lbl in labels:
+        g.add_vertex(lbl)
+    for u in range(len(labels) - 1):
+        g.add_edge(u, u + 1, 0)
+    return g
+
+
+def test_database_constructor_numbers_graphs_by_position():
+    # Two fresh graphs both carry gid 0; numbered as given they would count
+    # as one graph and mine nothing at support 2.
+    paths = [labeled_path([0, 1, 2]), labeled_path([0, 1, 2])]
+    db = GraphDatabase(graphs=paths)
+    assert [g.gid for g in db] == [0, 1]
+    assert db.original_ids == [0, 1]
+    appended = GraphDatabase()
+    for g in (labeled_path([0, 1, 2]), labeled_path([0, 1, 2])):
+        appended.append(g)
+    config = MiningConfig(min_support=2)
+    assert len(mine_frequent(db, config)) == len(mine_frequent(appended, config)) == 3
+    # A gid past the end of the list would index out of range.
+    stale = labeled_path([0, 1])
+    stale.gid = 5
+    db = GraphDatabase(graphs=[labeled_path([0, 1]), stale])
+    assert [g.gid for g in db] == [0, 1]
+    assert len(mine_frequent(db, MiningConfig(min_support=1))) == 1
+
+
+def test_database_rejects_original_ids_of_the_wrong_length():
+    graphs = [labeled_path([0, 1]), labeled_path([0, 1])]
+    with pytest.raises(ValueError, match="1 original ids for 2 graphs"):
+        GraphDatabase(graphs=graphs, original_ids=[7])
+    with pytest.raises(ValueError):
+        GraphDatabase(graphs=graphs, original_ids=[7, 8, 9])
+    text = dump_dataset(GraphDatabase(graphs=graphs, original_ids=[7, 8]))
+    assert text.count("t # ") == 2 and "t # 8" in text
 
 
 def test_label_names_default_to_str():
