@@ -96,11 +96,6 @@ def _vertex_maps(code: Sequence[Sequence[int]], chains):
         yield tuple(vmap)
 
 
-def support(projected: list) -> int:
-    """Number of distinct graphs the chains live in."""
-    return len({e.gid for e in projected})
-
-
 def containing_graphs(projected: list) -> list[int]:
     return sorted({e.gid for e in projected})
 
@@ -233,9 +228,11 @@ def rightmost_extensions(
     code: Sequence[Sequence[int]],
     projected: list,
     db: GraphDatabase,
+    sources: set[int] | None = None,
 ) -> dict[tuple, Bucket]:
     """Right-most extension tuples that may head a minimal code, each with
-    the Bucket of all its hits.
+    the Bucket of all its hits, except tuples from the sources skipped
+    below, which are never frequent.
 
     No chain link is built: a hit appends its parent chain and half-edge
     to the bucket's two lists, and the search links a bucket only once its
@@ -245,9 +242,7 @@ def rightmost_extensions(
     vertices (never the direct parent); forward edges grow from right-most
     path vertices and introduce the next dfs id. The tuple-level growth
     filters of canonical search drop extension tuples that can never head a
-    minimal code. The filters read only the tuple, never the embedding, so
-    each kept bucket holds every hit of its tuple
-    (``dropped_extension_covers`` relies on it). Keys are plain 5-tuples.
+    minimal code. Keys are plain 5-tuples.
 
     Graphs are simple (``LabeledGraph.add_edge`` rejects repeated edges)
     and chains injective, so a graph edge between two images belongs to
@@ -258,12 +253,44 @@ def rightmost_extensions(
     edges alike. A neighbour is in the pattern when its image is in the
     chain's vertex map, and ``vmap.index`` gives its dfs id: injectivity
     makes that exact, so no inverse map is built per chain.
+
+    Two rules skip a source vertex whole, and each skips only sources that
+    yield no hit or no frequent tuple:
+
+    - *Saturated source.* When a source's image has as many neighbours as
+      the code has edges at the source, every neighbour is a pattern vertex
+      the code already joins to it, so neither a forward nor a backward
+      edge leaves it. One length test per chain and source decides it,
+      against the code's degree list; for the right-most vertex it skips
+      the backward and forward pass alike.
+    - *Inherited sources.* ``sources`` holds the sources of the parent
+      node's frequent forward tuples, or None to read every source. A
+      forward hit of this code from a path vertex v, other than the
+      right-most vertex, is also a forward hit from v of the parent's code,
+      with the same labels and in the same graph: v was on the parent's
+      right-most path, the parent's vertex map is a prefix of this one,
+      and the growth filter at v is at least as strict here (a forward
+      parent tuple from v raises v's floor to its own labels). A tuple
+      from v thus has at most the support of the parent's tuple with its
+      labels, so a source the parent had no frequent forward tuple from
+      has none here, and only those in ``sources`` are read. The
+      right-most vertex is always read: it may be the vertex the parent's
+      tuple introduced.
+
+    The growth filters read only the tuple, never the embedding, and a
+    skipped source yields no hit at all or only tuples below the support
+    threshold, so each kept bucket still holds every hit of its tuple
+    (``dropped_extension_covers`` relies on it for the frequent ones).
     """
     graphs = db.graphs
     positions = rightmost_path(code).positions
     maxtoc = code[positions[-1]][1]
     rmlbl = code[positions[-1]][4]
     min_vlb = code[0][2]
+    degree = [0] * (maxtoc + 1)
+    for t in code:
+        degree[t[0]] += 1
+        degree[t[1]] += 1
     joined = {t[1] for t in code if t[0] == maxtoc}
     # backward target dfs id -> (label of the path edge leaving it, whether
     # an equal edge label may close onto it, the target's own label)
@@ -272,7 +299,12 @@ def rightmost_extensions(
         for pos in positions[:-1]
         if code[pos][0] not in joined
     }
-    fwd = [(code[pos][0], code[pos][3], code[pos][4], code[pos][2]) for pos in reversed(positions)]
+    fwd = [
+        (code[pos][0], code[pos][3], code[pos][4], code[pos][2], degree[code[pos][0]])
+        for pos in reversed(positions)
+        if sources is None or code[pos][0] in sources
+    ]
+    rmdeg = degree[maxtoc]
     newv = maxtoc + 1
     buckets: dict[tuple, Bucket] = {}
 
@@ -281,7 +313,8 @@ def rightmost_extensions(
         adj = g.adj
         vl = g.vlabels
 
-        for e in adj[vmap[maxtoc]]:
+        nbrs = adj[vmap[maxtoc]]
+        for e in nbrs if len(nbrs) > rmdeg else ():
             to = e[1]
             if to not in vmap:
                 nlbl = vl[to]
@@ -302,8 +335,11 @@ def rightmost_extensions(
             bucket.prevs.append(emb)
             bucket.edges.append(e)
 
-        for frm_dfs, e1lbl, e1tolbl, frmlbl in fwd:
-            for e in adj[vmap[frm_dfs]]:
+        for frm_dfs, e1lbl, e1tolbl, frmlbl, deg in fwd:
+            nbrs = adj[vmap[frm_dfs]]
+            if len(nbrs) == deg:
+                continue
+            for e in nbrs:
                 to = e[1]
                 if to in vmap:
                     continue
@@ -318,4 +354,3 @@ def rightmost_extensions(
                 bucket.edges.append(e)
 
     return buckets
-

@@ -79,13 +79,15 @@ class GraphDatabase:
 
     ``original_ids`` maps the dense position back to the id found in the
     source file, so reports can name graphs the way the input did; it
-    needs one id per graph. Graphs given to the constructor are numbered
-    by position, as ``append`` numbers them, whatever ``gid`` they had.
+    needs one id per graph, and an id that repeats raises ValueError, as
+    the parser's does (the pattern file's ``x`` lines and ``dump_dataset``
+    name graphs by it). Graphs given to the constructor are numbered by
+    position, as ``append`` numbers them, whatever ``gid`` they had.
     ``vlabel_names`` / ``elabel_names`` translate interned labels back to
     their source tokens; they stay None for databases built from ints.
     """
 
-    __slots__ = ("graphs", "original_ids", "vlabel_names", "elabel_names")
+    __slots__ = ("graphs", "original_ids", "vlabel_names", "elabel_names", "_id_set")
 
     def __init__(
         self,
@@ -101,14 +103,24 @@ class GraphDatabase:
             original_ids = list(range(len(self.graphs)))
         elif len(original_ids) != len(self.graphs):
             raise ValueError(f"{len(original_ids)} original ids for {len(self.graphs)} graphs")
+        self._id_set: set[int] = set()
+        for oid in original_ids:
+            self._add_id(oid)
         self.original_ids = original_ids
         self.vlabel_names = vlabel_names
         self.elabel_names = elabel_names
 
     def append(self, g: LabeledGraph, original_id: int | None = None) -> None:
+        oid = original_id if original_id is not None else len(self.graphs)
+        self._add_id(oid)
         g.gid = len(self.graphs)
         self.graphs.append(g)
-        self.original_ids.append(original_id if original_id is not None else g.gid)
+        self.original_ids.append(oid)
+
+    def _add_id(self, oid: int) -> None:
+        if oid in self._id_set:
+            raise ValueError(f"repeated graph id {oid}")
+        self._id_set.add(oid)
 
     def vertex_label_name(self, label: Label) -> str:
         if self.vlabel_names is not None:

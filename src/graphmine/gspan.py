@@ -14,12 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .dfscode import DFSCode, child_sort_key, is_min
-from .embeddings import (
-    containing_graphs,
-    frequent_single_edges,
-    rightmost_extensions,
-    support,
-)
+from .embeddings import containing_graphs, frequent_single_edges, rightmost_extensions
 from .graphs import GraphDatabase
 
 MODES = ("frequent", "closed", "closed_no_etf")
@@ -122,17 +117,24 @@ def search(
     bucket and is linked into its embedding list only once it passes
     ``is_min``, so the hooks, ``emit`` and the next scan see ``Embedding``
     chains while ``exts`` holds unlinked buckets.
+
+    Each child is pushed with the sources of its parent's frequent forward
+    tuples, one set shared by all siblings. Its scan reads forward edges
+    only from those path vertices and from its right-most vertex; the
+    sources it skips yield only infrequent tuples (``rightmost_extensions``
+    says why), so ``exts`` is the same as with every source read.
     """
     min_freq = config.min_frequency(len(db.graphs))
     max_edges = config.max_pattern_edges
     out: list[MinedPattern] = []
 
     def emit(code: list, projected: list) -> MinedPattern:
+        gids = containing_graphs(projected)
         pattern = MinedPattern(
             code=DFSCode(code),
-            support=support(projected),
+            support=len(gids),
             occurrence=len(projected),
-            containing_graphs=containing_graphs(projected),
+            containing_graphs=gids,
             discovery_index=len(out),
             embeddings=list(projected) if config.emit_embeddings else None,
         )
@@ -140,12 +142,14 @@ def search(
         stats.pattern_count += 1
         return pattern
 
-    # A node pushes its children in reverse so they pop in ascending order.
+    # A node pushes its children in reverse so they pop in ascending order,
+    # each with the sources of its parent's frequent forward tuples; a root
+    # has no parent and reads every source.
     stack: list[tuple] = [
-        (list(c), b) for c, b in reversed(frequent_single_edges(db, min_freq))
+        (list(c), b, None) for c, b in reversed(frequent_single_edges(db, min_freq))
     ]
     while stack:
-        code, projected = stack.pop()
+        code, projected, sources = stack.pop()
         if not is_min(code):
             continue
         projected = projected.link()
@@ -160,14 +164,15 @@ def search(
                 continue
         exts = {
             t: bucket
-            for t, bucket in rightmost_extensions(code, projected, db).items()
+            for t, bucket in rightmost_extensions(code, projected, db, sources).items()
             if bucket.support() >= min_freq
         }
         if settle is not None:
             settle(code, projected, exts, covered, emit)
         if grow:
+            sources = {t[0] for t in exts if t[0] < t[1]}
             for t in sorted(exts, key=child_sort_key, reverse=True):
-                stack.append((code + [t], exts[t]))
+                stack.append((code + [t], exts[t], sources))
     return out
 
 

@@ -1,18 +1,20 @@
 """Shared fixtures: the two worked-example databases, a seeded random
-database generator, a reference right-most extension scan (with helpers
-that compare its chains with the package's unlinked buckets), and a
-brute-force DFS-code enumerator used as the canonical-form oracle."""
+database generator, a brute-force frequent-pattern enumerator, a reference
+right-most extension scan (with helpers that compare its chains with the
+package's unlinked buckets), and a brute-force DFS-code enumerator used as
+the canonical-form oracle."""
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from graphmine.dfscode import DFSCode, rightmost_path
+from graphmine.dfscode import DFSCode, code_to_graph, min_dfs_code, rightmost_path
 from graphmine.embeddings import Bucket, Embedding
-from graphmine.graphs import GraphDatabase, LabeledGraph
+from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from graphmine.datasets import parse_dataset_text
 from graphmine.oracle import ExtensionKey
 
@@ -133,6 +135,40 @@ def random_database(
             g.add_edge(u, v, rng.randrange(n_elabels))
         db.append(g)
     return db
+
+
+def brute_frequent_codes(db, min_freq: int) -> set[tuple]:
+    """All connected frequent patterns, by enumerating connected edge
+    subsets of every graph and deduplicating on canonical code."""
+    candidates: set[tuple] = set()
+    for g in db:
+        for size in range(1, g.edge_count + 1):
+            for subset in combinations(range(g.edge_count), size):
+                sub = LabeledGraph()
+                vmap: dict[int, int] = {}
+                for eid in subset:
+                    u, v, lbl = g.edges[eid]
+                    for w in (u, v):
+                        if w not in vmap:
+                            vmap[w] = sub.add_vertex(g.vlabels[w])
+                    sub.add_edge(vmap[u], vmap[v], lbl)
+                seen = {0}
+                stack = [0]
+                while stack:
+                    for e in sub.adj[stack.pop()]:
+                        if e[1] not in seen:
+                            seen.add(e[1])
+                            stack.append(e[1])
+                if len(seen) != sub.vertex_count:
+                    continue
+                candidates.add(tuple(map(tuple, min_dfs_code(sub))))
+    out = set()
+    for code in candidates:
+        pattern = code_to_graph(code)
+        found = sum(1 for g in db if next(subgraph_isomorphisms(pattern, g), None) is not None)
+        if found >= min_freq:
+            out.add(code)
+    return out
 
 
 def chain_edges(emb, length):
@@ -367,7 +403,7 @@ def connected_labeled_graphs(max_edges: int = 4, n_vlabels: int = 2, n_elabels: 
     """Every connected labeled graph with 1..max_edges edges, one instance
     per edge-set skeleton and labeling, with vertex and edge labels counted
     up from ``lowest_label``. Yields LabeledGraph."""
-    from itertools import combinations, product
+    from itertools import product
 
     for nv in range(2, max_edges + 2):
         all_pairs = list(combinations(range(nv), 2))

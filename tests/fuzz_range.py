@@ -1,10 +1,13 @@
-"""Differential fuzz of closed mining over a fixed seed range.
+"""Differential fuzz of frequent and closed mining over a fixed seed range.
 
 For seeds 0 to N-1 (N = 2000 by default) at supports 1, 2 and 3, mines
-``fuzz_database(seed)`` in modes ``closed`` and ``closed_no_etf`` and
-compares both with one oracle filter over the frequent patterns of that
-run. It exits 1 unless
+``fuzz_database(seed)`` in all three modes, checks the frequent patterns
+against a brute-force enumeration, and compares both closed modes with
+one oracle filter over those frequent patterns. It exits 1 unless
 
+- every ``frequent`` run finds exactly the patterns
+  ``conftest.brute_frequent_codes`` enumerates. The closed oracle filters
+  the miner's own frequent set, so it cannot see a pattern lost there;
 - the ``closed`` runs that differ from the oracle are exactly the known
   defect runs of that range (``test_cgspan.DEFECT_RUNS``): a new loss and a
   fix both fail it, so the pinned list moves with the miner;
@@ -29,6 +32,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 from graphmine.cgspan import mine_closed  # noqa: E402
 from graphmine.gspan import MiningConfig, mine_frequent  # noqa: E402
 from graphmine.oracle import filter_closed  # noqa: E402
+from conftest import brute_frequent_codes  # noqa: E402
 from test_cgspan import DEFECT_RUNS, fuzz_database  # noqa: E402
 
 SUPPORTS = (1, 2, 3)
@@ -40,12 +44,16 @@ def codes(patterns) -> set[tuple]:
 
 def main(n_seeds: int) -> int:
     seeds = range(n_seeds)
+    wrong_frequent = set()
     failing = set()
     extra = set()
     for seed in seeds:
         db = fuzz_database(seed)
         for sup in SUPPORTS:
-            oracle = codes(filter_closed(mine_frequent(db, MiningConfig(min_support=sup)), db))
+            frequent = mine_frequent(db, MiningConfig(min_support=sup))
+            if codes(frequent) != brute_frequent_codes(db, sup):
+                wrong_frequent.add((seed, sup))
+            oracle = codes(filter_closed(frequent, db))
             if codes(mine_closed(db, MiningConfig(min_support=sup, mode="closed"))) != oracle:
                 failing.add((seed, sup))
             no_etf = MiningConfig(min_support=sup, mode="closed_no_etf")
@@ -53,12 +61,13 @@ def main(n_seeds: int) -> int:
                 extra.add((seed, sup))
     expected = {(s, sup) for s, sup in DEFECT_RUNS if s in seeds and sup in SUPPORTS}
     runs = len(seeds) * len(SUPPORTS)
+    print(f"{runs} runs, frequent runs that differ from brute force: {sorted(wrong_frequent)}")
     print(f"{runs} runs, {len(failing)} differ from the oracle: {sorted(failing)}")
     print(f"closed_no_etf runs that emit a pattern the oracle rejects: {sorted(extra)}")
     if failing != expected:
         print(f"new mismatches: {sorted(failing - expected)}")
         print(f"known defect runs now matching: {sorted(expected - failing)}")
-    return 1 if failing != expected or extra else 0
+    return 1 if wrong_frequent or failing != expected or extra else 0
 
 
 if __name__ == "__main__":

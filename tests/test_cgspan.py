@@ -17,11 +17,11 @@ from graphmine.cgspan import (
 from graphmine.datasets import parse_dataset_text
 from graphmine.dfscode import DFSCode, code_to_graph
 from graphmine.embeddings import (
+    containing_graphs,
     dropped_extension_covers,
     equivalent_occurrence,
     project_code,
     rightmost_extensions,
-    support,
     vertex_maps,
 )
 from graphmine.graphs import subgraph_isomorphisms
@@ -714,8 +714,8 @@ def closure_decisions(db, config, monkeypatch) -> int:
         terminate[tuple(map(tuple, code))] = result[0]
         return result
 
-    def spy_scan(code, projected, db_):
-        exts = rightmost_extensions(code, projected, db_)
+    def spy_scan(code, projected, db_, sources=None):
+        exts = rightmost_extensions(code, projected, db_, sources)
         scanned.append((list(code), projected, exts))
         return exts
 
@@ -794,8 +794,8 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
         for sup in (1, 2, 3):
             nodes = []
 
-            def spy_scan(code, projected, db_):
-                exts = rightmost_extensions(code, projected, db_)
+            def spy_scan(code, projected, db_, sources=None):
+                exts = rightmost_extensions(code, projected, db_, sources)
                 nodes.append((list(code), projected, exts))
                 return exts
 
@@ -815,7 +815,7 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
                     answers.add(got)
                 rightmost = reference_rightmost_extensions(code, projected, db, restricted=False)
                 for t, b in kept.items():
-                    assert b.support() == support(rightmost[t])
+                    assert b.support() == len(containing_graphs(rightmost[t]))
                     assert_links_match(b, rightmost[t])
                 rightmost = {rm_as_key(t) for t in rightmost}
                 off_path += bool(covering) and not covering & rightmost

@@ -12,10 +12,9 @@ from graphmine.embeddings import (
     frequent_single_edges,
     project_code,
     rightmost_extensions,
-    support,
     vertex_maps,
 )
-from graphmine.graphs import subgraph_isomorphisms
+from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from graphmine.gspan import MiningConfig, mine_frequent
 
 from conftest import (
@@ -81,7 +80,7 @@ def test_frequent_single_edges_order_and_support(sample_db):
 def test_occurrence_counts_of_sample_patterns(sample_db):
     assert len(project_code(P1, sample_db)) == 2
     assert len(project_code(P2, sample_db)) == 3
-    assert support(project_code(P2, sample_db)) == 2
+    assert len(containing_graphs(project_code(P2, sample_db))) == 2
     assert containing_graphs(project_code(P1, sample_db)) == [0, 1]
 
 
@@ -122,40 +121,55 @@ def test_vertex_map_and_chain_edges(sample_db):
         assert edges[0][3] == EA and edges[1][3] == EF
 
 
-def assert_scan_matches_reference(code, projected, db):
+def assert_scan_matches_reference(code, projected, db, sources=None, min_freq=None) -> int:
     """The scan of one node equals the reference: the same bucket keys and,
     per bucket, as many hits as reference chains, the same support, and
     links with the same (gid, edge, parent chain) sequence; and every
-    chain's vertex map equals the reference's."""
-    got = rightmost_extensions(code, projected, db)
+    chain's vertex map equals the reference's.
+
+    With inherited ``sources`` the scan may omit a key, but only one whose
+    reference support is below ``min_freq``, so the kept buckets (support
+    >= ``min_freq``) equal the reference's kept buckets link by link, and
+    so does every bucket it builds. Returns the number of keys omitted."""
+    got = rightmost_extensions(code, projected, db, sources)
     want = reference_rightmost_extensions(code, projected, db)
-    assert got.keys() == want.keys()
+    if sources is None:
+        assert got.keys() == want.keys()
+    else:
+        assert got.keys() <= want.keys()
+        for t in want.keys() - got.keys():
+            assert len(containing_graphs(want[t])) < min_freq, t
+        kept = {t for t, b in got.items() if b.support() >= min_freq}
+        assert kept == {t for t, c in want.items() if len(containing_graphs(c)) >= min_freq}
     for t, bucket in got.items():
-        assert bucket.support() == support(want[t])
+        assert bucket.support() == len(containing_graphs(want[t]))
         assert_links_match(bucket, want[t])
     assert vertex_maps(code, projected) == [tuple(reference_vertex_map(code, c)) for c in projected]
+    return len(want) - len(got)
 
 
-def check_every_visited_node(db, monkeypatch) -> int:
+def check_every_visited_node(db, monkeypatch) -> tuple[int, int]:
     """Mine every mode at supports 1-3, comparing each node the search scans
-    with the reference. Returns the number of nodes checked."""
-    nodes = 0
+    with the reference. Returns the number of nodes checked and of keys the
+    inherited sources omitted."""
+    nodes = omitted = 0
 
-    def checked(code, projected, db_):
-        nonlocal nodes
+    def checked(code, projected, db_, sources=None):
+        nonlocal nodes, omitted
         nodes += 1
-        assert_scan_matches_reference(code, projected, db_)
-        return rightmost_extensions(code, projected, db_)
+        omitted += assert_scan_matches_reference(code, projected, db_, sources, sup)
+        return rightmost_extensions(code, projected, db_, sources)
 
     monkeypatch.setattr(gspan, "rightmost_extensions", checked)
     for sup in (1, 2, 3):
         mine_frequent(db, MiningConfig(min_support=sup))
         mine_closed(db, MiningConfig(min_support=sup, mode="closed"))
-    return nodes
+    return nodes, omitted
 
 
 def test_scan_matches_reference_on_sample(sample_db, monkeypatch):
-    assert check_every_visited_node(sample_db, monkeypatch) > 0
+    nodes, omitted = check_every_visited_node(sample_db, monkeypatch)
+    assert nodes > 0 and omitted > 0
 
 
 @pytest.mark.parametrize("n_vlabels", [1, 2, 3])
@@ -177,7 +191,7 @@ def test_rightmost_extensions_of_root(sample_db):
     assert (0, 2, W, EF, Z) in exts
     # Bucket contents are child embeddings chained onto parents.
     bucket = exts[(1, 2, X, EB, Y)]
-    assert support(bucket) == 2 and len(bucket) == 2
+    assert len(containing_graphs(bucket)) == 2 and len(bucket) == 2
 
 
 def test_restricted_extensions_drop_smaller_vertex_labels(sample_db):
@@ -191,6 +205,74 @@ def test_restricted_extensions_drop_smaller_vertex_labels(sample_db):
     assert (1, 2, Z, EF, W) in unrestricted
     assert (1, 2, Z, EF, W) not in restricted
     assert restricted < unrestricted
+
+
+def test_inherited_sources_drop_only_unlisted_path_sources(sample_db):
+    # Vertex 0 of W-a-X is a right-most path source and vertex 1 the
+    # right-most vertex: a parent's forward tuple may just have introduced
+    # it, so the scan reads it whatever ``sources`` holds.
+    root = DFSCode([(0, 1, W, EA, X)])
+    proj = project_code(root, sample_db)
+    full = rightmost_extensions(root, proj, sample_db)
+    assert {t[0] for t in full} == {0, 1}
+    for sources in (set(), {0}, {1}, {0, 1}):
+        got = rightmost_extensions(root, proj, sample_db, sources)
+        assert got.keys() == {t for t in full if t[0] == 1 or t[0] in sources}
+        for t, bucket in got.items():
+            assert_links_match(bucket, full[t].link())
+
+
+class WatchedAdjacency(list):
+    """One vertex's adjacency list, recording each time it is iterated."""
+
+    def __init__(self, half_edges, reads, v):
+        super().__init__(half_edges)
+        self.reads = reads
+        self.v = v
+
+    def __iter__(self):
+        self.reads.append(self.v)
+        return super().__iter__()
+
+
+def test_saturated_sources_are_never_read():
+    # A path 0-1-2-3 with four vertex labels, and a one-label triangle. A
+    # source whose image has no edge outside the code yields no hit, and
+    # the scan does not read its adjacency at all.
+    path, triangle = LabeledGraph(), LabeledGraph()
+    for lbl in (0, 1, 2, 3):
+        path.add_vertex(lbl)
+    for u in range(3):
+        path.add_edge(u, u + 1, 0)
+    for _ in range(3):
+        triangle.add_vertex(0)
+    for u, v in ((0, 1), (1, 2), (2, 0)):
+        triangle.add_edge(u, v, 0)
+    steps = [(0, 1, 0, 0, 1), (1, 2, 1, 0, 2), (2, 3, 2, 0, 3)]
+    cases = [
+        # Vertices 0 and 1 are saturated; the right-most vertex 2 is not.
+        (path, steps[:2], {(2, 3, 2, 0, 3)}, [2]),
+        # Every vertex is saturated.
+        (path, steps, set(), []),
+        # The closing edge saturates the right-most vertex: no backward
+        # edge is left either.
+        (triangle, [(0, 1, 0, 0, 0), (1, 2, 0, 0, 0), (2, 0, 0, 0, 0)], set(), []),
+    ]
+    for g, code, want, read in cases:
+        db = GraphDatabase()
+        db.append(g)
+        code = DFSCode(code)
+        proj = project_code(code, db)
+        assert len(proj) >= 1
+        assert set(reference_rightmost_extensions(code, proj, db)) == want
+        reads = []
+        adj = g.adj
+        g.adj = [WatchedAdjacency(a, reads, v) for v, a in enumerate(adj)]
+        try:
+            assert set(rightmost_extensions(code, proj, db)) == want
+        finally:
+            g.adj = adj
+        assert reads == read
 
 
 def assert_restriction_drops_only_non_minimal(db, max_edges=None):
@@ -232,7 +314,7 @@ def check_infrequent_buckets_not_equivalent(db) -> int:
         for p in mine_frequent(db, MiningConfig(min_support=sup, emit_embeddings=True)):
             exts = reference_rightmost_extensions(list(p.code), p.embeddings, db, restricted=False)
             for bucket in exts.values():
-                if support(bucket) < sup:
+                if len(containing_graphs(bucket)) < sup:
                     infrequent += 1
                     assert not equivalent_occurrence(p.embeddings, as_bucket(bucket))
     return infrequent
@@ -319,9 +401,9 @@ def links_built_by_mining(db, min_support, monkeypatch) -> int:
     children failed is_min, unlinked."""
     hits = rejected = 0
 
-    def spy_scan(code, projected, db_):
+    def spy_scan(code, projected, db_, sources=None):
         nonlocal hits
-        exts = rightmost_extensions(code, projected, db_)
+        exts = rightmost_extensions(code, projected, db_, sources)
         hits += sum(map(len, exts.values()))
         return exts
 

@@ -105,6 +105,18 @@ def test_database_rejects_original_ids_of_the_wrong_length():
     assert text.count("t # ") == 2 and "t # 8" in text
 
 
+def test_database_rejects_repeated_original_ids():
+    # A repeated id would name two graphs alike in the pattern file, and
+    # dump_dataset would write a file the parser rejects.
+    db = GraphDatabase()
+    db.append(labeled_path([0, 1]), 1)
+    with pytest.raises(ValueError, match="repeated graph id 1"):
+        db.append(labeled_path([0, 1]))
+    assert db.original_ids == [1] and len(db) == 1
+    with pytest.raises(ValueError, match="repeated graph id 7"):
+        GraphDatabase(graphs=[labeled_path([0, 1]), labeled_path([0, 1])], original_ids=[7, 7])
+
+
 def test_label_names_default_to_str():
     db = GraphDatabase()
     assert db.vertex_label_name(3) == "3"

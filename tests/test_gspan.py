@@ -1,51 +1,16 @@
 import random
 import sys
-from itertools import combinations
 
 import pytest
 
 from graphmine import gspan
 from graphmine.cgspan import mine_closed
-from graphmine.dfscode import code_to_graph, min_dfs_code
-from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
+from graphmine.dfscode import min_dfs_code
+from graphmine.graphs import GraphDatabase, LabeledGraph
 from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import verify_run
 
-from conftest import key_set, random_database
-
-
-def brute_frequent_codes(db, min_freq: int) -> set[tuple]:
-    """All connected frequent patterns, by enumerating connected edge
-    subsets of every graph and deduplicating on canonical code."""
-    candidates: set[tuple] = set()
-    for g in db:
-        for size in range(1, g.edge_count + 1):
-            for subset in combinations(range(g.edge_count), size):
-                sub = LabeledGraph()
-                vmap: dict[int, int] = {}
-                for eid in subset:
-                    u, v, lbl = g.edges[eid]
-                    for w in (u, v):
-                        if w not in vmap:
-                            vmap[w] = sub.add_vertex(g.vlabels[w])
-                    sub.add_edge(vmap[u], vmap[v], lbl)
-                seen = {0}
-                stack = [0]
-                while stack:
-                    for e in sub.adj[stack.pop()]:
-                        if e[1] not in seen:
-                            seen.add(e[1])
-                            stack.append(e[1])
-                if len(seen) != sub.vertex_count:
-                    continue
-                candidates.add(tuple(map(tuple, min_dfs_code(sub))))
-    out = set()
-    for code in candidates:
-        pattern = code_to_graph(code)
-        found = sum(1 for g in db if next(subgraph_isomorphisms(pattern, g), None) is not None)
-        if found >= min_freq:
-            out.add(code)
-    return out
+from conftest import brute_frequent_codes, key_set, random_database
 
 
 def test_frequent_set_matches_brute_force(sample_db):
