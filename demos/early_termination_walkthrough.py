@@ -105,18 +105,14 @@ def main() -> int:
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     graphs = sorted(next(iter(cght.groups)))
-    print(f"hash table files it under its support set, graphs {graphs}; its keys")
-    print("are built by the first lookup of a pattern with that support set.")
+    print(f"hash table files it under its support set, graphs {graphs}; a lookup")
+    print("reads the records of the pattern's own support set and no other.")
 
     print(f"\ncandidate for termination: {render(DOOMED, db)}")
     projected = project_code(DOOMED, db)
     terminate, rec, rho = early_termination(DOOMED, projected, cght)
     print(f"early_termination -> {terminate}, via stored graph #{rec.discovery_index}, "
           f"vertex map rho={rho}")
-    print(f"the lookup indexed the record under {len(cght.buckets)} keys, one per pattern")
-    print("edge: the set of database edges (graph, edge id) it maps onto.")
-    for key in cght.buckets:
-        print(f"  key {sorted(key)}")
     print("every occurrence of the candidate extends to an occurrence of the")
     print("stored graph, so plain early termination would cut the branch here.")
 

@@ -3,13 +3,12 @@
 A branch of the DFS code tree is cut when its pattern provably leads only
 to already-discovered closed graphs: the pattern has equivalent occurrence,
 directly or through a chain of one-edge extensions, with a closed graph
-found earlier. Discovered closed graphs are indexed in a hash table (CGHT)
-keyed by the database images of single pattern edges, so each test touches
-few candidates. A lookup can only hit a closed graph with the pattern's
-support set, so the table files each closed graph under its support set and
-builds its edge keys only when a lookup first reaches that set. Known
-failure cases of that pruning rule are tracked as a set of code prefixes and
-force the branch to be explored anyway.
+found earlier. Discovered closed graphs are kept in a closed-graph hash
+table (CGHT) filed by support set: only a closed graph with the pattern's
+support set can cover it. The paper also keys the table by the database
+images of single pattern edges; a cover implies that key, so the table
+builds none. Known failure cases of that pruning rule are tracked as a set
+of code prefixes and force the branch to be explored anyway.
 """
 
 from __future__ import annotations
@@ -64,53 +63,24 @@ class ClosedGraphRecord:
 
 
 class ClosedGraphHashTable:
-    """Closed graphs indexed by the image sets of their single edges.
+    """Closed graphs filed by support set.
 
-    ``buckets`` maps an edge image set, a frozenset of ``(gid, eid)``, to
-    the records with an edge of that image set, in insertion order.
     ``groups`` maps a support set, a frozenset of graph ids, to the records
-    of that support set not yet in ``buckets``. Every graph id of a key is
-    in its records' support sets and every graph of a record has an image
-    of each of its edges, so a key only ever holds records of the group
-    equal to its own graph ids, and a group indexed in insertion order
-    fills each of its buckets as filing every record on insertion would.
+    with that support set, in insertion order. The paper keys the table by
+    edge image sets as well; a lookup here reads its support set's records
+    directly, because the cover test already implies the edge key (see
+    ``early_termination``).
     """
 
-    __slots__ = ("buckets", "groups")
+    __slots__ = ("groups",)
 
     def __init__(self):
-        self.buckets: dict[frozenset, list[ClosedGraphRecord]] = {}
         self.groups: dict[frozenset, list[ClosedGraphRecord]] = {}
 
 
 def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> None:
-    """File a closed graph under its support set; no chain is walked.
-
-    Its edge keys are built by the first ``early_termination`` that looks
-    up a pattern with the same support set, so the benchmark's per-layer
-    metrics book that work under ``cgspan.lookup``, not ``cgspan.insert``.
-    """
+    """File a closed graph under its support set; no chain is walked."""
     cght.groups.setdefault(frozenset(c.gid for c in record.chains), []).append(record)
-
-
-def _index_group(buckets: dict, records: list[ClosedGraphRecord]) -> None:
-    """Add each record under one key per pattern edge, in order.
-
-    A record is referenced at most once per bucket even if two of its edges
-    happen to share an image set.
-    """
-    for record in records:
-        images: list[set] = [set() for _ in record.code]
-        last_first = images[::-1]
-        for c in record.chains:
-            gid = c.gid
-            for img in last_first:
-                img.add((gid, c.edge[2]))
-                c = c.prev
-        for img in images:
-            bucket = buckets.setdefault(frozenset(img), [])
-            if not any(r is record for r in bucket):
-                bucket.append(record)
 
 
 def early_termination(
@@ -123,10 +93,10 @@ def early_termination(
     True when some stored closed graph g' occurs, through a single vertex
     mapping rho of the pattern into g', at every place the pattern occurs:
     each embedding f then satisfies f = f'' o rho for some embedding f'' of
-    g'. Candidate graphs come from one hash lookup on the image set of the
-    pattern's last edge; candidate rhos are read off the embeddings that
-    fall inside one reference embedding of g'. A true result proves the
-    pattern is not closed.
+    g'. Candidate graphs are the stored closed graphs with the pattern's
+    support set, in insertion order; candidate rhos are read off the
+    embeddings that fall inside one reference embedding of g'. A true result
+    proves the pattern is not closed.
 
     Both steps compare whole tuples in C: a rho is the record's inverse map
     read through ``itemgetter`` at the pattern map's vertices, and a pattern
@@ -134,30 +104,30 @@ def early_termination(
     to some map f'' of its graph. A pattern has at least two vertices, so
     both getters return tuples.
 
-    Only closed graphs with the pattern's support set can be candidates.
-    The lookup misses at once when none was stored; otherwise it first
-    indexes that support set's records not yet in the table, in insertion
-    order, so that time is part of the lookup's. A record with no more
-    edges than the pattern is skipped unread: rho would carry the pattern
-    onto all of it, making it the same pattern, and the search visits each
-    pattern once.
+    Two size tests skip a record unread. One with no more edges than the
+    pattern would be the same pattern under rho, and the search visits each
+    pattern once. One with fewer embeddings than the pattern cannot cover
+    it: under a covering rho, every composition f'' o rho of an embedding of
+    g' is itself an embedding of the pattern, since rho carries the
+    pattern's edges onto edges of g' with the same labels and the pattern's
+    embedding list is complete, so f'' -> f'' o rho maps the embeddings of
+    g' onto the pattern's. The same fact makes the paper's edge-image key
+    redundant: the images of the edge rho(last edge) of g' are exactly the
+    images of the pattern's last edge, so every covering record has the
+    pattern's key, and the first covering record in insertion order is the
+    one a keyed bucket would yield.
     """
-    pending = cght.groups.get(frozenset(c.gid for c in projected))
-    if pending is None:
+    group = cght.groups.get(frozenset(c.gid for c in projected))
+    if group is None:
         return False, None, None
-    if pending:
-        _index_group(cght.buckets, pending)
-        pending.clear()
-    key = frozenset((c.gid, c.edge[2]) for c in projected)
-    bucket = cght.buckets.get(key)
-    if not bucket:
+    size, occ = len(code), len(projected)
+    candidates = [r for r in group if len(r.code) > size and len(r.chains) >= occ]
+    if not candidates:
         return False, None, None
 
     pairs = [(t[0], t[1]) for t in code]
     fmaps = list(zip([c.gid for c in projected], vertex_maps(code, projected)))
-    for record in bucket:
-        if len(record.code) <= len(code):
-            continue
+    for record in candidates:
         by_gid, (ref_gid, ref_map) = record.materialize()
         image = set(ref_map)
         inverse = {v: i for i, v in enumerate(ref_map)}

@@ -137,9 +137,10 @@ def random_database(
     return db
 
 
-def brute_frequent_codes(db, min_freq: int) -> set[tuple]:
-    """All connected frequent patterns, by enumerating connected edge
-    subsets of every graph and deduplicating on canonical code."""
+def brute_code_supports(db) -> dict[tuple, int]:
+    """Every connected pattern that occurs in ``db``, with its support, by
+    enumerating connected edge subsets of every graph, deduplicating on
+    canonical code and counting the graphs each code embeds in."""
     candidates: set[tuple] = set()
     for g in db:
         for size in range(1, g.edge_count + 1):
@@ -162,13 +163,18 @@ def brute_frequent_codes(db, min_freq: int) -> set[tuple]:
                 if len(seen) != sub.vertex_count:
                     continue
                 candidates.add(tuple(map(tuple, min_dfs_code(sub))))
-    out = set()
+    supports = {}
     for code in candidates:
         pattern = code_to_graph(code)
-        found = sum(1 for g in db if next(subgraph_isomorphisms(pattern, g), None) is not None)
-        if found >= min_freq:
-            out.add(code)
-    return out
+        supports[code] = sum(
+            1 for g in db if next(subgraph_isomorphisms(pattern, g), None) is not None
+        )
+    return supports
+
+
+def brute_frequent_codes(db, min_freq: int) -> set[tuple]:
+    """All connected frequent patterns of ``db``, by brute force."""
+    return {code for code, sup in brute_code_supports(db).items() if sup >= min_freq}
 
 
 def chain_edges(emb, length):
@@ -179,6 +185,13 @@ def chain_edges(emb, length):
         edges[k] = node.edge
         node = node.prev
     return edges
+
+
+def edge_image_sets(code, chains) -> list[frozenset]:
+    """A pattern's edge image sets in code order: for each edge, the
+    ``(gid, eid)`` pairs it maps onto over the chains."""
+    images = [(c.gid, chain_edges(c, len(code))) for c in chains]
+    return [frozenset((gid, edges[pos][2]) for gid, edges in images) for pos in range(len(code))]
 
 
 def reference_rightmost_extensions(code, projected, db, restricted=True):

@@ -5,9 +5,10 @@ For seeds 0 to N-1 (N = 2000 by default) at supports 1, 2 and 3, mines
 against a brute-force enumeration, and compares both closed modes with
 one oracle filter over those frequent patterns. It exits 1 unless
 
-- every ``frequent`` run finds exactly the patterns
-  ``conftest.brute_frequent_codes`` enumerates. The closed oracle filters
-  the miner's own frequent set, so it cannot see a pattern lost there;
+- every ``frequent`` run finds exactly the patterns of that support among
+  those ``conftest.brute_code_supports`` enumerates, once per seed. The
+  closed oracle filters the miner's own frequent set, so it cannot see a
+  pattern lost there;
 - the ``closed`` runs that differ from the oracle are exactly the known
   defect runs of that range (``test_cgspan.DEFECT_RUNS``): a new loss and a
   fix both fail it, so the pinned list moves with the miner;
@@ -32,7 +33,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 from graphmine.cgspan import mine_closed  # noqa: E402
 from graphmine.gspan import MiningConfig, mine_frequent  # noqa: E402
 from graphmine.oracle import filter_closed  # noqa: E402
-from conftest import brute_frequent_codes  # noqa: E402
+from conftest import brute_code_supports  # noqa: E402
 from test_cgspan import DEFECT_RUNS, fuzz_database  # noqa: E402
 
 SUPPORTS = (1, 2, 3)
@@ -49,9 +50,10 @@ def main(n_seeds: int) -> int:
     extra = set()
     for seed in seeds:
         db = fuzz_database(seed)
+        brute = brute_code_supports(db)
         for sup in SUPPORTS:
             frequent = mine_frequent(db, MiningConfig(min_support=sup))
-            if codes(frequent) != brute_frequent_codes(db, sup):
+            if codes(frequent) != {code for code, n in brute.items() if n >= sup}:
                 wrong_frequent.add((seed, sup))
             oracle = codes(filter_closed(frequent, db))
             if codes(mine_closed(db, MiningConfig(min_support=sup, mode="closed"))) != oracle:

@@ -41,6 +41,7 @@ from conftest import (
     assert_links_match,
     brute_min_code,
     connected_labeled_graphs,
+    edge_image_sets,
     extension_family,
     random_database,
     reference_rightmost_extensions,
@@ -119,14 +120,17 @@ def test_hash_key_and_termination_example():
         assert key == frozenset({(0, 4), (1, 3)})
         terminate, record, rho = early_termination(alpha, proj, cght)
         assert terminate
-        assert record in cght.buckets[key]
         assert tuple(map(tuple, record.code)) == tuple(map(tuple, P1))
         assert rho == (0, 1, 3)
+        # The cover implies the paper's key: P1's edge rho(1)-rho(2) has
+        # exactly the images of alpha's last edge.
+        pos = record.edge_pos[frozenset((rho[1], rho[2]))]
+        assert edge_image_sets(record.code, record.chains)[pos] == key
         assert time.perf_counter() - start < 1.0
 
 
 def test_hash_table_state():
-    with criterion("closed-graph hash table: 5 keys, {(0,5),(1,4)} holds both"):
+    with criterion("closed-graph hash table: 5 edge image sets, {(0,5),(1,4)} in both"):
         start = time.perf_counter()
         db = parse_dataset_text(SAMPLE_TEXT)
         mined = mine_closed(
@@ -137,16 +141,15 @@ def test_hash_table_state():
             add_closed_graph(
                 cght, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
             )
-        # Records are indexed by the first lookup of their support set;
-        # both patterns occur in graphs 0 and 1, as alpha does.
-        assert cght.buckets == {}
-        alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
-        early_termination(alpha, project_code(alpha, db), cght)
+        # Both patterns occur in graphs 0 and 1 and share one support set.
+        assert list(cght.groups) == [frozenset({0, 1})]
         names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
-        state = {
-            tuple(sorted(key)): [names[tuple(map(tuple, r.code))] for r in bucket]
-            for key, bucket in cght.buckets.items()
-        }
+        state: dict[tuple, list[str]] = {}
+        for record in cght.groups[frozenset({0, 1})]:
+            for images in dict.fromkeys(edge_image_sets(record.code, record.chains)):
+                state.setdefault(tuple(sorted(images)), []).append(
+                    names[tuple(map(tuple, record.code))]
+                )
         assert state == {
             ((0, 1), (1, 0)): ["p1"],
             ((0, 2), (1, 1)): ["p1"],

@@ -41,6 +41,7 @@ from conftest import (
     Z,
     assert_links_match,
     chain_edges,
+    edge_image_sets,
     key_set,
     random_database,
     reference_rightmost_extensions,
@@ -143,24 +144,19 @@ def test_closed_set_equals_oracle_filter(sample_db, etf_db):
 # ---------------------------------------------------------- hash table
 
 
-def index_by_lookup(cght, db):
-    """Index the sample's closed patterns through one lookup: they all occur
-    in graphs 0 and 1, as the looked-up pattern does."""
-    assert cght.buckets == {}
-    alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
-    early_termination(alpha, project_code(alpha, db), cght)
-    assert not any(cght.groups.values())
-
-
-def test_hash_table_state_matches_worked_example(sample_db, sample_closed):
+def test_hash_table_state_matches_worked_example(sample_closed):
+    # Both closed patterns occur in graphs 0 and 1, so the table files them
+    # under one support set. The paper's keys are their edge image sets,
+    # sets of (graph id, edge id), both 0-based.
     cght = build_table(sample_closed)
-    index_by_lookup(cght, sample_db)
+    assert list(cght.groups) == [frozenset({0, 1})]
     names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
-    state = {
-        tuple(sorted(key)): [names[tuple(map(tuple, r.code))] for r in bucket]
-        for key, bucket in cght.buckets.items()
-    }
-    # Keys are sets of (graph id, edge id), both 0-based.
+    state: dict[tuple, list[str]] = {}
+    for record in cght.groups[frozenset({0, 1})]:
+        for images in dict.fromkeys(edge_image_sets(record.code, record.chains)):
+            state.setdefault(tuple(sorted(images)), []).append(
+                names[tuple(map(tuple, record.code))]
+            )
     assert state == {
         ((0, 1), (1, 0)): ["p1"],
         ((0, 2), (1, 1)): ["p1"],
@@ -168,32 +164,31 @@ def test_hash_table_state_matches_worked_example(sample_db, sample_closed):
         ((0, 5), (1, 4)): ["p1", "p2"],
         ((0, 0), (0, 1), (1, 0)): ["p2"],
     }
-    assert len(cght.buckets) == 5
 
 
-def test_record_dedup_within_bucket(sample_db, sample_closed):
-    cght = build_table(sample_closed)
-    index_by_lookup(cght, sample_db)
-    for bucket in cght.buckets.values():
-        assert len({id(r) for r in bucket}) == len(bucket)
-
-
-def test_lookup_indexes_only_its_support_set(sample_db):
+def test_lookup_reads_only_its_support_set(sample_db, monkeypatch):
     # At support 1 the sample's closed patterns fall into several support
-    # sets; a lookup indexes the records of its own set and no other.
+    # sets; a lookup materializes no record of another set and leaves the
+    # table as it was.
     closed = mine_closed(sample_db, MiningConfig(min_support=1, mode="closed", emit_embeddings=True))
     cght = build_table(closed)
-    assert cght.buckets == {}
     before = {gids: list(records) for gids, records in cght.groups.items()}
     assert len(before) > 1
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
     proj = project_code(alpha, sample_db)
     gids = frozenset(c.gid for c in proj)
-    early_termination(alpha, proj, cght)
-    assert cght.buckets
-    assert {frozenset(gid for gid, _ in key) for key in cght.buckets} == {gids}
-    assert cght.groups[gids] == []
-    assert all(cght.groups[g] == records for g, records in before.items() if g != gids)
+    read = []
+    materialize = ClosedGraphRecord.materialize
+
+    def spy(record):
+        read.append(record)
+        return materialize(record)
+
+    monkeypatch.setattr(ClosedGraphRecord, "materialize", spy)
+    assert early_termination(alpha, proj, cght)[0]
+    assert read
+    assert all(any(r is record for r in cght.groups[gids]) for record in read)
+    assert cght.groups == before
 
 
 # ----------------------------------------------------- early termination
@@ -696,6 +691,35 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
             mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
             monkeypatch.undo()
     assert lookups > 0 and hits > 0
+
+
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_covering_record_has_the_pattern_edge_images_on_fuzz(mode, monkeypatch):
+    # Why a lookup needs no edge-image key: when a record covers the pattern
+    # under rho, every pattern edge (a, b) has exactly the image set of the
+    # record's edge rho(a)-rho(b), the last edge's set being the paper's
+    # key, and the record has at least as many embeddings as the pattern.
+    hits = 0
+
+    def spy_lookup(code, projected, cght):
+        nonlocal hits
+        result = early_termination(code, projected, cght)
+        terminate, record, rho = result
+        if terminate:
+            hits += 1
+            assert len(record.chains) >= len(projected)
+            images = edge_image_sets(record.code, record.chains)
+            for t, want in zip(code, edge_image_sets(code, projected)):
+                assert images[record.edge_pos[frozenset((rho[t[0]], rho[t[1]]))]] == want
+        return result
+
+    monkeypatch.setattr(cgspan, "early_termination", spy_lookup)
+    for seed in range(120):
+        db = fuzz_database(seed)
+        cap = 2 + seed % 2 if seed % 5 == 0 else None
+        for sup in (1, 2, 3):
+            mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
+    assert hits > 0
 
 
 # ------------------------------------------------------- closure decision
