@@ -13,6 +13,9 @@ of code prefixes and force the branch to be explored anyway.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
+from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
 
@@ -33,33 +36,48 @@ __all__ = [
 
 
 class ClosedGraphRecord:
-    """One discovered closed graph: its code, embeddings, and cached maps."""
+    """One discovered closed graph: its code and its embeddings.
 
-    __slots__ = ("code", "chains", "discovery_index", "edge_pos", "_maps_by_gid", "_first")
+    A record holds its embedding chains, in graph-id order, until a lookup
+    first reads it. ``materialize`` then replaces them with their vertex
+    maps; ``occurrence`` keeps their count either way.
+    """
+
+    __slots__ = ("code", "chains", "occurrence", "discovery_index", "edge_pos", "maps", "ends")
 
     def __init__(self, code: DFSCode, chains: list, discovery_index: int):
         self.code = code
         self.chains = chains
+        self.occurrence = len(chains)
         self.discovery_index = discovery_index
         self.edge_pos = {frozenset((t[0], t[1])): i for i, t in enumerate(code)}
-        self._maps_by_gid = None
-        self._first = None
+        self.maps = None
+        self.ends = None
 
     def materialize(self):
-        """Vertex maps grouped by graph, plus one fixed reference embedding.
+        """The vertex maps, one flat list in chain order, and the offsets
+        where each graph's run of maps ends.
 
-        Returns ({gid: [vertex tuple, ...]}, (gid, vertex tuple)).
+        The first call builds both and sets ``chains`` to None: a lookup
+        reads only the maps, and the chains' links outweigh them.
         """
-        if self._maps_by_gid is None:
-            by_gid: dict[int, list] = {}
-            for c, vmap in zip(self.chains, vertex_maps(self.code, self.chains)):
-                by_gid.setdefault(c.gid, []).append(vmap)
-            self._maps_by_gid = by_gid
-            self._first = (self.chains[0].gid, by_gid[self.chains[0].gid][0])
-        return self._maps_by_gid, self._first
+        if self.maps is None:
+            self.maps = vertex_maps(self.code, self.chains)
+            self.ends = array("l", accumulate(_run_lengths(self.chains)))
+            self.chains = None
+        return self.maps, self.ends
 
     def __repr__(self) -> str:
         return f"ClosedGraphRecord(#{self.discovery_index}, {self.code!r})"
+
+
+def _run_lengths(chains: list) -> list[int]:
+    """How many chains each graph has, in graph-id order.
+
+    Chains come in non-decreasing graph-id order, so each graph's chains
+    form one run and the counter meets the graphs in that order.
+    """
+    return list(Counter(c.gid for c in chains).values())
 
 
 class ClosedGraphHashTable:
@@ -94,60 +112,72 @@ def early_termination(
     mapping rho of the pattern into g', at every place the pattern occurs:
     each embedding f then satisfies f = f'' o rho for some embedding f'' of
     g'. Candidate graphs are the stored closed graphs with the pattern's
-    support set, in insertion order; candidate rhos are read off the
-    embeddings that fall inside one reference embedding of g'. A true result
-    proves the pattern is not closed.
-
-    Both steps compare whole tuples in C: a rho is the record's inverse map
-    read through ``itemgetter`` at the pattern map's vertices, and a pattern
-    map f is covered under rho when it equals ``itemgetter(*rho)`` applied
-    to some map f'' of its graph. A pattern has at least two vertices, so
-    both getters return tuples.
+    support set, in insertion order. A true result proves the pattern is
+    not closed.
 
     Two size tests skip a record unread. One with no more edges than the
     pattern would be the same pattern under rho, and the search visits each
     pattern once. One with fewer embeddings than the pattern cannot cover
-    it: under a covering rho, every composition f'' o rho of an embedding of
-    g' is itself an embedding of the pattern, since rho carries the
-    pattern's edges onto edges of g' with the same labels and the pattern's
-    embedding list is complete, so f'' -> f'' o rho maps the embeddings of
-    g' onto the pattern's. The same fact makes the paper's edge-image key
-    redundant: the images of the edge rho(last edge) of g' are exactly the
-    images of the pattern's last edge, so every covering record has the
-    pattern's key, and the first covering record in insertion order is the
-    one a keyed bucket would yield.
+    it, by the lemma below.
+
+    The lemma: let rho carry the pattern's edges onto edges of g' with the
+    same labels, as every candidate rho does. Then every composition
+    f'' o rho of an embedding f'' of g' is itself an embedding of the
+    pattern, and the pattern's embedding list is complete, so f'' ->
+    f'' o rho maps the embeddings of g' in each graph into the pattern's
+    there. Three things follow.
+
+    - Candidate rhos come from one graph. Chains are in graph-id order, so
+      the support set's least graph holds the pattern's first chains and
+      g''s first embedding, the reference map ref. Under a covering rho,
+      ref o rho is one of those pattern maps, so rhos are read off the
+      pattern maps there that lie inside ref, in chain order, through
+      ref's inverse. Only those pattern maps are built.
+    - A cover is a count. Under rho, the pattern is covered in a graph
+      exactly when the distinct maps ``itemgetter(*rho)(f'')`` over the
+      record's maps there number the pattern's chains there. Automorphisms
+      of g' can send several record maps onto one pattern map, so the
+      record may have more maps in a graph than the pattern has chains.
+    - The paper's edge-image key is redundant: the images of the edge
+      rho(last edge) of g' are exactly the images of the pattern's last
+      edge, so every covering record has the pattern's key, and the first
+      covering record in insertion order is the one a keyed bucket would
+      yield.
+
+    A pattern has at least two vertices, so both getters return tuples.
     """
     group = cght.groups.get(frozenset(c.gid for c in projected))
     if group is None:
         return False, None, None
     size, occ = len(code), len(projected)
-    candidates = [r for r in group if len(r.code) > size and len(r.chains) >= occ]
+    candidates = [r for r in group if len(r.code) > size and r.occurrence >= occ]
     if not candidates:
         return False, None, None
 
+    counts = _run_lengths(projected)
     pairs = [(t[0], t[1]) for t in code]
-    fmaps = list(zip([c.gid for c in projected], vertex_maps(code, projected)))
+    ref_fmaps = vertex_maps(code, projected[: counts[0]])
     for record in candidates:
-        by_gid, (ref_gid, ref_map) = record.materialize()
-        image = set(ref_map)
-        inverse = {v: i for i, v in enumerate(ref_map)}
+        maps, ends = record.materialize()
+        image = set(maps[0])
+        inverse = {v: i for i, v in enumerate(maps[0])}
         edge_pos = record.edge_pos
-        rhos: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
-        for gid, fmap in fmaps:
-            if gid != ref_gid or not image.issuperset(fmap):
+        for fmap in ref_fmaps:
+            if not image.issuperset(fmap):
                 continue
             rho = itemgetter(*fmap)(inverse)
             if rho in seen:
                 continue
             seen.add(rho)
-            if all(frozenset((rho[a], rho[b])) in edge_pos for a, b in pairs):
-                rhos.append(rho)
-        for rho in rhos:
+            if not all(frozenset((rho[a], rho[b])) in edge_pos for a, b in pairs):
+                continue
             get = itemgetter(*rho)
-            for gid, fmap in fmaps:
-                if fmap not in map(get, by_gid.get(gid, ())):
+            start = 0
+            for end, n in zip(ends, counts):
+                if len(set(map(get, maps[start:end]))) != n:
                     break
+                start = end
             else:
                 return True, record, rho
     return False, None, None

@@ -1,0 +1,74 @@
+"""One SHA-256 over closed mining's output and every CGHT lookup it makes.
+
+For seeds 0 to N-1 (N = 600 by default), supports 1, 2 and 3, both closed
+modes and ``max_pattern_edges`` None and 2, mines ``fuzz_database(seed)``
+with ``mine_closed`` and feeds into one digest, run by run:
+
+- every emitted pattern's code, support, occurrence, containing graphs and
+  discovery index, in output order;
+- the run's ``MiningStats``;
+- every ``early_termination`` result, in call order, as ``(terminate,
+  record.discovery_index, rho)``.
+
+Two trees that print the same digest make the same lookups with the same
+answers and mine the same patterns with the same counters. Run it in each
+tree and compare the printed lines.
+
+Usage: python tests/lookup_digest.py [N]
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from graphmine import cgspan  # noqa: E402
+from graphmine.gspan import MiningConfig, MiningStats  # noqa: E402
+from test_cgspan import fuzz_database  # noqa: E402
+
+
+def main(n_seeds: int) -> int:
+    digest = hashlib.sha256()
+    lookups = []
+    lookup = cgspan.early_termination
+
+    def spy(code, projected, cght):
+        terminate, record, rho = result = lookup(code, projected, cght)
+        lookups.append((terminate, record and record.discovery_index, rho))
+        return result
+
+    cgspan.early_termination = spy
+    runs = hits = 0
+    for seed in range(n_seeds):
+        db = fuzz_database(seed)
+        for sup in (1, 2, 3):
+            for mode in ("closed", "closed_no_etf"):
+                for cap in (None, 2):
+                    lookups.clear()
+                    stats = MiningStats()
+                    config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+                    patterns = [
+                        (
+                            tuple(map(tuple, p.code)),
+                            p.support,
+                            p.occurrence,
+                            p.containing_graphs,
+                            p.discovery_index,
+                        )
+                        for p in cgspan.mine_closed(db, config, stats)
+                    ]
+                    run = (seed, sup, mode, cap, patterns, stats.as_dict(), lookups)
+                    digest.update(repr(run).encode())
+                    runs += 1
+                    hits += sum(t for t, _, _ in lookups)
+    cgspan.early_termination = lookup
+    print(f"{runs} runs, {hits} covering lookups, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 600))

@@ -114,6 +114,7 @@ def test_hash_key_and_termination_example():
             add_closed_graph(
                 cght, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
             )
+        chains = {p.discovery_index: p.embeddings for p in mined}
         alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
         proj = project_code(alpha, db)
         key = frozenset((c.gid, c.edge[2]) for c in proj)  # images of edge (1, 2)
@@ -123,9 +124,10 @@ def test_hash_key_and_termination_example():
         assert tuple(map(tuple, record.code)) == tuple(map(tuple, P1))
         assert rho == (0, 1, 3)
         # The cover implies the paper's key: P1's edge rho(1)-rho(2) has
-        # exactly the images of alpha's last edge.
+        # exactly the images of alpha's last edge, read off the chains P1
+        # was inserted with (the lookup dropped the record's own).
         pos = record.edge_pos[frozenset((rho[1], rho[2]))]
-        assert edge_image_sets(record.code, record.chains)[pos] == key
+        assert edge_image_sets(record.code, chains[record.discovery_index])[pos] == key
         assert time.perf_counter() - start < 1.0
 
 

@@ -191,6 +191,99 @@ def test_lookup_reads_only_its_support_set(sample_db, monkeypatch):
     assert cght.groups == before
 
 
+def test_lookup_builds_pattern_maps_in_the_reference_graph_only(sample_db, sample_closed, monkeypatch):
+    # A lookup builds the pattern's vertex maps only for its chains in the
+    # support set's least graph, and each record's maps once: a record it
+    # reads keeps one flat map list and drops its chains, one it never
+    # reads keeps them.
+    cght = ClosedGraphHashTable()
+    inserted = {}
+    for p in sample_closed:
+        record = ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
+        inserted[record] = p.embeddings
+        add_closed_graph(cght, record)
+    alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
+    key = tuple(map(tuple, alpha))
+    proj = project_code(alpha, sample_db)
+    in_ref = sum(c.gid == proj[0].gid for c in proj)
+    assert 0 < in_ref < len(proj)
+    built = []
+
+    def spy(code, chains):
+        built.append((tuple(map(tuple, code)), len(chains)))
+        return vertex_maps(code, chains)
+
+    monkeypatch.setattr(cgspan, "vertex_maps", spy)
+    result = early_termination(alpha, proj, cght)
+    assert result[0]
+    pattern_builds = [n for code, n in built if code == key]
+    record_builds = [n for code, n in built if code != key]
+    assert pattern_builds == [in_ref]
+    read = [r for r in inserted if r.maps is not None]
+    assert result[1] in read and len(read) < len(inserted)
+    assert sorted(record_builds) == sorted(len(inserted[r]) for r in read)
+    for record, chains in inserted.items():
+        assert record.occurrence == len(chains)
+        if record.maps is None:
+            assert record.chains is chains
+            continue
+        assert record.chains is None
+        assert record.maps == vertex_maps(record.code, chains)
+        gids = [c.gid for c in chains] + [None]
+        assert list(record.ends) == [i for i in range(1, len(gids)) if gids[i] != gids[i - 1]]
+
+    built.clear()
+    assert early_termination(alpha, proj, cght) == result
+    assert built == [(key, in_ref)]
+
+
+def star_database(extra_b: bool):
+    """Two copies of a star: centre B (label 0) with two A leaves (label
+    1) and one C leaf (label 2), all edges labelled 5. With ``extra_b`` a
+    second B vertex also joins the C leaf."""
+    graph = "v 0 0\nv 1 1\nv 2 1\nv 3 2\ne 0 1 5\ne 0 2 5\ne 0 3 5\n"
+    if extra_b:
+        graph += "v 4 0\ne 4 3 5\n"
+    return parse_dataset_text("".join(f"t # {i}\n{graph}" for i in range(2)))
+
+
+STAR = DFSCode([(0, 1, 0, 5, 1), (0, 2, 0, 5, 1), (0, 3, 0, 5, 2)])
+B_C = DFSCode([(0, 1, 0, 5, 2)])
+
+
+def test_cover_counts_distinct_projections_of_record_maps():
+    # Swapping the star's two A leaves is an automorphism, so the star has
+    # two maps per graph and both project onto the one B-C map there. The
+    # record has more maps than the pattern has chains, and still covers.
+    db = star_database(extra_b=False)
+    chains = project_code(STAR, db)
+    record = ClosedGraphRecord(STAR, chains, 0)
+    cght = ClosedGraphHashTable()
+    add_closed_graph(cght, record)
+    proj = project_code(B_C, db)
+    assert [c.gid for c in chains] == [0, 0, 1, 1]
+    assert [c.gid for c in proj] == [0, 1]
+    assert early_termination(B_C, proj, cght) == (True, record, (0, 3))
+    assert reference_cover(B_C, proj, record, chains) == (0, 3)
+    assert not is_closed(B_C, db)
+
+
+def test_cover_fails_when_distinct_projections_are_one_short():
+    # Near miss: a second B vertex joins the C leaf, so B-C has two chains
+    # per graph, as many as the star has maps, but both star maps project
+    # onto the same B-C map and the other is left uncovered.
+    db = star_database(extra_b=True)
+    chains = project_code(STAR, db)
+    record = ClosedGraphRecord(STAR, chains, 0)
+    cght = ClosedGraphHashTable()
+    add_closed_graph(cght, record)
+    proj = project_code(B_C, db)
+    assert [c.gid for c in chains] == [0, 0, 1, 1]
+    assert [c.gid for c in proj] == [0, 0, 1, 1]
+    assert early_termination(B_C, proj, cght) == (False, None, None)
+    assert reference_cover(B_C, proj, record, chains) is None
+
+
 # ----------------------------------------------------- early termination
 
 
@@ -276,13 +369,14 @@ def test_early_termination_one_edge_pattern():
         "".join(f"t # {i}\nv 0 0\nv 1 1\nv 2 2\ne 0 1 5\ne 1 2 6\n" for i in range(2))
     )
     stored = DFSCode([(0, 1, 0, 5, 1), (1, 2, 1, 6, 2)])
-    record = ClosedGraphRecord(stored, project_code(stored, path_db), 0)
+    chains = project_code(stored, path_db)
+    record = ClosedGraphRecord(stored, chains, 0)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 1)])
     proj = project_code(edge, path_db)
     assert early_termination(edge, proj, cght) == (True, record, (0, 1))
-    assert reference_cover(edge, proj, record) == (0, 1)
+    assert reference_cover(edge, proj, record, chains) == (0, 1)
 
     # Two copies of 0-(5)-0-(6)-1. The edge 0-(5)-0 occurs in both
     # orientations and the stored path takes one of them, so both rhos,
@@ -291,14 +385,15 @@ def test_early_termination_one_edge_pattern():
         "".join(f"t # {i}\nv 0 0\nv 1 0\nv 2 1\ne 0 1 5\ne 1 2 6\n" for i in range(2))
     )
     stored = DFSCode([(0, 1, 0, 5, 0), (1, 2, 0, 6, 1)])
-    record = ClosedGraphRecord(stored, project_code(stored, sym_db), 0)
+    chains = project_code(stored, sym_db)
+    record = ClosedGraphRecord(stored, chains, 0)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 0)])
     proj = project_code(edge, sym_db)
     assert len(proj) == 4
     assert early_termination(edge, proj, cght) == (False, None, None)
-    assert reference_cover(edge, proj, record) is None
+    assert reference_cover(edge, proj, record, chains) is None
     assert is_closed(edge, sym_db)
 
 
@@ -614,19 +709,19 @@ def test_capped_closed_mining_matches_oracle_on_fuzz():
 # ------------------------------------------------------------ lazy index
 
 
-def reference_cover(code, projected, record):
-    """The rho through which ``record`` covers the pattern, or None, from
-    the definition: candidate rhos are read off the pattern maps inside the
-    record's reference embedding (its first chain), in chain order, and keep
-    every pattern edge on a record edge; the first rho under which every
-    pattern map equals some record map of its graph composed with rho
-    wins."""
+def reference_cover(code, projected, record, chains):
+    """The rho through which ``record``, inserted with ``chains``, covers
+    the pattern, or None, from the definition: candidate rhos are read off
+    the pattern maps inside the record's reference embedding (its first
+    chain), in chain order, and keep every pattern edge on a record edge;
+    the first rho under which every pattern map equals some record map of
+    its graph composed with rho wins."""
     fmaps = list(zip([c.gid for c in projected], vertex_maps(code, projected)))
-    rmaps = vertex_maps(record.code, record.chains)
+    rmaps = vertex_maps(record.code, chains)
     by_gid: dict[int, list] = {}
-    for c, m in zip(record.chains, rmaps):
+    for c, m in zip(chains, rmaps):
         by_gid.setdefault(c.gid, []).append(m)
-    ref_gid, ref_map = record.chains[0].gid, rmaps[0]
+    ref_gid, ref_map = chains[0].gid, rmaps[0]
     record_edges = {frozenset((t[0], t[1])) for t in record.code}
     tried = set()
     for gid, fmap in fmaps:
@@ -650,7 +745,8 @@ def reference_cover(code, projected, record):
 def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
     # Reference: every record is filed under each of its edge image sets as
     # it is inserted, and a lookup returns the first record of the pattern's
-    # bucket that covers the pattern, by the test-local coverage check.
+    # bucket that covers the pattern, by the test-local coverage check on
+    # the chains the record was inserted with (a lookup drops them).
     lookups = hits = 0
 
     def summary(result):
@@ -662,8 +758,10 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
         cap = 2 + seed % 2 if seed % 5 == 0 else None
         for sup in (1, 2, 3):
             eager: dict[frozenset, list] = {}
+            inserted: dict[ClosedGraphRecord, list] = {}
 
             def spy_insert(cght, record):
+                inserted[record] = record.chains
                 images = [(c.gid, chain_edges(c, len(record.code))) for c in record.chains]
                 for pos in range(len(record.code)):
                     key = frozenset((gid, edges[pos][2]) for gid, edges in images)
@@ -677,7 +775,7 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
                 got = early_termination(code, projected, cght)
                 want = (False, None, None)
                 for record in eager.get(frozenset((c.gid, c.edge[2]) for c in projected), ()):
-                    rho = reference_cover(code, projected, record)
+                    rho = reference_cover(code, projected, record, inserted[record])
                     if rho is not None:
                         want = (True, record, rho)
                         break
@@ -699,7 +797,13 @@ def test_covering_record_has_the_pattern_edge_images_on_fuzz(mode, monkeypatch):
     # under rho, every pattern edge (a, b) has exactly the image set of the
     # record's edge rho(a)-rho(b), the last edge's set being the paper's
     # key, and the record has at least as many embeddings as the pattern.
+    # The images are read off the chains the record was inserted with.
     hits = 0
+    inserted: dict[ClosedGraphRecord, list] = {}
+
+    def spy_insert(cght, record):
+        inserted[record] = record.chains
+        return add_closed_graph(cght, record)
 
     def spy_lookup(code, projected, cght):
         nonlocal hits
@@ -707,12 +811,14 @@ def test_covering_record_has_the_pattern_edge_images_on_fuzz(mode, monkeypatch):
         terminate, record, rho = result
         if terminate:
             hits += 1
-            assert len(record.chains) >= len(projected)
-            images = edge_image_sets(record.code, record.chains)
+            chains = inserted[record]
+            assert record.occurrence == len(chains) >= len(projected)
+            images = edge_image_sets(record.code, chains)
             for t, want in zip(code, edge_image_sets(code, projected)):
                 assert images[record.edge_pos[frozenset((rho[t[0]], rho[t[1]]))]] == want
         return result
 
+    monkeypatch.setattr(cgspan, "add_closed_graph", spy_insert)
     monkeypatch.setattr(cgspan, "early_termination", spy_lookup)
     for seed in range(120):
         db = fuzz_database(seed)
@@ -720,6 +826,39 @@ def test_covering_record_has_the_pattern_edge_images_on_fuzz(mode, monkeypatch):
         for sup in (1, 2, 3):
             mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
     assert hits > 0
+
+
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_hook_embedding_lists_are_in_graph_id_order_on_fuzz(mode, monkeypatch):
+    # The lookup reads each graph's chains as one run and the reference
+    # graph's chains first, so every list ``enter`` and ``settle`` receive,
+    # and with it every record's chains, must be in graph-id order.
+    seen = 0
+
+    def check(projected):
+        nonlocal seen
+        gids = [c.gid for c in projected]
+        assert gids == sorted(gids)
+        seen += 1
+
+    def spy_search(db, config, stats, enter, settle):
+        def spy_enter(code, projected):
+            check(projected)
+            return enter(code, projected)
+
+        def spy_settle(code, projected, exts, covered, emit):
+            check(projected)
+            return settle(code, projected, exts, covered, emit)
+
+        return gspan.search(db, config, stats, spy_enter, spy_settle)
+
+    monkeypatch.setattr(cgspan, "search", spy_search)
+    for seed in range(120):
+        db = fuzz_database(seed)
+        cap = 2 + seed % 2 if seed % 5 == 0 else None
+        for sup in (1, 2, 3):
+            mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
+    assert seen > 0
 
 
 # ------------------------------------------------------- closure decision
