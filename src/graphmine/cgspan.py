@@ -5,9 +5,11 @@ to already-discovered closed graphs: the pattern has equivalent occurrence,
 directly or through a chain of one-edge extensions, with a closed graph
 found earlier. Discovered closed graphs are kept in a closed-graph hash
 table (CGHT) filed by support set: only a closed graph with the pattern's
-support set can cover it. The paper also keys the table by the database
-images of single pattern edges; a cover implies that key, so the table
-builds none. Known failure cases of that pruning rule are tracked as a set
+support set can cover it. The key is the sorted tuple of graph ids that the
+closed pattern holds as ``MinedPattern.containing_graphs``, so the table
+and the output share one object per support set. The paper also keys the
+table by the database images of single pattern edges; a cover implies that
+key, so the table builds none. Known failure cases of that pruning rule are tracked as a set
 of code prefixes and force the branch to be explored anyway.
 """
 
@@ -20,7 +22,12 @@ from operator import itemgetter
 from typing import Sequence
 
 from .dfscode import DFSCode, code_less_than_min, code_to_graph
-from .embeddings import dropped_extension_covers, equivalent_occurrence, vertex_maps
+from .embeddings import (
+    containing_graphs,
+    dropped_extension_covers,
+    equivalent_occurrence,
+    vertex_maps,
+)
 from .graphs import GraphDatabase, component_of, induced_subgraph, subgraph_isomorphisms
 from .gspan import MinedPattern, MiningConfig, MiningStats, search
 
@@ -36,21 +43,41 @@ __all__ = [
 
 
 class ClosedGraphRecord:
-    """One discovered closed graph: its code and its embeddings.
+    """One discovered closed graph: its code, its embeddings and its support
+    set.
 
+    ``support_set`` is the group key: the pattern's shared
+    ``containing_graphs`` tuple when given, otherwise read off the chains.
     A record holds its embedding chains, in graph-id order, until a lookup
     first reads it. ``materialize`` then replaces them with their vertex
-    maps; ``occurrence`` keeps their count either way.
+    maps and builds ``edge_pos``, which is None until then;
+    ``occurrence`` keeps the chain count either way.
     """
 
-    __slots__ = ("code", "chains", "occurrence", "discovery_index", "edge_pos", "maps", "ends")
+    __slots__ = (
+        "code",
+        "chains",
+        "occurrence",
+        "discovery_index",
+        "support_set",
+        "edge_pos",
+        "maps",
+        "ends",
+    )
 
-    def __init__(self, code: DFSCode, chains: list, discovery_index: int):
+    def __init__(
+        self,
+        code: DFSCode,
+        chains: list,
+        discovery_index: int,
+        support_set: tuple[int, ...] | None = None,
+    ):
         self.code = code
         self.chains = chains
         self.occurrence = len(chains)
         self.discovery_index = discovery_index
-        self.edge_pos = {frozenset((t[0], t[1])): i for i, t in enumerate(code)}
+        self.support_set = containing_graphs(chains) if support_set is None else support_set
+        self.edge_pos = None
         self.maps = None
         self.ends = None
 
@@ -58,11 +85,16 @@ class ClosedGraphRecord:
         """The vertex maps, one flat list in chain order, and the offsets
         where each graph's run of maps ends.
 
-        The first call builds both and sets ``chains`` to None: a lookup
-        reads only the maps, and the chains' links outweigh them.
+        The first call builds both, and ``edge_pos`` (the code position of
+        each edge, keyed by its pair of dfs ids), and sets ``chains`` to
+        None: a lookup reads only the maps, and the chains' links outweigh
+        them. Most records are never read, so none of this is built at
+        insert.
         """
         if self.maps is None:
-            self.maps = vertex_maps(self.code, self.chains)
+            code = self.code
+            self.edge_pos = {frozenset((t[0], t[1])): i for i, t in enumerate(code)}
+            self.maps = vertex_maps(code, self.chains)
             self.ends = array("l", accumulate(_run_lengths(self.chains)))
             self.chains = None
         return self.maps, self.ends
@@ -83,22 +115,24 @@ def _run_lengths(chains: list) -> list[int]:
 class ClosedGraphHashTable:
     """Closed graphs filed by support set.
 
-    ``groups`` maps a support set, a frozenset of graph ids, to the records
-    with that support set, in insertion order. The paper keys the table by
-    edge image sets as well; a lookup here reads its support set's records
-    directly, because the cover test already implies the edge key (see
-    ``early_termination``).
+    ``groups`` maps a support set, a sorted tuple of graph ids, to the
+    records with that support set, in insertion order. In a mining run the
+    key is the tuple the group's first pattern holds as
+    ``containing_graphs``, shared with every other pattern of that support
+    set. The paper keys the table by edge image sets as well; a lookup
+    here reads its support set's records directly, because the cover test
+    already implies the edge key (see ``early_termination``).
     """
 
     __slots__ = ("groups",)
 
     def __init__(self):
-        self.groups: dict[frozenset, list[ClosedGraphRecord]] = {}
+        self.groups: dict[tuple[int, ...], list[ClosedGraphRecord]] = {}
 
 
 def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> None:
     """File a closed graph under its support set; no chain is walked."""
-    cght.groups.setdefault(frozenset(c.gid for c in record.chains), []).append(record)
+    cght.groups.setdefault(record.support_set, []).append(record)
 
 
 def early_termination(
@@ -112,8 +146,9 @@ def early_termination(
     mapping rho of the pattern into g', at every place the pattern occurs:
     each embedding f then satisfies f = f'' o rho for some embedding f'' of
     g'. Candidate graphs are the stored closed graphs with the pattern's
-    support set, in insertion order. A true result proves the pattern is
-    not closed.
+    support set, in insertion order, found by the sorted tuple of the
+    pattern's graph ids, the key ``containing_graphs`` gives. A true result
+    proves the pattern is not closed.
 
     Two size tests skip a record unread. One with no more edges than the
     pattern would be the same pattern under rho, and the search visits each
@@ -146,7 +181,7 @@ def early_termination(
 
     A pattern has at least two vertices, so both getters return tuples.
     """
-    group = cght.groups.get(frozenset(c.gid for c in projected))
+    group = cght.groups.get(containing_graphs(projected))
     if group is None:
         return False, None, None
     size, occ = len(code), len(projected)
@@ -296,7 +331,10 @@ def mine_closed(
         ):
             return
         pattern = emit(code, projected)
-        add_closed_graph(cght, ClosedGraphRecord(pattern.code, projected, pattern.discovery_index))
+        record = ClosedGraphRecord(
+            pattern.code, projected, pattern.discovery_index, pattern.containing_graphs
+        )
+        add_closed_graph(cght, record)
 
     out = search(db, config, stats, enter, settle)
     stats.trie_size = len(unsafe)

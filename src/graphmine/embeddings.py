@@ -96,8 +96,11 @@ def _vertex_maps(code: Sequence[Sequence[int]], chains):
         yield tuple(vmap)
 
 
-def containing_graphs(projected: list) -> list[int]:
-    return sorted({e.gid for e in projected})
+def containing_graphs(projected: list) -> tuple[int, ...]:
+    """The support set: the distinct graph ids of the chains, as a sorted
+    tuple. The search interns it per run and the closed miner's hash table
+    is keyed by it."""
+    return tuple(sorted({e.gid for e in projected}))
 
 
 def equivalent_occurrence(parent_projected: list, bucket: Bucket) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .dfscode import DFSCode, child_sort_key, is_min
 from .embeddings import containing_graphs, frequent_single_edges, rightmost_extensions
@@ -25,7 +26,8 @@ class MiningConfig:
     """Parameters shared by both miners.
 
     min_support: a float in (0, 1] is a fraction of the database (threshold
-    ceil(fraction * |D|)); an int >= 1 is an absolute graph count.
+    ceil(fraction * |D|), taken on the fraction's decimal value so that
+    0.07 of 100 graphs is 7, not 8); an int >= 1 is an absolute graph count.
     max_pattern_edges: None for no cap, otherwise an int >= 1.
     """
 
@@ -52,21 +54,26 @@ class MiningConfig:
     def min_frequency(self, db_size: int) -> int:
         if isinstance(self.min_support, int):
             return self.min_support
-        return max(1, math.ceil(self.min_support * db_size))
+        # 0.07 * 100 is 7.000000000000001 in floats; the shortest decimal
+        # that reads back as the float gives exactly 7.
+        return max(1, math.ceil(Fraction(str(self.min_support)) * db_size))
 
 
 @dataclass
 class MinedPattern:
     """One emitted pattern: canonical code plus its database statistics.
 
-    ``containing_graphs`` holds dense internal graph ids; serialization maps
-    them back to the ids of the source file.
+    ``containing_graphs`` holds dense internal graph ids, sorted, as a tuple
+    that every pattern of the run with the same support set shares (and
+    that the closed miner's hash table files its records under); it is
+    immutable, so sharing it is safe. Serialization maps the ids back to
+    those of the source file.
     """
 
     code: DFSCode
     support: int
     occurrence: int
-    containing_graphs: list[int]
+    containing_graphs: tuple[int, ...]
     discovery_index: int
     embeddings: list | None = None
 
@@ -94,9 +101,12 @@ def search(
 ) -> list[MinedPattern]:
     """Depth-first search of the DFS-code tree, one visit per minimal code.
 
-    The extension scan builds only tuples that may head a minimal code.
-    Without hooks every node is emitted in pre-order. Closed mining passes
-    two hooks, both run when the node is visited:
+    The extension scan builds only tuples that may head a minimal code, and
+    a child is pushed only when its code passes ``is_min``, so the stack
+    never holds the buckets of a child it would reject. A 1-edge root is
+    minimal by construction and is not tested. Without hooks every node is
+    emitted in pre-order. Closed mining passes two hooks, both run when the
+    node is visited:
 
     - ``enter(code, projected)`` runs before the scan. It returns None to
       cut the branch, otherwise whether the pattern is already known not to
@@ -113,10 +123,14 @@ def search(
     Only buckets with enough support are kept: a bucket that extends every
     embedding has the node's own support, so the closure check loses
     nothing. Children are the kept buckets in ascending tuple order. Every
-    node, a 1-edge root from the seeding included, arrives as an unlinked
-    bucket and is linked into its embedding list only once it passes
-    ``is_min``, so the hooks, ``emit`` and the next scan see ``Embedding``
-    chains while ``exts`` holds unlinked buckets.
+    node, a 1-edge root from the seeding included, is pushed as an unlinked
+    bucket and is linked into its embedding list only when it is popped,
+    so the hooks, ``emit`` and the next scan see ``Embedding`` chains while
+    ``exts`` holds unlinked buckets.
+
+    ``emit`` interns each support set: patterns with the same containing
+    graphs share one sorted tuple, the one ``containing_graphs`` reads off
+    the first of them.
 
     Each child is pushed with the sources of its parent's frequent forward
     tuples, one set shared by all siblings. Its scan reads forward edges
@@ -127,9 +141,11 @@ def search(
     min_freq = config.min_frequency(len(db.graphs))
     max_edges = config.max_pattern_edges
     out: list[MinedPattern] = []
+    support_sets: dict[tuple, tuple] = {}
 
     def emit(code: list, projected: list) -> MinedPattern:
         gids = containing_graphs(projected)
+        gids = support_sets.setdefault(gids, gids)
         pattern = MinedPattern(
             code=DFSCode(code),
             support=len(gids),
@@ -142,16 +158,14 @@ def search(
         stats.pattern_count += 1
         return pattern
 
-    # A node pushes its children in reverse so they pop in ascending order,
-    # each with the sources of its parent's frequent forward tuples; a root
-    # has no parent and reads every source.
+    # A node pushes its minimal children in reverse so they pop in ascending
+    # order, each with the sources of its parent's frequent forward tuples;
+    # a root has no parent and reads every source.
     stack: list[tuple] = [
         (list(c), b, None) for c, b in reversed(frequent_single_edges(db, min_freq))
     ]
     while stack:
         code, projected, sources = stack.pop()
-        if not is_min(code):
-            continue
         projected = projected.link()
         stats.visited_nodes += 1
         covered = enter(code, projected) if enter is not None else False
@@ -172,7 +186,9 @@ def search(
         if grow:
             sources = {t[0] for t in exts if t[0] < t[1]}
             for t in sorted(exts, key=child_sort_key, reverse=True):
-                stack.append((code + [t], exts[t], sources))
+                child = code + [t]
+                if is_min(child):
+                    stack.append((child, exts[t], sources))
     return out
 
 

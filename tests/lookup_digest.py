@@ -4,15 +4,17 @@ For seeds 0 to N-1 (N = 600 by default), supports 1, 2 and 3, both closed
 modes and ``max_pattern_edges`` None and 2, mines ``fuzz_database(seed)``
 with ``mine_closed`` and feeds into one digest, run by run:
 
-- every emitted pattern's code, support, occurrence, containing graphs and
-  discovery index, in output order;
+- every emitted pattern's code, support, occurrence, containing graphs (as
+  a list, whatever sequence type the pattern holds) and discovery index, in
+  output order;
 - the run's ``MiningStats``;
 - every ``early_termination`` result, in call order, as ``(terminate,
   record.discovery_index, rho)``.
 
 Two trees that print the same digest make the same lookups with the same
 answers and mine the same patterns with the same counters. Run it in each
-tree and compare the printed lines.
+tree and compare the printed lines. ``test_cgspan.py`` pins the digest of
+the first 100 seeds.
 
 Usage: python tests/lookup_digest.py [N]
 """
@@ -31,7 +33,8 @@ from graphmine.gspan import MiningConfig, MiningStats  # noqa: E402
 from test_cgspan import fuzz_database  # noqa: E402
 
 
-def main(n_seeds: int) -> int:
+def lookup_digest(n_seeds: int) -> tuple[int, int, str]:
+    """Runs, covering lookups and the hex digest over seeds 0..n_seeds-1."""
     digest = hashlib.sha256()
     lookups = []
     lookup = cgspan.early_termination
@@ -43,30 +46,37 @@ def main(n_seeds: int) -> int:
 
     cgspan.early_termination = spy
     runs = hits = 0
-    for seed in range(n_seeds):
-        db = fuzz_database(seed)
-        for sup in (1, 2, 3):
-            for mode in ("closed", "closed_no_etf"):
-                for cap in (None, 2):
-                    lookups.clear()
-                    stats = MiningStats()
-                    config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-                    patterns = [
-                        (
-                            tuple(map(tuple, p.code)),
-                            p.support,
-                            p.occurrence,
-                            p.containing_graphs,
-                            p.discovery_index,
-                        )
-                        for p in cgspan.mine_closed(db, config, stats)
-                    ]
-                    run = (seed, sup, mode, cap, patterns, stats.as_dict(), lookups)
-                    digest.update(repr(run).encode())
-                    runs += 1
-                    hits += sum(t for t, _, _ in lookups)
-    cgspan.early_termination = lookup
-    print(f"{runs} runs, {hits} covering lookups, sha256 {digest.hexdigest()}")
+    try:
+        for seed in range(n_seeds):
+            db = fuzz_database(seed)
+            for sup in (1, 2, 3):
+                for mode in ("closed", "closed_no_etf"):
+                    for cap in (None, 2):
+                        lookups.clear()
+                        stats = MiningStats()
+                        config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+                        patterns = [
+                            (
+                                tuple(map(tuple, p.code)),
+                                p.support,
+                                p.occurrence,
+                                list(p.containing_graphs),
+                                p.discovery_index,
+                            )
+                            for p in cgspan.mine_closed(db, config, stats)
+                        ]
+                        run = (seed, sup, mode, cap, patterns, stats.as_dict(), lookups)
+                        digest.update(repr(run).encode())
+                        runs += 1
+                        hits += sum(t for t, _, _ in lookups)
+    finally:
+        cgspan.early_termination = lookup
+    return runs, hits, digest.hexdigest()
+
+
+def main(n_seeds: int) -> int:
+    runs, hits, hexdigest = lookup_digest(n_seeds)
+    print(f"{runs} runs, {hits} covering lookups, sha256 {hexdigest}")
     return 0
 
 

@@ -149,10 +149,10 @@ def test_hash_table_state_matches_worked_example(sample_closed):
     # under one support set. The paper's keys are their edge image sets,
     # sets of (graph id, edge id), both 0-based.
     cght = build_table(sample_closed)
-    assert list(cght.groups) == [frozenset({0, 1})]
+    assert list(cght.groups) == [(0, 1)]
     names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
     state: dict[tuple, list[str]] = {}
-    for record in cght.groups[frozenset({0, 1})]:
+    for record in cght.groups[(0, 1)]:
         for images in dict.fromkeys(edge_image_sets(record.code, record.chains)):
             state.setdefault(tuple(sorted(images)), []).append(
                 names[tuple(map(tuple, record.code))]
@@ -176,7 +176,7 @@ def test_lookup_reads_only_its_support_set(sample_db, monkeypatch):
     assert len(before) > 1
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
     proj = project_code(alpha, sample_db)
-    gids = frozenset(c.gid for c in proj)
+    gids = tuple(sorted({c.gid for c in proj}))
     read = []
     materialize = ClosedGraphRecord.materialize
 
@@ -859,6 +859,63 @@ def test_hook_embedding_lists_are_in_graph_id_order_on_fuzz(mode, monkeypatch):
         for sup in (1, 2, 3):
             mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
     assert seen > 0
+
+
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_group_keys_are_the_patterns_support_set_tuples_on_fuzz(mode, monkeypatch):
+    # The table files each record under the very tuple its pattern holds as
+    # ``containing_graphs``; a record no lookup reads has built no edge
+    # positions, and one that was read has them for every code edge.
+    tables = []
+
+    def spy_insert(cght, record):
+        if not tables or tables[-1] is not cght:
+            tables.append(cght)
+        return add_closed_graph(cght, record)
+
+    monkeypatch.setattr(cgspan, "add_closed_graph", spy_insert)
+    unread = read = 0
+    for seed in range(120):
+        db = fuzz_database(seed)
+        cap = 2 + seed % 2 if seed % 5 == 0 else None
+        for sup in (1, 2, 3):
+            tables.clear()
+            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+            mined = mine_closed(db, config)
+            if not mined:
+                continue
+            (cght,) = tables
+            by_index = {p.discovery_index: p for p in mined}
+            filed = 0
+            for key, records in cght.groups.items():
+                assert type(key) is tuple
+                for record in records:
+                    assert by_index[record.discovery_index].containing_graphs is key
+                    assert record.support_set is key
+                    if record.maps is None:
+                        assert record.edge_pos is None and record.chains is not None
+                        unread += 1
+                    else:
+                        assert record.edge_pos == {
+                            frozenset((t[0], t[1])): i for i, t in enumerate(record.code)
+                        }
+                        read += 1
+                filed += len(records)
+            assert filed == len(mined)
+    assert unread > 0 and read > 0
+
+
+def test_lookup_digest_is_pinned():
+    # One digest over the patterns, counters and every lookup answer of
+    # the first 100 fuzz seeds (see lookup_digest.py): any change to a
+    # lookup's (terminate, record, rho) fails here.
+    from lookup_digest import lookup_digest
+
+    assert lookup_digest(100) == (
+        1200,
+        4667,
+        "674612622ff561faa602d73a085f076e6bcf66f1aa7392260d158b14f733253f",
+    )
 
 
 # ------------------------------------------------------- closure decision

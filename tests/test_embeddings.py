@@ -81,7 +81,7 @@ def test_occurrence_counts_of_sample_patterns(sample_db):
     assert len(project_code(P1, sample_db)) == 2
     assert len(project_code(P2, sample_db)) == 3
     assert len(containing_graphs(project_code(P2, sample_db))) == 2
-    assert containing_graphs(project_code(P1, sample_db)) == [0, 1]
+    assert containing_graphs(project_code(P1, sample_db)) == (0, 1)
 
 
 def test_project_code_matches_mining_embeddings(sample_db):
@@ -478,4 +478,4 @@ def test_counting_matches_oracle_on_random_databases():
             ]
             assert p.occurrence == brute
             assert p.support == len(brute_graphs)
-            assert p.containing_graphs == brute_graphs
+            assert p.containing_graphs == tuple(brute_graphs)

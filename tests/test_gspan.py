@@ -104,6 +104,85 @@ def test_min_frequency_scaling():
     assert cfg.min_frequency(340) == 34
     assert cfg.min_frequency(5) == 1
     assert MiningConfig(min_support=3).min_frequency(10) == 3
+    # Float products that land just above an integer: 0.07 * 100 is
+    # 7.000000000000001, and so on. The threshold is the ceiling of the
+    # decimal fraction, so a pattern at exactly 7 graphs stays frequent.
+    assert MiningConfig(min_support=0.07).min_frequency(100) == 7
+    assert MiningConfig(min_support=0.28).min_frequency(25) == 7
+    assert MiningConfig(min_support=0.14).min_frequency(50) == 7
+    # The benchmark workloads' thresholds.
+    assert MiningConfig(min_support=0.2).min_frequency(300) == 60
+    assert MiningConfig(min_support=0.5).min_frequency(1000) == 500
+    # Every two-decimal fraction against exact integer arithmetic.
+    for k in range(1, 101):
+        cfg = MiningConfig(min_support=k / 100)
+        for n in range(1, 1001):
+            assert cfg.min_frequency(n) == max(1, -(-k * n // 100)), (k, n)
+
+
+def test_patterns_with_one_support_set_share_one_tuple():
+    # ``containing_graphs`` is interned per run: a sorted tuple, one object
+    # per distinct support set, shared by every pattern that has it.
+    for seed in range(20):
+        db = random_database(random.Random(seed))
+        for mode in MODES:
+            mine = mine_frequent if mode == "frequent" else mine_closed
+            mined = mine(db, MiningConfig(min_support=2, mode=mode))
+            shared: dict[tuple, tuple] = {}
+            for p in mined:
+                gids = p.containing_graphs
+                assert type(gids) is tuple and list(gids) == sorted(set(gids))
+                assert len(gids) == p.support
+                assert shared.setdefault(gids, gids) is gids, (seed, mode, gids)
+            assert len({id(p.containing_graphs) for p in mined}) == len(shared)
+    # Separate runs do not share.
+    a, b = (mine_frequent(db, MiningConfig(min_support=2)) for _ in range(2))
+    assert a[0].containing_graphs == b[0].containing_graphs
+    assert a[0].containing_graphs is not b[0].containing_graphs
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_is_min_runs_when_a_child_is_pushed(mode, monkeypatch):
+    # A node's children are tested right after its scan, before any other
+    # node is visited, in push order (descending), once each; only the
+    # minimal ones are visited and the 1-edge roots are never tested.
+    events = []
+    real_is_min, real_scan = gspan.is_min, gspan.rightmost_extensions
+
+    def spy_is_min(code):
+        passed = real_is_min(code)
+        events.append(("is_min", tuple(map(tuple, code)), passed))
+        return passed
+
+    def spy_scan(code, projected, db, sources=None):
+        exts = real_scan(code, projected, db, sources)
+        events.append(("scan", tuple(map(tuple, code)), exts))
+        return exts
+
+    monkeypatch.setattr(gspan, "is_min", spy_is_min)
+    monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
+    for seed in range(20):
+        db = random_database(random.Random(seed))
+        events.clear()
+        stats = MiningStats()
+        config = MiningConfig(min_support=2, mode=mode)
+        mined = (mine_frequent if mode == "frequent" else mine_closed)(db, config, stats)
+        roots = sum(1 for kind, code, _ in events if kind == "scan" and len(code) == 1)
+        passed = 0
+        for i, (kind, code, exts) in enumerate(events):
+            if kind != "scan":
+                continue
+            kept = [t for t, b in exts.items() if b.support() >= 2]
+            want = [code + (t,) for t in sorted(kept, key=gspan.child_sort_key, reverse=True)]
+            got = [c for _, c, _ in events[i + 1 : i + 1 + len(want)]]
+            assert got == want, (seed, code)
+            assert all(e[0] == "is_min" for e in events[i + 1 : i + 1 + len(want)])
+            passed += sum(e[2] for e in events[i + 1 : i + 1 + len(want)])
+        tested = [code for kind, code, _ in events if kind == "is_min"]
+        assert all(len(code) > 1 for code in tested)
+        assert len(tested) == len(set(tested))
+        if mode == "frequent":
+            assert stats.visited_nodes == len(mined) == roots + passed
 
 
 def test_embeddings_only_kept_when_requested(sample_db):
