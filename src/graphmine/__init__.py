@@ -9,7 +9,7 @@ survive. A brute-force oracle provides independent verification.
 from .cgspan import mine_closed
 from .datasets import DatasetError, dump_dataset, parse_dataset, parse_dataset_text, write_patterns
 from .dfscode import DFSCode, EdgeTuple, is_min, min_dfs_code
-from .graphs import GraphDatabase, LabeledGraph, load_database
+from .graphs import GraphDatabase, LabeledGraph
 from .gspan import MODES, MinedPattern, MiningConfig, MiningStats, mine_frequent
 from .oracle import VerifyReport, filter_closed, is_closed, verify_run
 
@@ -31,7 +31,6 @@ __all__ = [
     "filter_closed",
     "is_closed",
     "is_min",
-    "load_database",
     "min_dfs_code",
     "mine_closed",
     "mine_frequent",

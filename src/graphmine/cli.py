@@ -37,7 +37,10 @@ def _support(text: str) -> float | int:
 
 
 def _support_list(text: str) -> list[float | int]:
-    return [_support(part) for part in text.split(",") if part]
+    supports = [_support(part) for part in text.split(",") if part]
+    if not supports:
+        raise argparse.ArgumentTypeError(f"no support value in {text!r}")
+    return supports
 
 
 def _load(path: str):

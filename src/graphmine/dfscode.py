@@ -21,14 +21,6 @@ class EdgeTuple(NamedTuple):
     lbl_edge: int
     lbl_to: int
 
-    @property
-    def is_forward(self) -> bool:
-        return self.frm < self.to
-
-    @property
-    def is_backward(self) -> bool:
-        return self.frm > self.to
-
 
 def child_sort_key(t: Sequence[int]) -> tuple:
     """Sort key of the tuple order, on tuples that extend one common code.
@@ -55,22 +47,13 @@ class DFSCode(list):
     def vertex_count(self) -> int:
         return max((max(t[0], t[1]) for t in self), default=-1) + 1
 
-    def to_graph(self) -> LabeledGraph:
-        return code_to_graph(self)
-
     def __repr__(self) -> str:
         return "DFSCode(" + ", ".join(repr(tuple(t)) for t in self) + ")"
 
 
-class RightMostPath(NamedTuple):
-    """Forward-edge positions and dfs vertices from the root to the
+def rightmost_path(code: Sequence[Sequence[int]]) -> list[int]:
+    """Positions of the forward tuples on the path from the root to the
     right-most vertex, root side first."""
-
-    positions: tuple[int, ...]
-    vertices: tuple[int, ...]
-
-
-def rightmost_path(code: Sequence[Sequence[int]]) -> RightMostPath:
     if not code:
         raise ValueError("empty code has no right-most path")
     positions: list[int] = []
@@ -81,8 +64,7 @@ def rightmost_path(code: Sequence[Sequence[int]]) -> RightMostPath:
             positions.append(i)
             old_frm = t[0]
     positions.reverse()
-    vertices = (code[positions[0]][0],) + tuple(code[i][1] for i in positions)
-    return RightMostPath(tuple(positions), vertices)
+    return positions
 
 
 def code_to_graph(code: Sequence[Sequence[int]]) -> LabeledGraph:
@@ -225,7 +207,7 @@ def min_dfs_code(g: LabeledGraph) -> DFSCode:
     return DFSCode(_min_code_stream(g))
 
 
-def is_min(code: Sequence[Sequence[int]], graph: LabeledGraph | None = None) -> bool:
+def is_min(code: Sequence[Sequence[int]]) -> bool:
     """True iff the code equals the minimum DFS code of its own graph.
 
     Fails fast: reconstruction stops at the first position where a smaller
@@ -233,9 +215,7 @@ def is_min(code: Sequence[Sequence[int]], graph: LabeledGraph | None = None) -> 
     """
     if not code:
         raise ValueError("empty code")
-    if graph is None:
-        graph = code_to_graph(code)
-    for k, t in enumerate(_min_code_stream(graph)):
+    for k, t in enumerate(_min_code_stream(code_to_graph(code))):
         if tuple(code[k]) != t:
             return False
     return True

@@ -286,7 +286,7 @@ def rightmost_extensions(
     (``dropped_extension_covers`` relies on it for the frequent ones).
     """
     graphs = db.graphs
-    positions = rightmost_path(code).positions
+    positions = rightmost_path(code)
     maxtoc = code[positions[-1]][1]
     rmlbl = code[positions[-1]][4]
     min_vlb = code[0][2]

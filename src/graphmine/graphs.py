@@ -67,9 +67,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def __repr__(self) -> str:
         return f"LabeledGraph(gid={self.gid}, |V|={self.vertex_count}, |E|={self.edge_count})"
 
@@ -82,7 +79,8 @@ class GraphDatabase:
     needs one id per graph, and an id that repeats raises ValueError, as
     the parser's does (the pattern file's ``x`` lines and ``dump_dataset``
     name graphs by it). Graphs given to the constructor are numbered by
-    position, as ``append`` numbers them, whatever ``gid`` they had.
+    position, as ``append`` numbers them, whatever ``gid`` they had; both
+    lists are copied, so ``append`` leaves the caller's lists alone.
     ``vlabel_names`` / ``elabel_names`` translate interned labels back to
     their source tokens; they stay None for databases built from ints.
     """
@@ -96,7 +94,7 @@ class GraphDatabase:
         vlabel_names: list[str] | None = None,
         elabel_names: list[str] | None = None,
     ):
-        self.graphs: list[LabeledGraph] = graphs if graphs is not None else []
+        self.graphs: list[LabeledGraph] = list(graphs) if graphs is not None else []
         for gid, g in enumerate(self.graphs):
             g.gid = gid
         if original_ids is None:
@@ -106,7 +104,7 @@ class GraphDatabase:
         self._id_set: set[int] = set()
         for oid in original_ids:
             self._add_id(oid)
-        self.original_ids = original_ids
+        self.original_ids = list(original_ids)
         self.vlabel_names = vlabel_names
         self.elabel_names = elabel_names
 
@@ -140,13 +138,6 @@ class GraphDatabase:
 
     def __repr__(self) -> str:
         return f"GraphDatabase({len(self.graphs)} graphs)"
-
-
-def load_database(path) -> GraphDatabase:
-    """Parse a transactional graph file into a GraphDatabase."""
-    from .datasets import parse_dataset
-
-    return parse_dataset(path)
 
 
 def component_of(g: LabeledGraph, start: int, removed: int | None = None) -> set[int]:

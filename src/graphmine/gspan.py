@@ -33,7 +33,6 @@ class MiningConfig:
 
     min_support: float | int = 2
     mode: str = "frequent"
-    emit_embeddings: bool = False
     max_pattern_edges: int | None = None
 
     def __post_init__(self):
@@ -67,7 +66,8 @@ class MinedPattern:
     that every pattern of the run with the same support set shares (and
     that the closed miner's hash table files its records under); it is
     immutable, so sharing it is safe. Serialization maps the ids back to
-    those of the source file.
+    those of the source file. ``embeddings.project_code(code, db)``
+    rebuilds the pattern's chains in the order the search held them.
     """
 
     code: DFSCode
@@ -75,7 +75,6 @@ class MinedPattern:
     occurrence: int
     containing_graphs: tuple[int, ...]
     discovery_index: int
-    embeddings: list | None = None
 
 
 @dataclass
@@ -152,7 +151,6 @@ def search(
             occurrence=len(projected),
             containing_graphs=gids,
             discovery_index=len(out),
-            embeddings=list(projected) if config.emit_embeddings else None,
         )
         out.append(pattern)
         stats.pattern_count += 1

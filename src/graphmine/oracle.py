@@ -40,7 +40,6 @@ class Extension:
 
     key: ExtensionKey
     covered_parents: set = field(default_factory=set)  # (gid, parent map)
-    child_count: int = 0
 
 
 def all_extensions(code: Sequence[Sequence[int]], db: GraphDatabase) -> dict[ExtensionKey, Extension]:
@@ -85,7 +84,6 @@ def _extensions_and_occurrence(
                     if ext is None:
                         ext = found[key] = Extension(key)
                     ext.covered_parents.add(parent)
-                    ext.child_count += 1
     return found, total
 
 

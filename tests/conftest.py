@@ -202,7 +202,7 @@ def reference_rightmost_extensions(code, projected, db, restricted=True):
     every right-most extension is built."""
     graphs = db.graphs
     m = len(code)
-    positions = rightmost_path(code).positions
+    positions = rightmost_path(code)
     rm_pos = positions[-1]
     maxtoc = code[rm_pos][1]
     rmlbl = code[rm_pos][4]

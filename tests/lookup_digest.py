@@ -14,7 +14,7 @@ with ``mine_closed`` and feeds into one digest, run by run:
 Two trees that print the same digest make the same lookups with the same
 answers and mine the same patterns with the same counters. Run it in each
 tree and compare the printed lines. ``test_cgspan.py`` pins the digest of
-the first 100 seeds.
+the first 100 seeds, and the CI job ``lookup-digest`` the line for N = 1000.
 
 Usage: python tests/lookup_digest.py [N]
 """

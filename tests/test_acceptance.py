@@ -106,15 +106,13 @@ def test_hash_key_and_termination_example():
     with criterion("hash key {(0,4),(1,3)} and termination via P1 with rho (0,1,3)"):
         start = time.perf_counter()
         db = parse_dataset_text(SAMPLE_TEXT)
-        mined = mine_closed(
-            db, MiningConfig(min_support=2, mode="closed", emit_embeddings=True)
-        )
+        mined = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
         cght = ClosedGraphHashTable()
+        chains = {p.discovery_index: project_code(p.code, db) for p in mined}
         for p in mined:
             add_closed_graph(
-                cght, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
+                cght, ClosedGraphRecord(p.code, chains[p.discovery_index], p.discovery_index)
             )
-        chains = {p.discovery_index: p.embeddings for p in mined}
         alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
         proj = project_code(alpha, db)
         key = frozenset((c.gid, c.edge[2]) for c in proj)  # images of edge (1, 2)
@@ -135,13 +133,11 @@ def test_hash_table_state():
     with criterion("closed-graph hash table: 5 edge image sets, {(0,5),(1,4)} in both"):
         start = time.perf_counter()
         db = parse_dataset_text(SAMPLE_TEXT)
-        mined = mine_closed(
-            db, MiningConfig(min_support=2, mode="closed", emit_embeddings=True)
-        )
+        mined = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
         cght = ClosedGraphHashTable()
         for p in mined:
             add_closed_graph(
-                cght, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
+                cght, ClosedGraphRecord(p.code, project_code(p.code, db), p.discovery_index)
             )
         # Both patterns occur in graphs 0 and 1 and share one support set.
         assert list(cght.groups) == [(0, 1)]
@@ -297,21 +293,20 @@ def test_counting_oracle_on_random_databases():
         rng = random.Random(4242)
         for _ in range(6):
             db = random_database(rng, n_graphs=rng.randint(4, 7))
-            mined = mine_frequent(
-                db, MiningConfig(min_support=2, emit_embeddings=True)
-            )
+            mined = mine_frequent(db, MiningConfig(min_support=2))
             for p in mined:
+                chains = project_code(p.code, db)
                 total = total_occurrence(p.code, db)
-                assert len(p.embeddings) == total
+                assert p.occurrence == len(chains) == total
                 oracle_exts = all_extensions(p.code, db)
                 gids = {
                     gid for ext in oracle_exts.values() for gid, _ in ext.covered_parents
                 }
-                assert len(containing_graphs(p.embeddings)) == p.support
+                assert len(containing_graphs(chains)) == p.support
                 rm = reference_rightmost_extensions(
-                    p.code, p.embeddings, db, restricted=False
+                    p.code, chains, db, restricted=False
                 )
-                scanned = rightmost_extensions(p.code, p.embeddings, db)
+                scanned = rightmost_extensions(p.code, chains, db)
                 assert scanned.keys() <= rm.keys()
                 for t, bucket in scanned.items():
                     assert_links_match(bucket, rm[t])
@@ -323,11 +318,11 @@ def test_counting_oracle_on_random_databases():
                             "b", min(t[0], t[1]), max(t[0], t[1]), t[3], -1
                         )
                     covered = len(oracle_exts[key].covered_parents)
-                    assert equivalent_occurrence(p.embeddings, as_bucket(bucket)) == (
+                    assert equivalent_occurrence(chains, as_bucket(bucket)) == (
                         covered == total
                     )
                     if t in scanned:
-                        assert equivalent_occurrence(p.embeddings, scanned[t]) == (
+                        assert equivalent_occurrence(chains, scanned[t]) == (
                             covered == total
                         )
 

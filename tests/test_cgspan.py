@@ -49,18 +49,18 @@ from conftest import (
 )
 
 
-def build_table(patterns):
+def build_table(patterns, db):
     """The hash table a closed run ends with, rebuilt from its mined
     patterns in discovery order."""
     cght = ClosedGraphHashTable()
     for p in patterns:
-        add_closed_graph(cght, ClosedGraphRecord(p.code, p.embeddings, p.discovery_index))
+        add_closed_graph(cght, ClosedGraphRecord(p.code, project_code(p.code, db), p.discovery_index))
     return cght
 
 
 @pytest.fixture
 def sample_closed(sample_db):
-    return mine_closed(sample_db, MiningConfig(min_support=2, mode="closed", emit_embeddings=True))
+    return mine_closed(sample_db, MiningConfig(min_support=2, mode="closed"))
 
 
 # ---------------------------------------------------------------- mining
@@ -144,11 +144,11 @@ def test_closed_set_equals_oracle_filter(sample_db, etf_db):
 # ---------------------------------------------------------- hash table
 
 
-def test_hash_table_state_matches_worked_example(sample_closed):
+def test_hash_table_state_matches_worked_example(sample_db, sample_closed):
     # Both closed patterns occur in graphs 0 and 1, so the table files them
     # under one support set. The paper's keys are their edge image sets,
     # sets of (graph id, edge id), both 0-based.
-    cght = build_table(sample_closed)
+    cght = build_table(sample_closed, sample_db)
     assert list(cght.groups) == [(0, 1)]
     names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
     state: dict[tuple, list[str]] = {}
@@ -170,8 +170,8 @@ def test_lookup_reads_only_its_support_set(sample_db, monkeypatch):
     # At support 1 the sample's closed patterns fall into several support
     # sets; a lookup materializes no record of another set and leaves the
     # table as it was.
-    closed = mine_closed(sample_db, MiningConfig(min_support=1, mode="closed", emit_embeddings=True))
-    cght = build_table(closed)
+    closed = mine_closed(sample_db, MiningConfig(min_support=1, mode="closed"))
+    cght = build_table(closed, sample_db)
     before = {gids: list(records) for gids, records in cght.groups.items()}
     assert len(before) > 1
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
@@ -199,8 +199,9 @@ def test_lookup_builds_pattern_maps_in_the_reference_graph_only(sample_db, sampl
     cght = ClosedGraphHashTable()
     inserted = {}
     for p in sample_closed:
-        record = ClosedGraphRecord(p.code, p.embeddings, p.discovery_index)
-        inserted[record] = p.embeddings
+        chains = project_code(p.code, sample_db)
+        record = ClosedGraphRecord(p.code, chains, p.discovery_index)
+        inserted[record] = chains
         add_closed_graph(cght, record)
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
     key = tuple(map(tuple, alpha))
@@ -288,7 +289,7 @@ def test_cover_fails_when_distinct_projections_are_one_short():
 
 
 def test_early_termination_worked_example(sample_db, sample_closed):
-    cght = build_table(sample_closed)
+    cght = build_table(sample_closed, sample_db)
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
     proj = project_code(alpha, sample_db)
     terminate, record, rho = early_termination(alpha, proj, cght)
@@ -304,7 +305,7 @@ def test_early_termination_empty_table(sample_db):
 
 
 def test_early_termination_key_miss(sample_db, sample_closed):
-    cght = build_table(sample_closed)
+    cght = build_table(sample_closed, sample_db)
     # X-c-S occurs only in graph 0; its edge images hit no stored key.
     alpha = DFSCode([(0, 1, X, 2, S)])
     proj = project_code(alpha, sample_db)
@@ -347,11 +348,11 @@ def test_early_termination_accepts_equal_vertex_images():
         [(0, 1, 0, 0, 1), (1, 2, 1, 0, 2), (2, 3, 2, 0, 3), (3, 4, 3, 0, 4)]
     )
     assert not is_closed(path, db)
-    closed = mine_closed(db, MiningConfig(min_support=2, mode="closed", emit_embeddings=True))
+    closed = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
     assert tuple(map(tuple, path)) not in key_set(closed)
     # Direct check: the stored cover terminates the path via an equal-size
     # vertex image.
-    cght = build_table(closed)
+    cght = build_table(closed, db)
     proj = project_code(path, db)
     terminate, record, rho = early_termination(path, proj, cght)
     assert terminate

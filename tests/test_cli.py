@@ -40,6 +40,16 @@ def test_parser_rejects_zero_support(capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("supports", [",", ",,", ""])
+def test_parser_rejects_a_support_list_without_values(supports, capsys):
+    # Empty parts are skipped; a list of nothing else would benchmark
+    # nothing and still exit 0.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["bench", "--input", "x", "--supports", supports])
+    assert exc.value.code == 2
+    assert "no support value" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- mine
 
 

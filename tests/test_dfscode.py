@@ -29,9 +29,11 @@ def graph_of(code) -> LabeledGraph:
 
 
 def test_edge_tuple_direction_flags():
-    assert EdgeTuple(0, 1, 0, 0, 1).is_forward
-    assert not EdgeTuple(0, 1, 0, 0, 1).is_backward
-    assert EdgeTuple(3, 0, 4, 4, 0).is_backward
+    # A forward tuple introduces ``to``; a backward one closes a cycle onto
+    # an earlier vertex. Fields read by name and by position alike.
+    fwd, back = EdgeTuple(0, 1, 0, 0, 1), EdgeTuple(3, 0, 4, 4, 0)
+    assert fwd.frm < fwd.to and back.frm > back.to
+    assert fwd == (0, 1, 0, 0, 1) and back.lbl_edge == back[3] == 4
 
 
 def test_dfscode_normalizes_plain_tuples():
@@ -41,9 +43,10 @@ def test_dfscode_normalizes_plain_tuples():
 
 
 def test_rightmost_path_of_sample_pattern():
-    # Path from root to the last-discovered vertex: 0 -> 1 -> 3.
-    assert list(rightmost_path(P1).vertices) == [0, 1, 3]
-    assert list(rightmost_path(P2).vertices) == [0, 2]
+    # Path from root to the last-discovered vertex: 0 -> 1 -> 3, through
+    # the forward tuples at positions 0 and 2.
+    assert rightmost_path(P1) == [0, 2]
+    assert rightmost_path(P2) == [1]
 
 
 def test_code_to_graph_round_trip():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from graphmine import embeddings, gspan
+from graphmine import cgspan, embeddings, gspan
 from graphmine.cgspan import mine_closed
-from graphmine.dfscode import DFSCode, child_sort_key, is_min
+from graphmine.dfscode import DFSCode, child_sort_key, code_to_graph, is_min
 from graphmine.embeddings import (
+    Bucket,
     Embedding,
     containing_graphs,
     equivalent_occurrence,
@@ -34,6 +35,7 @@ from conftest import (
     random_database,
     reference_rightmost_extensions,
 )
+from test_cgspan import fuzz_database
 
 
 # Reference vertex map: a chain read into its full edge list. The package
@@ -84,15 +86,6 @@ def test_occurrence_counts_of_sample_patterns(sample_db):
     assert containing_graphs(project_code(P1, sample_db)) == (0, 1)
 
 
-def test_project_code_matches_mining_embeddings(sample_db):
-    mined = mine_frequent(sample_db, MiningConfig(min_support=2, emit_embeddings=True))
-    for p in mined:
-        chains = project_code(p.code, sample_db)
-        got = list(zip([c.gid for c in chains], vertex_maps(p.code, chains)))
-        expected = list(zip([c.gid for c in p.embeddings], vertex_maps(p.code, p.embeddings)))
-        assert got == expected
-
-
 def test_project_code_of_a_first_tuple_the_seeding_never_writes(sample_db):
     # The seeding writes each edge from its smaller label, so X-a-W has no
     # chain although W-a-X has three.
@@ -104,7 +97,7 @@ def test_project_code_of_a_first_tuple_the_seeding_never_writes(sample_db):
 def test_project_code_matches_oracle_counts(sample_db):
     for code in (P1, P2):
         total = sum(
-            len(list(subgraph_isomorphisms(code.to_graph(), g))) for g in sample_db
+            len(list(subgraph_isomorphisms(code_to_graph(code), g))) for g in sample_db
         )
         assert len(project_code(code, sample_db)) == total
 
@@ -280,11 +273,12 @@ def assert_restriction_drops_only_non_minimal(db, max_edges=None):
     drops fails is_min and each bucket it keeps holds the same embeddings as
     the reference's unrestricted one. (The closure check still reads the
     dropped tuples, through ``dropped_extension_covers``.)"""
-    config = MiningConfig(min_support=1, max_pattern_edges=max_edges, emit_embeddings=True)
+    config = MiningConfig(min_support=1, max_pattern_edges=max_edges)
     for p in mine_frequent(db, config):
         code = list(p.code)
-        full = reference_rightmost_extensions(code, p.embeddings, db, restricted=False)
-        kept = rightmost_extensions(code, p.embeddings, db)
+        chains = project_code(code, db)
+        full = reference_rightmost_extensions(code, chains, db, restricted=False)
+        kept = rightmost_extensions(code, chains, db)
         assert kept.keys() <= full.keys()
         for t, bucket in kept.items():
             same = [(e.gid, e.edge, id(e.prev)) for e in full[t]]
@@ -311,12 +305,13 @@ def check_infrequent_buckets_not_equivalent(db) -> int:
     Returns the number of infrequent buckets checked."""
     infrequent = 0
     for sup in (2, 3):
-        for p in mine_frequent(db, MiningConfig(min_support=sup, emit_embeddings=True)):
-            exts = reference_rightmost_extensions(list(p.code), p.embeddings, db, restricted=False)
+        for p in mine_frequent(db, MiningConfig(min_support=sup)):
+            chains = project_code(p.code, db)
+            exts = reference_rightmost_extensions(list(p.code), chains, db, restricted=False)
             for bucket in exts.values():
                 if len(containing_graphs(bucket)) < sup:
                     infrequent += 1
-                    assert not equivalent_occurrence(p.embeddings, as_bucket(bucket))
+                    assert not equivalent_occurrence(chains, as_bucket(bucket))
     return infrequent
 
 
@@ -378,12 +373,13 @@ def count_links(monkeypatch):
 
 
 def test_scan_builds_no_link(sample_db, monkeypatch):
-    mined = mine_frequent(sample_db, MiningConfig(min_support=1, emit_embeddings=True))
+    mined = mine_frequent(sample_db, MiningConfig(min_support=1))
+    nodes = [(list(p.code), project_code(p.code, sample_db)) for p in mined]
     counter = count_links(monkeypatch)
     hits = 0
-    for p in mined:
+    for code, chains in nodes:
         counter.built = 0
-        scanned = rightmost_extensions(list(p.code), p.embeddings, sample_db)
+        scanned = rightmost_extensions(code, chains, sample_db)
         assert counter.built == 0
         hits += sum(map(len, scanned.values()))
         for bucket in scanned.values():
@@ -437,25 +433,78 @@ def test_mining_links_no_child_that_fails_is_min(monkeypatch):
     assert rejected > 0
 
 
+def visited_nodes(db, config, monkeypatch) -> list[tuple[list, list]]:
+    """Mine, and return each node the search visits with the chain list it
+    linked for it, in visit order. Frequent mode emits every visited node
+    in pre-order, and ``Bucket.link`` runs once per visit, so the links
+    pair off with the output; the closed modes are read through a spy on
+    the ``enter`` hook, which every visit runs first."""
+    if config.mode == "frequent":
+        linked = []
+        link = Bucket.link
+
+        def spy_link(bucket):
+            chains = link(bucket)
+            linked.append(chains)
+            return chains
+
+        monkeypatch.setattr(Bucket, "link", spy_link)
+        mined = mine_frequent(db, config)
+        monkeypatch.undo()
+        assert len(linked) == len(mined)
+        return [(list(p.code), chains) for p, chains in zip(mined, linked)]
+
+    nodes = []
+
+    def spy_search(db_, config_, stats, enter, settle):
+        def spy_enter(code, projected):
+            nodes.append((list(code), projected))
+            return enter(code, projected)
+
+        return gspan.search(db_, config_, stats, spy_enter, settle)
+
+    monkeypatch.setattr(cgspan, "search", spy_search)
+    mine_closed(db, config)
+    monkeypatch.undo()
+    return nodes
+
+
+def test_project_code_matches_mining_embeddings(sample_db, monkeypatch):
+    config = MiningConfig(min_support=2)
+    nodes = visited_nodes(sample_db, config, monkeypatch)
+    assert nodes
+    for code, mined in nodes:
+        chains = project_code(code, sample_db)
+        got = list(zip([c.gid for c in chains], vertex_maps(code, chains)))
+        expected = list(zip([c.gid for c in mined], vertex_maps(code, mined)))
+        assert got == expected
+
+
 @pytest.mark.parametrize("mode", ["frequent", "closed", "closed_no_etf"])
-def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode):
-    miner = mine_frequent if mode == "frequent" else mine_closed
-    for db in (sample_db, etf_db):
-        mined = miner(db, MiningConfig(min_support=1, mode=mode, emit_embeddings=True))
-        assert mined
-        for p in mined:
-            assert len(p.embeddings) == p.occurrence
-            for c in p.embeddings:
-                gid = c.gid
-                for _ in p.code:
-                    assert type(c) is Embedding and c.gid == gid and c.edge is not None
-                    c = c.prev
-                # The chain ends at its graph's empty chain.
-                assert type(c) is Embedding and c.gid == gid
-                assert c.edge is None and c.prev is None
-            chains = project_code(p.code, db)
-            got = list(zip([c.gid for c in p.embeddings], vertex_maps(p.code, p.embeddings)))
-            assert got == list(zip([c.gid for c in chains], vertex_maps(p.code, chains)))
+def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode, monkeypatch):
+    # The miners keep no chains in their output; ``project_code`` rebuilds
+    # them. Every node's list must be what it rebuilds: the same graph ids
+    # and vertex maps in the same order, each an Embedding chain with one
+    # link per code tuple that ends at its graph's empty chain.
+    dbs = [sample_db, etf_db] + [fuzz_database(seed) for seed in range(0, 200, 4)]
+    nodes = 0
+    for db in dbs:
+        for sup in (1, 2, 3):
+            for cap in (None, 2):
+                config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+                for code, chains in visited_nodes(db, config, monkeypatch):
+                    nodes += 1
+                    want = project_code(code, db)
+                    assert [c.gid for c in chains] == [c.gid for c in want]
+                    assert vertex_maps(code, chains) == vertex_maps(code, want)
+                    for c in chains:
+                        gid = c.gid
+                        for _ in code:
+                            assert type(c) is Embedding and c.gid == gid and c.edge is not None
+                            c = c.prev
+                        assert type(c) is Embedding and c.gid == gid
+                        assert c.edge is None and c.prev is None
+    assert nodes > 0
 
 
 def test_child_sort_key_orders_backward_first():
@@ -470,11 +519,11 @@ def test_counting_matches_oracle_on_random_databases():
     rng = random.Random(99)
     for _ in range(8):
         db = random_database(rng)
-        mined = mine_frequent(db, MiningConfig(min_support=2, emit_embeddings=True))
+        mined = mine_frequent(db, MiningConfig(min_support=2))
         for p in mined:
-            brute = sum(len(list(subgraph_isomorphisms(p.code.to_graph(), g))) for g in db)
+            brute = sum(len(list(subgraph_isomorphisms(code_to_graph(p.code), g))) for g in db)
             brute_graphs = [
-                g.gid for g in db if list(subgraph_isomorphisms(p.code.to_graph(), g))
+                g.gid for g in db if list(subgraph_isomorphisms(code_to_graph(p.code), g))
             ]
             assert p.occurrence == brute
             assert p.support == len(brute_graphs)

@@ -1,11 +1,14 @@
 """Golden output: pattern files, counters and discovery order of every mode.
 
 Each digest covers, for every case of one database group, the serialized
-pattern file, ``MiningStats.as_dict()``, the discovery order and, where
-embeddings are emitted, their vertex maps. The digests were recorded before
-the two miners were folded into one search driver; a refactor must leave
-them unchanged. A change that alters output on purpose re-records them and
-says why.
+pattern file, ``MiningStats.as_dict()``, the discovery order and, for the
+cases marked so, each pattern's embeddings as ``project_code`` rebuilds
+them (graph id and vertex map per chain, in order). The digests were
+recorded before the two miners were folded into one search driver; a
+refactor must leave them unchanged. A change that alters output on purpose
+re-records them and says why. The embeddings were once the miner's own
+chains; ``project_code`` returns the same ones, and no digest changed when
+it took their place.
 
 The six closed-mode digests were re-recorded when the closure check moved
 into the node's visit: closed output went from completion order to gSpan's
@@ -22,12 +25,12 @@ import pytest
 
 from graphmine.cgspan import mine_closed
 from graphmine.datasets import parse_dataset_text, write_patterns
-from graphmine.embeddings import vertex_maps
+from graphmine.embeddings import project_code, vertex_maps
 from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
 
 from conftest import ETF_TEXT, SAMPLE_TEXT, random_database
 
-# (min_support, max_pattern_edges, emit_embeddings)
+# (min_support, max_pattern_edges, digest embeddings)
 FIXTURE_CONFIGS = [(1, None, True), (2, None, True), (2, 2, False), (1, 3, False)]
 
 
@@ -38,7 +41,7 @@ def fixture_cases(text):
 
 def random_cases():
     """Support 1-3 over one- to three-label alphabets; every fourth case also
-    caps the pattern size and every fifth emits embeddings."""
+    caps the pattern size and every fifth digests embeddings."""
     cases = []
     for seed in range(150):
         rng = random.Random(seed)
@@ -71,8 +74,13 @@ GOLDEN = {
 }
 
 
+def chain_maps(code, db) -> list:
+    chains = project_code(code, db)
+    return [[c.gid, vm] for c, vm in zip(chains, vertex_maps(code, chains))]
+
+
 def run_digest(db, mode, min_support, max_edges, emit) -> bytes:
-    config = MiningConfig(min_support=min_support, mode=mode, max_pattern_edges=max_edges, emit_embeddings=emit)
+    config = MiningConfig(min_support=min_support, mode=mode, max_pattern_edges=max_edges)
     stats = MiningStats()
     mine = mine_frequent if mode == "frequent" else mine_closed
     patterns = mine(db, config, stats)
@@ -80,10 +88,7 @@ def run_digest(db, mode, min_support, max_edges, emit) -> bytes:
         "patterns": write_patterns(patterns, db),
         "stats": stats.as_dict(),
         "order": [[p.discovery_index, [list(t) for t in p.code]] for p in patterns],
-        "embeddings": [
-            [[c.gid, vm] for c, vm in zip(p.embeddings, vertex_maps(p.code, p.embeddings))] if emit else None
-            for p in patterns
-        ],
+        "embeddings": [chain_maps(p.code, db) if emit else None for p in patterns],
     }
     return json.dumps(record, sort_keys=True).encode()
 

@@ -33,7 +33,7 @@ def test_add_vertex_and_edge_bookkeeping():
     eid = g.add_edge(0, 1, 5)
     assert eid == 0
     assert g.vertex_count == 2 and g.edge_count == 1
-    assert g.degree(0) == 1 and g.degree(1) == 1
+    assert len(g.adj[0]) == 1 and len(g.adj[1]) == 1
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 0)
     # Half-edges appear in both adjacency lists.
@@ -93,6 +93,15 @@ def test_database_constructor_numbers_graphs_by_position():
     db = GraphDatabase(graphs=[labeled_path([0, 1]), stale])
     assert [g.gid for g in db] == [0, 1]
     assert len(mine_frequent(db, MiningConfig(min_support=1))) == 1
+
+
+def test_database_append_leaves_the_constructor_lists_alone():
+    gs = [labeled_path([0, 1]), labeled_path([0, 1])]
+    ids = [7, 9]
+    db = GraphDatabase(gs, ids)
+    db.append(labeled_path([0, 1]), 11)
+    assert len(gs) == 2 and ids == [7, 9]
+    assert len(db) == 3 and db.original_ids == [7, 9, 11]
 
 
 def test_database_rejects_original_ids_of_the_wrong_length():

@@ -5,7 +5,7 @@ import pytest
 
 from graphmine import gspan
 from graphmine.cgspan import mine_closed
-from graphmine.dfscode import min_dfs_code
+from graphmine.dfscode import code_to_graph, min_dfs_code
 from graphmine.graphs import GraphDatabase, LabeledGraph
 from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import verify_run
@@ -37,7 +37,7 @@ def test_all_frequent_patterns_are_minimal_and_distinct(sample_db):
     codes = key_set(mined)
     assert len(codes) == len(mined)
     for p in mined:
-        assert list(min_dfs_code(p.code.to_graph())) == list(p.code)
+        assert list(min_dfs_code(code_to_graph(p.code))) == list(p.code)
 
 
 def test_emission_is_preorder(sample_db):
@@ -183,14 +183,6 @@ def test_is_min_runs_when_a_child_is_pushed(mode, monkeypatch):
         assert len(tested) == len(set(tested))
         if mode == "frequent":
             assert stats.visited_nodes == len(mined) == roots + passed
-
-
-def test_embeddings_only_kept_when_requested(sample_db):
-    plain = mine_frequent(sample_db, MiningConfig(min_support=2))
-    kept = mine_frequent(sample_db, MiningConfig(min_support=2, emit_embeddings=True))
-    assert all(p.embeddings is None for p in plain)
-    assert all(p.embeddings for p in kept)
-    assert all(len(p.embeddings) == p.occurrence for p in kept)
 
 
 @pytest.mark.parametrize("mode", MODES)
