@@ -104,7 +104,7 @@ def main() -> int:
     record = ClosedGraphRecord(CG1, project_code(CG1, db), discovery_index=0)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
-    graphs = sorted(next(iter(cght.groups)))
+    graphs = sorted(next(iter(cght)))
     print(f"hash table files it under its support set, graphs {graphs}; a lookup")
     print("reads the records of the pattern's own support set and no other.")
 

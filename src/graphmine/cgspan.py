@@ -112,27 +112,17 @@ def _run_lengths(chains: list) -> list[int]:
     return list(Counter(c.gid for c in chains).values())
 
 
-class ClosedGraphHashTable:
-    """Closed graphs filed by support set.
-
-    ``groups`` maps a support set, a sorted tuple of graph ids, to the
-    records with that support set, in insertion order. In a mining run the
-    key is the tuple the group's first pattern holds as
-    ``containing_graphs``, shared with every other pattern of that support
-    set. The paper keys the table by edge image sets as well; a lookup
-    here reads its support set's records directly, because the cover test
-    already implies the edge key (see ``early_termination``).
-    """
-
-    __slots__ = ("groups",)
-
-    def __init__(self):
-        self.groups: dict[tuple[int, ...], list[ClosedGraphRecord]] = {}
+# Closed graphs filed by support set: a sorted tuple of graph ids maps to
+# the records with that support set, in insertion order. In a mining run
+# the key is the tuple the group's first pattern holds as
+# ``containing_graphs``, shared with every other pattern of that support
+# set. ``ClosedGraphHashTable()`` is an empty dict.
+ClosedGraphHashTable = dict[tuple[int, ...], list[ClosedGraphRecord]]
 
 
 def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> None:
     """File a closed graph under its support set; no chain is walked."""
-    cght.groups.setdefault(record.support_set, []).append(record)
+    cght.setdefault(record.support_set, []).append(record)
 
 
 def early_termination(
@@ -181,7 +171,7 @@ def early_termination(
 
     A pattern has at least two vertices, so both getters return tuples.
     """
-    group = cght.groups.get(containing_graphs(projected))
+    group = cght.get(containing_graphs(projected))
     if group is None:
         return False, None, None
     size, occ = len(code), len(projected)

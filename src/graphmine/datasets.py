@@ -140,7 +140,10 @@ def _label_mapping(tokens: list[str]) -> tuple[dict[str, int], list[str] | None]
 
 def dump_dataset(db: GraphDatabase, dest: TextIO | None = None) -> str | None:
     """Serialize a database in the input format; round-trips through
-    parse_dataset modulo id densification."""
+    parse_dataset modulo id densification. Raises ValueError, writing
+    nothing, when an id is -1: ``t # -1`` ends the file."""
+    if -1 in db.original_ids:
+        raise ValueError("graph id -1 is the dataset terminator and cannot be written")
     out = io.StringIO() if dest is None else dest
     for g, original_id in zip(db.graphs, db.original_ids):
         out.write(f"t # {original_id}\n")

@@ -186,9 +186,9 @@ def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCod
     matching the two isomorphisms of the pattern onto that edge.
     """
     buckets: dict[tuple, Bucket] = {}
-    for g in db.graphs:
+    for gid, g in enumerate(db.graphs):
         vl = g.vlabels
-        empty = Embedding(g.gid, None, None)
+        empty = Embedding(gid, None, None)
         for u, lu in enumerate(vl):
             for e in g.adj[u]:
                 lv = vl[e[1]]

@@ -19,16 +19,14 @@ class LabeledGraph:
     """One transaction graph: vertex labels plus an edge list.
 
     Attributes:
-        gid: dense 0-based id of the graph inside its database.
         vlabels: vertex label by vertex id.
         edges: ``(u, v, elb)`` per edge id, in insertion order.
         adj: per vertex, list of directed half-edges ``(frm, to, eid, elb)``.
     """
 
-    __slots__ = ("gid", "vlabels", "edges", "adj", "_pairs")
+    __slots__ = ("vlabels", "edges", "adj", "_pairs")
 
-    def __init__(self, gid: int = 0):
-        self.gid = gid
+    def __init__(self):
         self.vlabels: list[Label] = []
         self.edges: list[tuple[int, int, Label]] = []
         self.adj: list[list[tuple[int, int, int, Label]]] = []
@@ -68,7 +66,7 @@ class LabeledGraph:
         return len(self.edges)
 
     def __repr__(self) -> str:
-        return f"LabeledGraph(gid={self.gid}, |V|={self.vertex_count}, |E|={self.edge_count})"
+        return f"LabeledGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
 class GraphDatabase:
@@ -78,9 +76,10 @@ class GraphDatabase:
     source file, so reports can name graphs the way the input did; it
     needs one id per graph, and an id that repeats raises ValueError, as
     the parser's does (the pattern file's ``x`` lines and ``dump_dataset``
-    name graphs by it). Graphs given to the constructor are numbered by
-    position, as ``append`` numbers them, whatever ``gid`` they had; both
-    lists are copied, so ``append`` leaves the caller's lists alone.
+    name graphs by it). The miners number graphs by position in ``graphs``
+    and leave the graphs unchanged, so one graph may sit in several
+    databases, or twice in one; both lists are copied, so ``append``
+    leaves the caller's lists alone.
     ``vlabel_names`` / ``elabel_names`` translate interned labels back to
     their source tokens; they stay None for databases built from ints.
     """
@@ -95,8 +94,6 @@ class GraphDatabase:
         elabel_names: list[str] | None = None,
     ):
         self.graphs: list[LabeledGraph] = list(graphs) if graphs is not None else []
-        for gid, g in enumerate(self.graphs):
-            g.gid = gid
         if original_ids is None:
             original_ids = list(range(len(self.graphs)))
         elif len(original_ids) != len(self.graphs):
@@ -111,7 +108,6 @@ class GraphDatabase:
     def append(self, g: LabeledGraph, original_id: int | None = None) -> None:
         oid = original_id if original_id is not None else len(self.graphs)
         self._add_id(oid)
-        g.gid = len(self.graphs)
         self.graphs.append(g)
         self.original_ids.append(oid)
 

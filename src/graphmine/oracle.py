@@ -64,11 +64,11 @@ def _extensions_and_occurrence(
     found: dict[ExtensionKey, Extension] = {}
     total = 0
 
-    for g in db.graphs:
+    for gid, g in enumerate(db.graphs):
         vl = g.vlabels
         for fmap in subgraph_isomorphisms(pattern, g):
             total += 1
-            parent = (g.gid, fmap)
+            parent = (gid, fmap)
             image = set(fmap)
             inverse = {img: k for k, img in enumerate(fmap)}
             for k in range(n):

@@ -140,10 +140,10 @@ def test_hash_table_state():
                 cght, ClosedGraphRecord(p.code, project_code(p.code, db), p.discovery_index)
             )
         # Both patterns occur in graphs 0 and 1 and share one support set.
-        assert list(cght.groups) == [(0, 1)]
+        assert list(cght) == [(0, 1)]
         names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
         state: dict[tuple, list[str]] = {}
-        for record in cght.groups[(0, 1)]:
+        for record in cght[(0, 1)]:
             for images in dict.fromkeys(edge_image_sets(record.code, record.chains)):
                 state.setdefault(tuple(sorted(images)), []).append(
                     names[tuple(map(tuple, record.code))]

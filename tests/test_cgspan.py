@@ -149,10 +149,10 @@ def test_hash_table_state_matches_worked_example(sample_db, sample_closed):
     # under one support set. The paper's keys are their edge image sets,
     # sets of (graph id, edge id), both 0-based.
     cght = build_table(sample_closed, sample_db)
-    assert list(cght.groups) == [(0, 1)]
+    assert list(cght) == [(0, 1)]
     names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
     state: dict[tuple, list[str]] = {}
-    for record in cght.groups[(0, 1)]:
+    for record in cght[(0, 1)]:
         for images in dict.fromkeys(edge_image_sets(record.code, record.chains)):
             state.setdefault(tuple(sorted(images)), []).append(
                 names[tuple(map(tuple, record.code))]
@@ -172,7 +172,7 @@ def test_lookup_reads_only_its_support_set(sample_db, monkeypatch):
     # table as it was.
     closed = mine_closed(sample_db, MiningConfig(min_support=1, mode="closed"))
     cght = build_table(closed, sample_db)
-    before = {gids: list(records) for gids, records in cght.groups.items()}
+    before = {gids: list(records) for gids, records in cght.items()}
     assert len(before) > 1
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
     proj = project_code(alpha, sample_db)
@@ -187,8 +187,8 @@ def test_lookup_reads_only_its_support_set(sample_db, monkeypatch):
     monkeypatch.setattr(ClosedGraphRecord, "materialize", spy)
     assert early_termination(alpha, proj, cght)[0]
     assert read
-    assert all(any(r is record for r in cght.groups[gids]) for record in read)
-    assert cght.groups == before
+    assert all(any(r is record for r in cght[gids]) for record in read)
+    assert cght == before
 
 
 def test_lookup_builds_pattern_maps_in_the_reference_graph_only(sample_db, sample_closed, monkeypatch):
@@ -888,7 +888,7 @@ def test_group_keys_are_the_patterns_support_set_tuples_on_fuzz(mode, monkeypatc
             (cght,) = tables
             by_index = {p.discovery_index: p for p in mined}
             filed = 0
-            for key, records in cght.groups.items():
+            for key, records in cght.items():
                 assert type(key) is tuple
                 for record in records:
                     assert by_index[record.discovery_index].containing_graphs is key

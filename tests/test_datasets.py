@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from graphmine import MiningConfig, mine_closed
@@ -8,6 +10,7 @@ from graphmine.datasets import (
     parse_dataset_text,
     write_patterns,
 )
+from graphmine.graphs import GraphDatabase
 
 from conftest import SAMPLE_TEXT
 
@@ -99,6 +102,18 @@ def test_dump_round_trip(sample_db):
     assert dump_dataset(again) == text
     assert [g.vlabels for g in again] == [g.vlabels for g in sample_db]
     assert [g.edges for g in again] == [g.edges for g in sample_db]
+
+
+def test_dump_rejects_the_terminator_id():
+    # Written as ``t # -1``, the id would end the file at that graph.
+    graphs = parse_dataset_text("t # 0\nv 0 A\nt # 1\nv 0 B\nt # 2\nv 0 C\n").graphs
+    db = GraphDatabase(graphs, [5, -1, 7])
+    dest = io.StringIO()
+    with pytest.raises(ValueError, match="-1"):
+        dump_dataset(db, dest)
+    assert dest.getvalue() == ""
+    with pytest.raises(ValueError, match="-1"):
+        dump_dataset(db)
 
 
 def test_parse_dataset_from_path(tmp_path):

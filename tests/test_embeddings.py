@@ -523,7 +523,9 @@ def test_counting_matches_oracle_on_random_databases():
         for p in mined:
             brute = sum(len(list(subgraph_isomorphisms(code_to_graph(p.code), g))) for g in db)
             brute_graphs = [
-                g.gid for g in db if list(subgraph_isomorphisms(code_to_graph(p.code), g))
+                gid
+                for gid, g in enumerate(db)
+                if list(subgraph_isomorphisms(code_to_graph(p.code), g))
             ]
             assert p.occurrence == brute
             assert p.support == len(brute_graphs)

@@ -2,7 +2,8 @@ from itertools import permutations
 
 import pytest
 
-from graphmine.datasets import dump_dataset
+from graphmine.cgspan import mine_closed
+from graphmine.datasets import dump_dataset, parse_dataset_text, write_patterns
 from graphmine.graphs import (
     GraphDatabase,
     LabeledGraph,
@@ -10,9 +11,10 @@ from graphmine.graphs import (
     induced_subgraph,
     subgraph_isomorphisms,
 )
-from graphmine.gspan import MiningConfig, mine_frequent
+from graphmine.gspan import MODES, MiningConfig, mine_frequent
 
-from conftest import connected_labeled_graphs
+from conftest import ETF_TEXT, SAMPLE_TEXT, connected_labeled_graphs
+from test_cgspan import fuzz_database
 
 
 def triangle_with_tail() -> LabeledGraph:
@@ -61,7 +63,7 @@ def test_database_append_assigns_dense_gids():
         g.add_vertex(0)
     db.append(g1, original_id=42)
     db.append(g2)
-    assert [g.gid for g in db] == [0, 1]
+    assert db.graphs == [g1, g2]
     assert db.original_ids == [42, 1]
     assert len(db) == 2
 
@@ -76,23 +78,46 @@ def labeled_path(labels) -> LabeledGraph:
 
 
 def test_database_constructor_numbers_graphs_by_position():
-    # Two fresh graphs both carry gid 0; numbered as given they would count
-    # as one graph and mine nothing at support 2.
+    # Two equal graphs are two graphs: counted as one they would mine
+    # nothing at support 2.
     paths = [labeled_path([0, 1, 2]), labeled_path([0, 1, 2])]
     db = GraphDatabase(graphs=paths)
-    assert [g.gid for g in db] == [0, 1]
     assert db.original_ids == [0, 1]
     appended = GraphDatabase()
     for g in (labeled_path([0, 1, 2]), labeled_path([0, 1, 2])):
         appended.append(g)
     config = MiningConfig(min_support=2)
     assert len(mine_frequent(db, config)) == len(mine_frequent(appended, config)) == 3
-    # A gid past the end of the list would index out of range.
-    stale = labeled_path([0, 1])
-    stale.gid = 5
-    db = GraphDatabase(graphs=[labeled_path([0, 1]), stale])
-    assert [g.gid for g in db] == [0, 1]
-    assert len(mine_frequent(db, MiningConfig(min_support=1))) == 1
+
+
+def mined_files(db, min_support=1) -> list[str]:
+    """The pattern file of each mode, in ``MODES`` order."""
+    files = []
+    for mode in MODES:
+        mine = mine_frequent if mode == "frequent" else mine_closed
+        patterns = mine(db, MiningConfig(min_support=min_support, mode=mode))
+        files.append(write_patterns(patterns, db))
+    return files
+
+
+def test_a_database_over_some_of_anothers_graphs_leaves_it_alone():
+    db = fuzz_database(3)
+    before = mined_files(db)
+    for k in range(1, len(db)):
+        GraphDatabase(db.graphs[k:])
+        assert mined_files(db) == before, k
+
+
+def test_a_graph_listed_twice_counts_twice():
+    # Each graph object sits at two positions: it is two graphs, as its
+    # dumped and reparsed copy is.
+    dbs = [parse_dataset_text(SAMPLE_TEXT), parse_dataset_text(ETF_TEXT)]
+    dbs += [fuzz_database(seed) for seed in range(50)]
+    for db in dbs:
+        twice = GraphDatabase(db.graphs + db.graphs)
+        copied = parse_dataset_text(dump_dataset(twice))
+        for sup in (1, 2, 3):
+            assert mined_files(twice, sup) == mined_files(copied, sup)
 
 
 def test_database_append_leaves_the_constructor_lists_alone():
