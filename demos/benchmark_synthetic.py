@@ -37,11 +37,12 @@ def random_connected(rng: random.Random, nv: int, n_vlabels: int, n_elabels: int
     g = LabeledGraph()
     for _ in range(nv):
         g.add_vertex(rng.randrange(n_vlabels))
+    pairs = set()
     for v in range(1, nv):
-        g.add_edge(v, rng.randrange(v), rng.randrange(n_elabels))
-    candidates = [
-        (u, v) for u in range(nv) for v in range(u + 1, nv) if not g.has_edge(u, v)
-    ]
+        u = rng.randrange(v)
+        g.add_edge(v, u, rng.randrange(n_elabels))
+        pairs.add((u, v))
+    candidates = [(u, v) for u in range(nv) for v in range(u + 1, nv) if (u, v) not in pairs]
     rng.shuffle(candidates)
     for u, v in candidates[: rng.randint(0, extra_edges)]:
         g.add_edge(u, v, rng.randrange(n_elabels))
@@ -64,7 +65,7 @@ def synthetic_database(
     redundancy closed mining collapses.
     """
     motif = random_connected(rng, motif_vertices, n_vlabels, n_elabels, extra_edges=2)
-    db = GraphDatabase()
+    graphs = []
     for _ in range(n_graphs):
         g = LabeledGraph()
         core = motif if rng.random() < plant_prob else random_connected(
@@ -78,8 +79,8 @@ def synthetic_database(
         for i in range(rng.randint(1, decoration)):
             w = g.add_vertex(rng.randrange(n_vlabels))
             g.add_edge(w, rng.randrange(base + i), rng.randrange(n_elabels))
-        db.append(g)
-    return db
+        graphs.append(g)
+    return GraphDatabase(graphs)
 
 
 def timed(fn, db, config):

@@ -19,8 +19,8 @@ _CLI_MODES = ("frequent", "closed", "closed-no-etf")
 
 
 def _support(text: str) -> float | int:
-    """A value with a decimal point is a fraction in (0, 1]; a bare integer
-    is an absolute graph count >= 1. Zero is rejected either way."""
+    """A value with a decimal point or exponent is a fraction, a bare
+    integer an absolute graph count; ``MiningConfig`` checks the range."""
     try:
         if "." in text or "e" in text.lower():
             value: float | int = float(text)
@@ -28,11 +28,10 @@ def _support(text: str) -> float | int:
             value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a support value: {text!r}")
-    if isinstance(value, float):
-        if not 0.0 < value <= 1.0:
-            raise argparse.ArgumentTypeError("fractional support must be in (0, 1]")
-    elif value < 1:
-        raise argparse.ArgumentTypeError("absolute support must be at least 1")
+    try:
+        MiningConfig(min_support=value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return value
 
 

@@ -102,7 +102,7 @@ def _parse(fh: TextIO) -> GraphDatabase:
     vmap, vnames = _label_mapping(vtokens)
     emap, enames = _label_mapping(etokens)
 
-    db = GraphDatabase(graphs=[], original_ids=[], vlabel_names=vnames, elabel_names=enames)
+    graphs: list[LabeledGraph] = []
     for original_id, vlines, elines in raw:
         g = LabeledGraph()
         vid_map: dict[int, int] = {}
@@ -117,8 +117,8 @@ def _parse(fh: TextIO) -> GraphDatabase:
                 g.add_edge(vid_map[u], vid_map[v], emap[tok])
             except ValueError as exc:
                 _fail(lineno, f"graph {original_id}: {exc}")
-        db.append(g, original_id)
-    return db
+        graphs.append(g)
+    return GraphDatabase(graphs, [rec[0] for rec in raw], vnames, enames)
 
 
 _INT_LABEL = re.compile(r"0|-?[1-9][0-9]*")
@@ -140,10 +140,7 @@ def _label_mapping(tokens: list[str]) -> tuple[dict[str, int], list[str] | None]
 
 def dump_dataset(db: GraphDatabase, dest: TextIO | None = None) -> str | None:
     """Serialize a database in the input format; round-trips through
-    parse_dataset modulo id densification. Raises ValueError, writing
-    nothing, when an id is -1: ``t # -1`` ends the file."""
-    if -1 in db.original_ids:
-        raise ValueError("graph id -1 is the dataset terminator and cannot be written")
+    parse_dataset modulo id densification."""
     out = io.StringIO() if dest is None else dest
     for g, original_id in zip(db.graphs, db.original_ids):
         out.write(f"t # {original_id}\n")

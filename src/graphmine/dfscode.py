@@ -9,6 +9,7 @@ tuple order below (``child_sort_key``) is the graph's canonical form.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import LabeledGraph
@@ -208,32 +209,30 @@ def min_dfs_code(g: LabeledGraph) -> DFSCode:
 
 
 def is_min(code: Sequence[Sequence[int]]) -> bool:
-    """True iff the code equals the minimum DFS code of its own graph.
-
-    Fails fast: reconstruction stops at the first position where a smaller
-    continuation exists.
-    """
+    """True iff the code equals the minimum DFS code of its own graph."""
     if not code:
         raise ValueError("empty code")
-    for k, t in enumerate(_min_code_stream(code_to_graph(code))):
-        if tuple(code[k]) != t:
-            return False
-    return True
+    return _compare_with_min(code, code_to_graph(code)) == 0
 
 
 def code_less_than_min(code: Sequence[Sequence[int]], g: LabeledGraph) -> bool:
-    """True iff ``code`` sorts strictly before min_dfs_code(g).
+    """True iff ``code`` sorts strictly before min_dfs_code(g)."""
+    return _compare_with_min(code, g) < 0
+
+
+def _compare_with_min(code: Sequence[Sequence[int]], g: LabeledGraph) -> int:
+    """-1, 0 or 1 as ``code`` sorts before, equal to or after
+    min_dfs_code(g).
 
     Decided lazily from the minimum-code stream: the first differing
     position settles the comparison, so the full canonical form of g is
-    rarely needed.
+    rarely needed and a code that is not minimal fails fast. A proper
+    prefix sorts first.
     """
-    n = len(code)
-    for k, t in enumerate(_min_code_stream(g)):
-        if k >= n:
-            return True
-        ck = tuple(code[k])
+    for ck, t in zip_longest(map(tuple, code), _min_code_stream(g)):
         if ck != t:
-            # Both extend the common prefix code[:k].
-            return child_sort_key(ck) < child_sort_key(t)
-    return False
+            if ck is None or t is None:
+                return -1 if ck is None else 1
+            # Both extend the common prefix before them.
+            return -1 if child_sort_key(ck) < child_sort_key(t) else 1
+    return 0

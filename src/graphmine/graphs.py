@@ -8,7 +8,7 @@ so traversal code can follow an orientation without re-deriving it.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 # A label is a plain int. Datasets with string tokens are interned to ints
 # by the parser; the database keeps the vocabulary for output.
@@ -53,10 +53,6 @@ class LabeledGraph:
         self.adj[v].append((v, u, eid, label))
         return eid
 
-    def has_edge(self, u: int, v: int) -> bool:
-        pair = (u, v) if u < v else (v, u)
-        return pair in self._pairs
-
     @property
     def vertex_count(self) -> int:
         return len(self.vlabels)
@@ -72,19 +68,20 @@ class LabeledGraph:
 class GraphDatabase:
     """An ordered collection of LabeledGraphs plus label vocabularies.
 
-    ``original_ids`` maps the dense position back to the id found in the
-    source file, so reports can name graphs the way the input did; it
-    needs one id per graph, and an id that repeats raises ValueError, as
-    the parser's does (the pattern file's ``x`` lines and ``dump_dataset``
-    name graphs by it). The miners number graphs by position in ``graphs``
-    and leave the graphs unchanged, so one graph may sit in several
-    databases, or twice in one; both lists are copied, so ``append``
-    leaves the caller's lists alone.
-    ``vlabel_names`` / ``elabel_names`` translate interned labels back to
-    their source tokens; they stay None for databases built from ints.
+    Built only by the constructor, which copies every list it is given and
+    raises ValueError, naming the value, on what a dataset file cannot
+    carry. ``original_ids`` (default: the positions) maps the dense
+    position back to the id found in the source file, so reports can name
+    graphs the way the input did: one distinct int per graph, never -1,
+    the file format's terminator. ``vlabel_names`` / ``elabel_names``
+    translate interned labels back to their source tokens, so each holds
+    distinct, non-empty names without whitespace; they stay None for
+    databases built from ints. The miners number graphs by position in
+    ``graphs`` and leave the graphs unchanged, so one graph may sit in
+    several databases, or twice in one.
     """
 
-    __slots__ = ("graphs", "original_ids", "vlabel_names", "elabel_names", "_id_set")
+    __slots__ = ("graphs", "original_ids", "vlabel_names", "elabel_names")
 
     def __init__(
         self,
@@ -94,27 +91,12 @@ class GraphDatabase:
         elabel_names: list[str] | None = None,
     ):
         self.graphs: list[LabeledGraph] = list(graphs) if graphs is not None else []
-        if original_ids is None:
-            original_ids = list(range(len(self.graphs)))
-        elif len(original_ids) != len(self.graphs):
-            raise ValueError(f"{len(original_ids)} original ids for {len(self.graphs)} graphs")
-        self._id_set: set[int] = set()
-        for oid in original_ids:
-            self._add_id(oid)
-        self.original_ids = list(original_ids)
-        self.vlabel_names = vlabel_names
-        self.elabel_names = elabel_names
-
-    def append(self, g: LabeledGraph, original_id: int | None = None) -> None:
-        oid = original_id if original_id is not None else len(self.graphs)
-        self._add_id(oid)
-        self.graphs.append(g)
-        self.original_ids.append(oid)
-
-    def _add_id(self, oid: int) -> None:
-        if oid in self._id_set:
-            raise ValueError(f"repeated graph id {oid}")
-        self._id_set.add(oid)
+        ids = range(len(self.graphs)) if original_ids is None else original_ids
+        self.original_ids = _distinct("graph id", ids, lambda oid: type(oid) is int and oid != -1)
+        if len(self.original_ids) != len(self.graphs):
+            raise ValueError(f"{len(self.original_ids)} original ids for {len(self.graphs)} graphs")
+        self.vlabel_names = _names("vertex", vlabel_names)
+        self.elabel_names = _names("edge", elabel_names)
 
     def vertex_label_name(self, label: Label) -> str:
         if self.vlabel_names is not None:
@@ -134,6 +116,28 @@ class GraphDatabase:
 
     def __repr__(self) -> str:
         return f"GraphDatabase({len(self.graphs)} graphs)"
+
+
+def _names(kind: str, names: list[str] | None) -> list[str] | None:
+    """A vocabulary checked to hold tokens the dataset parser reads back as
+    themselves: strings that split to themselves."""
+    if names is None:
+        return None
+    return _distinct(f"{kind} label name", names, lambda n: isinstance(n, str) and n.split() == [n])
+
+
+def _distinct(what: str, values: Iterable, fits: Callable[[object], bool]) -> list:
+    """A copy of ``values``; raises ValueError naming the first value that
+    repeats or that ``fits`` says a dataset file cannot carry."""
+    values = list(values)
+    seen = set()
+    for value in values:
+        if not fits(value):
+            raise ValueError(f"{what} {value!r} cannot be written to a dataset file")
+        if value in seen:
+            raise ValueError(f"repeated {what} {value!r}")
+        seen.add(value)
+    return values
 
 
 def component_of(g: LabeledGraph, start: int, removed: int | None = None) -> set[int]:

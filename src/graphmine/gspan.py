@@ -43,9 +43,9 @@ class MiningConfig:
             raise ValueError(f"min_support must be int or float, got {s!r}")
         if isinstance(s, int):
             if s < 1:
-                raise ValueError("absolute min_support must be >= 1")
+                raise ValueError("absolute support must be at least 1")
         elif not 0.0 < s <= 1.0:
-            raise ValueError("fractional min_support must be in (0, 1]")
+            raise ValueError("fractional support must be in (0, 1]")
         cap = self.max_pattern_edges
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
             raise ValueError(f"max_pattern_edges must be None or an int >= 1, got {cap!r}")

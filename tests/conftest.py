@@ -123,7 +123,7 @@ def random_database(
     n_elabels: int = 2,
 ) -> GraphDatabase:
     """A database of 5-10 small random graphs over a tiny label alphabet."""
-    db = GraphDatabase()
+    graphs = []
     for _ in range(n_graphs if n_graphs is not None else rng.randint(5, 10)):
         nv = rng.randint(2, max_vertices)
         g = LabeledGraph()
@@ -133,8 +133,8 @@ def random_database(
         rng.shuffle(pairs)
         for u, v in pairs[: rng.randint(1, min(len(pairs), nv + 2))]:
             g.add_edge(u, v, rng.randrange(n_elabels))
-        db.append(g)
-    return db
+        graphs.append(g)
+    return GraphDatabase(graphs)
 
 
 def brute_code_supports(db) -> dict[tuple, int]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphmine
 from graphmine import cli
 from graphmine.cli import _support, _support_list, build_parser, main
 from graphmine.datasets import parse_dataset_text, write_patterns
@@ -223,18 +228,16 @@ def test_bench_unwritable_output_fails_before_mining(sample_file, tmp_path, caps
 # ------------------------------------------------------------- entrypoint
 
 
-def test_module_entrypoint(sample_file):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import graphmine
-
-    # The child imports the package this session imported, installed or not.
+def child_env(**overrides) -> dict[str, str]:
+    """The environment for a ``python -m graphmine`` child that imports the
+    package this session imported, installed or not."""
     src = str(Path(graphmine.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **overrides)
+
+
+def test_module_entrypoint(sample_file):
+    env = child_env()
     proc = subprocess.run(
         [
             sys.executable,
@@ -259,3 +262,23 @@ def test_missing_subcommand_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture", ["sample_file", "etf_file"])
+def test_mine_output_does_not_depend_on_the_hash_seed(fixture, request, tmp_path):
+    # Each process salts str hashes anew, so repeats in one process cannot
+    # show a set or dict order of label tokens leaking into the output.
+    source = request.getfixturevalue(fixture)
+    for mode in cli._CLI_MODES:
+        outputs = []
+        for seed in ("0", "1"):
+            dest = tmp_path / f"{mode}-{seed}.txt"
+            args = ["mine", "--input", str(source), "--min-support", "1", "--mode", mode]
+            subprocess.run(
+                [sys.executable, "-m", "graphmine", *args, "--output", str(dest)],
+                env=child_env(PYTHONHASHSEED=seed),
+                check=True,
+                timeout=120,
+            )
+            outputs.append(dest.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1], mode

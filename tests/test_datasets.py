@@ -1,4 +1,4 @@
-import io
+import random
 
 import pytest
 
@@ -12,7 +12,7 @@ from graphmine.datasets import (
 )
 from graphmine.graphs import GraphDatabase
 
-from conftest import SAMPLE_TEXT
+from conftest import SAMPLE_TEXT, random_database
 
 
 def test_parse_sample_interning(sample_db):
@@ -105,15 +105,25 @@ def test_dump_round_trip(sample_db):
 
 
 def test_dump_rejects_the_terminator_id():
-    # Written as ``t # -1``, the id would end the file at that graph.
+    # Written as ``t # -1``, the id would end the file at that graph, so
+    # no database holds it.
     graphs = parse_dataset_text("t # 0\nv 0 A\nt # 1\nv 0 B\nt # 2\nv 0 C\n").graphs
-    db = GraphDatabase(graphs, [5, -1, 7])
-    dest = io.StringIO()
     with pytest.raises(ValueError, match="-1"):
-        dump_dataset(db, dest)
-    assert dest.getvalue() == ""
-    with pytest.raises(ValueError, match="-1"):
-        dump_dataset(db)
+        GraphDatabase(graphs, [5, -1, 7])
+
+
+def test_dump_round_trip_with_interned_names():
+    # Any database with names for its labels dumps a file that parses
+    # back to the same file, whatever the names look like.
+    rng = random.Random(5)
+    tokens = ["C", "N", "0", "01", "-1", "1_0", "x", "#", "t", "é"]
+    for _ in range(30):
+        db = random_database(rng)
+        vnames = rng.sample(tokens, 3)
+        enames = rng.sample(tokens, 2)
+        db = GraphDatabase(db.graphs, rng.sample(range(100), len(db)), vnames, enames)
+        text = dump_dataset(db)
+        assert dump_dataset(parse_dataset_text(text)) == text
 
 
 def test_parse_dataset_from_path(tmp_path):

@@ -252,8 +252,7 @@ def test_saturated_sources_are_never_read():
         (triangle, [(0, 1, 0, 0, 0), (1, 2, 0, 0, 0), (2, 0, 0, 0, 0)], set(), []),
     ]
     for g, code, want, read in cases:
-        db = GraphDatabase()
-        db.append(g)
+        db = GraphDatabase([g])
         code = DFSCode(code)
         proj = project_code(code, db)
         assert len(proj) >= 1

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import pytest
@@ -36,8 +37,6 @@ def test_add_vertex_and_edge_bookkeeping():
     assert eid == 0
     assert g.vertex_count == 2 and g.edge_count == 1
     assert len(g.adj[0]) == 1 and len(g.adj[1]) == 1
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 0)
     # Half-edges appear in both adjacency lists.
     assert g.adj[0] == [(0, 1, 0, 5)]
     assert g.adj[1] == [(1, 0, 0, 5)]
@@ -56,18 +55,6 @@ def test_edge_validation():
         g.add_edge(1, 0, 1)  # duplicate regardless of orientation
 
 
-def test_database_append_assigns_dense_gids():
-    db = GraphDatabase()
-    g1, g2 = LabeledGraph(), LabeledGraph()
-    for g in (g1, g2):
-        g.add_vertex(0)
-    db.append(g1, original_id=42)
-    db.append(g2)
-    assert db.graphs == [g1, g2]
-    assert db.original_ids == [42, 1]
-    assert len(db) == 2
-
-
 def labeled_path(labels) -> LabeledGraph:
     g = LabeledGraph()
     for lbl in labels:
@@ -83,11 +70,7 @@ def test_database_constructor_numbers_graphs_by_position():
     paths = [labeled_path([0, 1, 2]), labeled_path([0, 1, 2])]
     db = GraphDatabase(graphs=paths)
     assert db.original_ids == [0, 1]
-    appended = GraphDatabase()
-    for g in (labeled_path([0, 1, 2]), labeled_path([0, 1, 2])):
-        appended.append(g)
-    config = MiningConfig(min_support=2)
-    assert len(mine_frequent(db, config)) == len(mine_frequent(appended, config)) == 3
+    assert len(mine_frequent(db, MiningConfig(min_support=2))) == 3
 
 
 def mined_files(db, min_support=1) -> list[str]:
@@ -120,13 +103,18 @@ def test_a_graph_listed_twice_counts_twice():
             assert mined_files(twice, sup) == mined_files(copied, sup)
 
 
-def test_database_append_leaves_the_constructor_lists_alone():
+def test_database_leaves_the_callers_lists_alone():
+    # Changed after construction, the caller's lists would slip past the
+    # constructor's checks.
     gs = [labeled_path([0, 1]), labeled_path([0, 1])]
-    ids = [7, 9]
-    db = GraphDatabase(gs, ids)
-    db.append(labeled_path([0, 1]), 11)
-    assert len(gs) == 2 and ids == [7, 9]
-    assert len(db) == 3 and db.original_ids == [7, 9, 11]
+    ids, vnames, enames = [7, 9], ["A", "B"], ["e"]
+    db = GraphDatabase(gs, ids, vnames, enames)
+    gs.append(labeled_path([0, 1]))
+    ids[1] = 7
+    vnames[0] = "A x"
+    enames.append("e")
+    assert db.graphs == gs[:2] and db.original_ids == [7, 9]
+    assert db.vlabel_names == ["A", "B"] and db.elabel_names == ["e"]
 
 
 def test_database_rejects_original_ids_of_the_wrong_length():
@@ -142,13 +130,26 @@ def test_database_rejects_original_ids_of_the_wrong_length():
 def test_database_rejects_repeated_original_ids():
     # A repeated id would name two graphs alike in the pattern file, and
     # dump_dataset would write a file the parser rejects.
-    db = GraphDatabase()
-    db.append(labeled_path([0, 1]), 1)
-    with pytest.raises(ValueError, match="repeated graph id 1"):
-        db.append(labeled_path([0, 1]))
-    assert db.original_ids == [1] and len(db) == 1
     with pytest.raises(ValueError, match="repeated graph id 7"):
         GraphDatabase(graphs=[labeled_path([0, 1]), labeled_path([0, 1])], original_ids=[7, 7])
+
+
+@pytest.mark.parametrize("oid", ["3", 3.0, True, None])
+def test_database_rejects_original_ids_that_are_not_ints(oid):
+    # ``t # <id>`` parses back only as an int.
+    with pytest.raises(ValueError, match=re.escape(repr(oid))):
+        GraphDatabase(graphs=[labeled_path([0, 1])], original_ids=[oid])
+
+
+@pytest.mark.parametrize("side", ["vertex", "edge"])
+@pytest.mark.parametrize("names,bad", [(["A x", "B"], "A x"), (["", "B"], ""), (["A", "A"], "A")])
+def test_database_rejects_label_names_a_dataset_file_cannot_carry(side, names, bad):
+    # Dumped, a name with whitespace or an empty one makes a line the
+    # parser rejects, and a repeated name merges two labels into one.
+    g = labeled_path([0, 1])
+    vnames, enames = (names, ["e"]) if side == "vertex" else (["A", "B"], names)
+    with pytest.raises(ValueError, match=f"{side} label name {re.escape(repr(bad))}"):
+        GraphDatabase([g], [3], vnames, enames)
 
 
 def test_label_names_default_to_str():

@@ -219,15 +219,15 @@ def test_search_leaves_recursion_limit_alone(sample_db, mode, monkeypatch):
 
 def path_pair(edges: int) -> GraphDatabase:
     """Two copies of one path with vertex labels cycling through 0, 1, 2."""
-    db = GraphDatabase()
+    graphs = []
     for _ in range(2):
         g = LabeledGraph()
         for i in range(edges + 1):
             g.add_vertex(i % 3)
         for i in range(edges):
             g.add_edge(i, i + 1, 0)
-        db.append(g)
-    return db
+        graphs.append(g)
+    return GraphDatabase(graphs)
 
 
 def call_under_tight_recursion_limit(fn, *args):
