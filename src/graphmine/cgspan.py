@@ -277,19 +277,20 @@ def mine_closed(
     failure detection and rejection; it can lose closed patterns and
     exists to measure what the failure handling contributes.
 
-    The search is gSpan's: ``enter`` adds the CGHT lookup, rejection and
-    failure detection before a node's extension scan, ``settle`` the
-    closure check and the CGHT insert after it. The closure check is the
-    definition: a pattern is emitted when no one-edge extension at any of
-    its vertices extends every chain. Early termination only prunes; a cut
-    that was wrong can lose a pattern but never emit one that is not
-    closed. The
-    check asks the cheap questions first: a covering stored closed graph
-    (proof enough that the pattern is not closed), then the frequent
-    buckets the search already built, and only then a walk over the chains
-    for every other extension. The walk reads the candidates off the first
-    chain, tests each later chain's vertex map for the candidates' own
-    edges, and stops at the first chain that has none of them.
+    The search is gSpan's, with the hooks every search runs: ``enter``
+    adds the CGHT lookup, rejection and failure detection before a node's
+    extension scan, ``settle`` the closure check and the CGHT insert after
+    it. The closure check is the definition: a pattern is emitted when no
+    one-edge extension at any of its vertices extends every chain. Early
+    termination only prunes; a cut that was wrong can lose a pattern but
+    never emit one that is not closed. The check asks the cheap questions
+    first: a covering stored closed graph (proof enough that the pattern is
+    not closed), then the frequent buckets the search already built (none
+    at a node with ``max_pattern_edges`` edges, which is not scanned), and
+    only then a walk over the chains for every other extension. The walk
+    reads the candidates off the first chain, tests each later chain's
+    vertex map for the candidates' own edges, and stops at the first chain
+    that has none of them.
     """
     config = config or MiningConfig(mode="closed")
     if config.mode not in ("closed", "closed_no_etf"):

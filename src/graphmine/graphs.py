@@ -99,14 +99,10 @@ class GraphDatabase:
         self.elabel_names = _names("edge", elabel_names)
 
     def vertex_label_name(self, label: Label) -> str:
-        if self.vlabel_names is not None:
-            return self.vlabel_names[label]
-        return str(label)
+        return _label_name("vertex", self.vlabel_names, label)
 
     def edge_label_name(self, label: Label) -> str:
-        if self.elabel_names is not None:
-            return self.elabel_names[label]
-        return str(label)
+        return _label_name("edge", self.elabel_names, label)
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -116,6 +112,15 @@ class GraphDatabase:
 
     def __repr__(self) -> str:
         return f"GraphDatabase({len(self.graphs)} graphs)"
+
+
+def _label_name(kind: str, names: list[str] | None, label: Label) -> str:
+    """``names[label]``, or ``str(label)`` without names; a label they lack raises."""
+    if names is None:
+        return str(label)
+    if not 0 <= label < len(names):
+        raise ValueError(f"{kind} label {label!r} has no name in a vocabulary of {len(names)}")
+    return names[label]
 
 
 def _names(kind: str, names: list[str] | None) -> list[str] | None:

@@ -3,9 +3,10 @@
 The search tree has one node per DFS code; children are right-most
 extensions sorted ascending, and a node is expanded only when its code is
 minimal, so every frequent pattern is visited exactly once, at its
-canonical form, in pre-order. The closed miner runs the same search with
-two hooks, both run in the node's own visit before its children are pushed,
-so it emits a filtered pre-order.
+canonical form, in pre-order. Both miners run it with two hooks at every
+node, before its children are pushed: frequent mining's never cut and emit
+every node, closed mining's cut by early termination and emit the closed
+patterns. A node at ``max_pattern_edges`` is not scanned; it gets ``{}``.
 """
 
 from __future__ import annotations
@@ -95,41 +96,33 @@ def search(
     db: GraphDatabase,
     config: MiningConfig,
     stats: MiningStats,
-    enter=None,
-    settle=None,
+    enter,
+    settle,
 ) -> list[MinedPattern]:
     """Depth-first search of the DFS-code tree, one visit per minimal code.
 
-    The extension scan builds only tuples that may head a minimal code, and
-    a child is pushed only when its code passes ``is_min``, so the stack
-    never holds the buckets of a child it would reject. A 1-edge root is
-    minimal by construction and is not tested. Without hooks every node is
-    emitted in pre-order. Closed mining passes two hooks, both run when the
-    node is visited:
+    Every visit takes one path: link the node's bucket into its chains,
+    ``enter``, scan, ``settle``, push the children from ``exts``.
 
-    - ``enter(code, projected)`` runs before the scan. It returns None to
-      cut the branch, otherwise whether the pattern is already known not to
-      be closed.
-    - ``settle(code, projected, exts, covered, emit)`` runs after the scan
-      and before the children are pushed, with the node's frequent
-      extension buckets (the children's, also built at a node
-      ``max_pattern_edges`` keeps childless) and ``enter``'s result. It
-      emits the pattern by calling ``emit(code, projected)``, which returns
-      the MinedPattern. Extensions the scan does not build are left to
-      ``settle``.
+    - ``enter(code, projected)`` returns None to cut the branch, otherwise
+      a flag for ``settle`` (closed mining's: known not to be closed).
+    - ``settle(code, projected, exts, covered, emit)`` gets the node's
+      frequent extension buckets, exactly the children's (``{}`` at a node
+      with ``max_pattern_edges`` edges, which is not scanned), and
+      ``enter``'s result; extensions not in ``exts`` are its own to check.
+      It emits the pattern by calling ``emit(code, projected)``, which
+      returns the MinedPattern. ``emit`` interns each support set, so
+      patterns with the same containing graphs share one sorted tuple.
 
-    The scan reads ``db`` as given; nothing is copied or pruned up front.
-    Only buckets with enough support are kept: a bucket that extends every
-    embedding has the node's own support, so the closure check loses
-    nothing. Children are the kept buckets in ascending tuple order. Every
-    node, a 1-edge root from the seeding included, is pushed as an unlinked
-    bucket and is linked into its embedding list only when it is popped,
-    so the hooks, ``emit`` and the next scan see ``Embedding`` chains while
+    The scan reads ``db`` as given and builds only tuples that may head a
+    minimal code. Only buckets with enough support are kept: a bucket that
+    extends every embedding has the node's own support, so the closure
+    check loses nothing. A child is pushed only when its code passes
+    ``is_min``, so the stack never holds the buckets of a child it would
+    reject; a 1-edge root is minimal by construction and is not tested.
+    Children pop in ascending tuple order, as unlinked buckets, so the
+    hooks, ``emit`` and the next scan see ``Embedding`` chains while
     ``exts`` holds unlinked buckets.
-
-    ``emit`` interns each support set: patterns with the same containing
-    graphs share one sorted tuple, the one ``containing_graphs`` reads off
-    the first of them.
 
     Each child is pushed with the sources of its parent's frequent forward
     tuples, one set shared by all siblings. Its scan reads forward edges
@@ -166,27 +159,22 @@ def search(
         code, projected, sources = stack.pop()
         projected = projected.link()
         stats.visited_nodes += 1
-        covered = enter(code, projected) if enter is not None else False
+        covered = enter(code, projected)
         if covered is None:
             continue
-        grow = max_edges is None or len(code) < max_edges
-        if settle is None:
-            emit(code, projected)
-            if not grow:
-                continue
-        exts = {
-            t: bucket
-            for t, bucket in rightmost_extensions(code, projected, db, sources).items()
-            if bucket.support() >= min_freq
-        }
-        if settle is not None:
-            settle(code, projected, exts, covered, emit)
-        if grow:
-            sources = {t[0] for t in exts if t[0] < t[1]}
-            for t in sorted(exts, key=child_sort_key, reverse=True):
-                child = code + [t]
-                if is_min(child):
-                    stack.append((child, exts[t], sources))
+        exts = {}  # frees the last node's buckets before this scan
+        if max_edges is None or len(code) < max_edges:
+            exts = {
+                t: bucket
+                for t, bucket in rightmost_extensions(code, projected, db, sources).items()
+                if bucket.support() >= min_freq
+            }
+        settle(code, projected, exts, covered, emit)
+        sources = {t[0] for t in exts if t[0] < t[1]}
+        for t in sorted(exts, key=child_sort_key, reverse=True):
+            child = code + [t]
+            if is_min(child):
+                stack.append((child, exts[t], sources))
     return out
 
 
@@ -199,4 +187,9 @@ def mine_frequent(
     config = config or MiningConfig()
     if config.mode != "frequent":
         raise ValueError(f"mine_frequent requires mode frequent, got {config.mode!r}")
-    return search(db, config, stats if stats is not None else MiningStats())
+
+    def settle(code: list, projected: list, exts: dict, covered: bool, emit) -> None:
+        emit(code, projected)
+
+    stats = stats if stats is not None else MiningStats()
+    return search(db, config, stats, lambda code, projected: False, settle)

@@ -10,7 +10,7 @@ from graphmine.datasets import (
     parse_dataset_text,
     write_patterns,
 )
-from graphmine.graphs import GraphDatabase
+from graphmine.graphs import GraphDatabase, LabeledGraph
 
 from conftest import SAMPLE_TEXT, random_database
 
@@ -110,6 +110,34 @@ def test_dump_rejects_the_terminator_id():
     graphs = parse_dataset_text("t # 0\nv 0 A\nt # 1\nv 0 B\nt # 2\nv 0 C\n").graphs
     with pytest.raises(ValueError, match="-1"):
         GraphDatabase(graphs, [5, -1, 7])
+
+
+def two_vertex_database(vlabels, elabel):
+    g = LabeledGraph()
+    for lbl in vlabels:
+        g.add_vertex(lbl)
+    g.add_edge(0, 1, elabel)
+    return GraphDatabase([g], [0], ["A", "B"], ["e", "f"])
+
+
+@pytest.mark.parametrize("vlabels,bad", [([-1, 0], -1), ([0, 2], 2)])
+def test_dump_rejects_a_vertex_label_without_a_name(vlabels, bad):
+    # Indexed as is, label -1 would be written as the last name and label 2
+    # would raise a bare IndexError.
+    db = two_vertex_database(vlabels, 0)
+    with pytest.raises(ValueError, match=f"vertex label {bad} has no name"):
+        dump_dataset(db)
+    with pytest.raises(ValueError, match=f"vertex label {bad} has no name"):
+        db.vertex_label_name(bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_dump_rejects_an_edge_label_without_a_name(bad):
+    db = two_vertex_database([0, 1], bad)
+    with pytest.raises(ValueError, match=f"edge label {bad} has no name"):
+        dump_dataset(db)
+    with pytest.raises(ValueError, match=f"edge label {bad} has no name"):
+        db.edge_label_name(bad)
 
 
 def test_dump_round_trip_with_interned_names():

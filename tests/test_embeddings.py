@@ -6,7 +6,6 @@ from graphmine import cgspan, embeddings, gspan
 from graphmine.cgspan import mine_closed
 from graphmine.dfscode import DFSCode, child_sort_key, code_to_graph, is_min
 from graphmine.embeddings import (
-    Bucket,
     Embedding,
     containing_graphs,
     equivalent_occurrence,
@@ -434,36 +433,21 @@ def test_mining_links_no_child_that_fails_is_min(monkeypatch):
 
 def visited_nodes(db, config, monkeypatch) -> list[tuple[list, list]]:
     """Mine, and return each node the search visits with the chain list it
-    linked for it, in visit order. Frequent mode emits every visited node
-    in pre-order, and ``Bucket.link`` runs once per visit, so the links
-    pair off with the output; the closed modes are read through a spy on
-    the ``enter`` hook, which every visit runs first."""
-    if config.mode == "frequent":
-        linked = []
-        link = Bucket.link
-
-        def spy_link(bucket):
-            chains = link(bucket)
-            linked.append(chains)
-            return chains
-
-        monkeypatch.setattr(Bucket, "link", spy_link)
-        mined = mine_frequent(db, config)
-        monkeypatch.undo()
-        assert len(linked) == len(mined)
-        return [(list(p.code), chains) for p, chains in zip(mined, linked)]
-
+    linked for it, in visit order, read through a spy on the ``enter``
+    hook, which every visit runs first in every mode."""
     nodes = []
+    search = gspan.search
 
     def spy_search(db_, config_, stats, enter, settle):
         def spy_enter(code, projected):
             nodes.append((list(code), projected))
             return enter(code, projected)
 
-        return gspan.search(db_, config_, stats, spy_enter, settle)
+        return search(db_, config_, stats, spy_enter, settle)
 
+    monkeypatch.setattr(gspan, "search", spy_search)
     monkeypatch.setattr(cgspan, "search", spy_search)
-    mine_closed(db, config)
+    (mine_frequent if config.mode == "frequent" else mine_closed)(db, config)
     monkeypatch.undo()
     return nodes
 

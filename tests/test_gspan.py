@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from graphmine import gspan
+from graphmine import cgspan, gspan
 from graphmine.cgspan import mine_closed
 from graphmine.dfscode import code_to_graph, min_dfs_code
 from graphmine.graphs import GraphDatabase, LabeledGraph
@@ -183,6 +183,92 @@ def test_is_min_runs_when_a_child_is_pushed(mode, monkeypatch):
         assert len(tested) == len(set(tested))
         if mode == "frequent":
             assert stats.visited_nodes == len(mined) == roots + passed
+
+
+def hook_events(db, config, monkeypatch):
+    """Mine, and return the ``enter``, scan and ``settle`` calls in order,
+    as ``(kind, code, value)``: ``enter``'s result, nothing, and a copy of
+    the buckets ``settle`` got. Both miners are read through their hooks."""
+    events = []
+    real_search, real_scan = gspan.search, gspan.rightmost_extensions
+
+    def spy_scan(code, projected, db_, sources=None):
+        events.append(("scan", tuple(map(tuple, code)), None))
+        return real_scan(code, projected, db_, sources)
+
+    def spy_search(db_, config_, stats, enter, settle):
+        def spy_enter(code, projected):
+            covered = enter(code, projected)
+            events.append(("enter", tuple(map(tuple, code)), covered))
+            return covered
+
+        def spy_settle(code, projected, exts, covered, emit):
+            events.append(("settle", tuple(map(tuple, code)), dict(exts)))
+            return settle(code, projected, exts, covered, emit)
+
+        return real_search(db_, config_, stats, spy_enter, spy_settle)
+
+    monkeypatch.setattr(gspan, "search", spy_search)
+    monkeypatch.setattr(cgspan, "search", spy_search)
+    monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
+    stats = MiningStats()
+    mined = (mine_frequent if config.mode == "frequent" else mine_closed)(db, config, stats)
+    monkeypatch.undo()
+    return events, mined, stats
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("mode", MODES)
+def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap, monkeypatch):
+    # Every visit runs enter, then (unless enter cut the branch) the scan,
+    # skipped at the edge cap, then settle with exactly the children's
+    # buckets; children are visited in pre-order, ascending.
+    dbs = [sample_db, etf_db] + [random_database(random.Random(seed)) for seed in range(6)]
+    cuts = capped = 0
+    for db in dbs:
+        for sup in (1, 2):
+            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+            min_freq = config.min_frequency(len(db.graphs))
+            events, mined, stats = hook_events(db, config, monkeypatch)
+            entered = [(code, covered) for kind, code, covered in events if kind == "enter"]
+            assert len(entered) == stats.visited_nodes
+            path, last_child = [], {}
+            for code, _ in entered:
+                del path[len(code) - 1 :]
+                assert path == [code[:k] for k in range(1, len(code))], code
+                key = gspan.child_sort_key(code[-1])
+                assert last_child.get(code[:-1], key) <= key
+                last_child[code[:-1]] = key
+                path.append(code)
+            pos = 0
+            for code, covered in entered:
+                assert events[pos] == ("enter", code, covered)
+                pos += 1
+                if covered is None:
+                    cuts += 1
+                    continue
+                grow = cap is None or len(code) < cap
+                if grow:
+                    assert events[pos] == ("scan", code, None)
+                    pos += 1
+                kind, settled, exts = events[pos]
+                assert (kind, settled) == ("settle", code)
+                pos += 1
+                if not grow:
+                    capped += 1
+                    assert exts == {}
+                assert all(b.support() >= min_freq for b in exts.values())
+                children = {c for c, _ in entered if len(c) == len(code) + 1 and c[:-1] == code}
+                minimal = {code + (t,) for t in exts if gspan.is_min(list(code) + [t])}
+                assert children == minimal, code
+            assert pos == len(events)
+            if mode == "frequent":
+                assert [tuple(map(tuple, p.code)) for p in mined] == [c for c, _ in entered]
+    assert (capped > 0) == (cap is not None)
+    if mode == "frequent":
+        assert cuts == 0
+    elif cap is None:
+        assert cuts > 0
 
 
 @pytest.mark.parametrize("mode", MODES)
