@@ -27,7 +27,7 @@ from graphmine.cgspan import (
     reject_early_termination,
 )
 from graphmine.dfscode import DFSCode
-from graphmine.embeddings import project_code
+from graphmine.embeddings import containing_graphs, project_code
 
 LINE = "=" * 72
 
@@ -101,7 +101,8 @@ def main() -> int:
     print(LINE)
 
     print(f"\nstored closed graph: {render(CG1, db)}")
-    record = ClosedGraphRecord(CG1, project_code(CG1, db), discovery_index=0)
+    chains = project_code(CG1, db)
+    record = ClosedGraphRecord(CG1, chains, 0, containing_graphs(chains))
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     graphs = sorted(next(iter(cght)))

@@ -28,7 +28,7 @@ from .embeddings import (
     equivalent_occurrence,
     vertex_maps,
 )
-from .graphs import GraphDatabase, component_of, induced_subgraph, subgraph_isomorphisms
+from .graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from .gspan import MinedPattern, MiningConfig, MiningStats, search
 
 __all__ = [
@@ -46,11 +46,10 @@ class ClosedGraphRecord:
     """One discovered closed graph: its code, its embeddings and its support
     set.
 
-    ``support_set`` is the group key: the pattern's shared
-    ``containing_graphs`` tuple when given, otherwise read off the chains.
-    A record holds its embedding chains, in graph-id order, until a lookup
-    first reads it. ``materialize`` then replaces them with their vertex
-    maps and builds ``edge_pos``, which is None until then;
+    ``support_set`` is the group key, the pattern's ``containing_graphs``
+    tuple. A record holds its embedding chains, in graph-id order, until a
+    lookup first reads it. ``materialize`` then replaces them with their
+    vertex maps and builds ``edge_pos``, which is None until then;
     ``occurrence`` keeps the chain count either way.
     """
 
@@ -70,13 +69,13 @@ class ClosedGraphRecord:
         code: DFSCode,
         chains: list,
         discovery_index: int,
-        support_set: tuple[int, ...] | None = None,
+        support_set: tuple[int, ...],
     ):
         self.code = code
         self.chains = chains
         self.occurrence = len(chains)
         self.discovery_index = discovery_index
-        self.support_set = containing_graphs(chains) if support_set is None else support_set
+        self.support_set = support_set
         self.edge_pos = None
         self.maps = None
         self.ends = None
@@ -157,7 +156,9 @@ def early_termination(
       g''s first embedding, the reference map ref. Under a covering rho,
       ref o rho is one of those pattern maps, so rhos are read off the
       pattern maps there that lie inside ref, in chain order, through
-      ref's inverse. Only those pattern maps are built.
+      ref's inverse. Only those pattern maps are built. Each rho is met
+      once: a simple graph gives distinct chains distinct maps, and the
+      inverse is injective on ref's image.
     - A cover is a count. Under rho, the pattern is covered in a graph
       exactly when the distinct maps ``itemgetter(*rho)(f'')`` over the
       record's maps there number the pattern's chains there. Automorphisms
@@ -187,14 +188,10 @@ def early_termination(
         image = set(maps[0])
         inverse = {v: i for i, v in enumerate(maps[0])}
         edge_pos = record.edge_pos
-        seen: set[tuple[int, ...]] = set()
         for fmap in ref_fmaps:
             if not image.issuperset(fmap):
                 continue
             rho = itemgetter(*fmap)(inverse)
-            if rho in seen:
-                continue
-            seen.add(rho)
             if not all(frozenset((rho[a], rho[b])) in edge_pos for a, b in pairs):
                 continue
             get = itemgetter(*rho)
@@ -227,10 +224,8 @@ def detect_etf(code: Sequence[Sequence[int]], unsafe: set) -> bool:
     g = code_to_graph(code)
     rm = g.vertex_count - 1
     parent = code_to_graph(code[:-1])
-    for w in range(g.vertex_count):
-        if w == rm:
-            continue
-        beta = induced_subgraph(g, component_of(g, rm, removed=w))
+    for w in range(rm):
+        beta = _part_around(g, rm, w)
         if beta.edge_count == 0:
             continue
         if next(subgraph_isomorphisms(beta, parent), None) is not None:
@@ -239,6 +234,24 @@ def detect_etf(code: Sequence[Sequence[int]], unsafe: set) -> bool:
             unsafe.update(tuple(code[:k]) for k in range(1, len(code) + 1))
             return True
     return False
+
+
+def _part_around(g: LabeledGraph, start: int, removed: int) -> LabeledGraph:
+    """The subgraph induced on the vertices ``start`` reaches once
+    ``removed`` is deleted, with ids densified in ascending old-id order."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for _, to, _, _ in g.adj[stack.pop()]:
+            if to != removed and to not in seen:
+                seen.add(to)
+                stack.append(to)
+    part = LabeledGraph()
+    new = {v: part.add_vertex(g.vlabels[v]) for v in sorted(seen)}
+    for u, v, elb in g.edges:
+        if u in new and v in new:
+            part.add_edge(new[u], new[v], elb)
+    return part
 
 
 def reject_early_termination(
@@ -274,8 +287,9 @@ def mine_closed(
     list with the patterns that are not closed left out.
 
     Mode ``closed_no_etf`` keeps the early-termination pruning but skips
-    failure detection and rejection; it can lose closed patterns and
-    exists to measure what the failure handling contributes.
+    failure detection, so no code is registered and no cut rejected; it
+    can lose closed patterns and exists to measure what the failure
+    handling contributes.
 
     The search is gSpan's, with the hooks every search runs: ``enter``
     adds the CGHT lookup, rejection and failure detection before a node's
@@ -303,7 +317,7 @@ def mine_closed(
     def enter(code: list, projected: list) -> bool | None:
         terminate, record, rho = early_termination(code, projected, cght)
         if terminate:
-            if use_etf and reject_early_termination(code, record, rho, unsafe):
+            if reject_early_termination(code, record, rho, unsafe):
                 stats.early_terminations_rejected += 1
             else:
                 stats.early_terminations_applied += 1

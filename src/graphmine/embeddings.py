@@ -212,19 +212,30 @@ def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
     Complete for minimum codes: each prefix of a minimum code is minimum
     and each next tuple passes the extension scan's growth filters. The
     miners grow embeddings from the parent's instead; this serves callers
-    that hold only a code, taking the first tuple's bucket from the
-    miners' seeding and growing the chains one tuple at a time through the
-    extension scan the search uses, linking each prefix's bucket as it
-    goes. A first tuple the seeding never writes, one with
-    ``lbl_frm > lbl_to``, gives ``[]``.
+    that hold only a code. It seeds the first tuple's label triple in the
+    seeding's hit order and extends each prefix by its next tuple through
+    the search's extension scan, reading only that tuple's source, so the
+    chains come in the order the search links them. A first tuple the
+    seeding never writes, one with ``lbl_frm > lbl_to``, gives ``[]``.
     """
-    seeds = {c[0]: bucket for c, bucket in frequent_single_edges(db, 1)}
-    bucket = seeds.get(tuple(code[0]))
+    _, _, lbl_frm, lbl_edge, lbl_to = code[0]
+    if lbl_frm > lbl_to:
+        return []
+    chains = []
+    for gid, g in enumerate(db.graphs):
+        vl = g.vlabels
+        empty = Embedding(gid, None, None)
+        for u, lu in enumerate(vl):
+            if lu == lbl_frm:
+                for e in g.adj[u]:
+                    if e[3] == lbl_edge and vl[e[1]] == lbl_to:
+                        chains.append(Embedding(gid, e, empty))
     for k in range(1, len(code)):
+        bucket = rightmost_extensions(code[:k], chains, db, {code[k][0]}).get(tuple(code[k]))
         if bucket is None:
             return []
-        bucket = rightmost_extensions(code[:k], bucket.link(), db).get(tuple(code[k]))
-    return [] if bucket is None else bucket.link()
+        chains = bucket.link()
+    return chains
 
 
 def rightmost_extensions(

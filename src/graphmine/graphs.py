@@ -145,33 +145,6 @@ def _distinct(what: str, values: Iterable, fits: Callable[[object], bool]) -> li
     return values
 
 
-def component_of(g: LabeledGraph, start: int, removed: int | None = None) -> set[int]:
-    """Vertices reachable from ``start``, optionally with one vertex deleted."""
-    if start == removed:
-        return set()
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for _, to, _, _ in g.adj[u]:
-            if to != removed and to not in seen:
-                seen.add(to)
-                stack.append(to)
-    return seen
-
-
-def induced_subgraph(g: LabeledGraph, vertices: set[int]) -> LabeledGraph:
-    """Subgraph on ``vertices`` with ids densified in ascending old-id order."""
-    sub = LabeledGraph()
-    remap: dict[int, int] = {}
-    for v in sorted(vertices):
-        remap[v] = sub.add_vertex(g.vlabels[v])
-    for u, v, elb in g.edges:
-        if u in vertices and v in vertices:
-            sub.add_edge(remap[u], remap[v], elb)
-    return sub
-
-
 def subgraph_isomorphisms(pattern: LabeledGraph, host: LabeledGraph) -> Iterator[tuple[int, ...]]:
     """Every injective, label-preserving map carrying pattern edges to host
     edges, as a tuple of host vertices indexed by pattern vertex.

@@ -110,9 +110,10 @@ def test_hash_key_and_termination_example():
         cght = ClosedGraphHashTable()
         chains = {p.discovery_index: project_code(p.code, db) for p in mined}
         for p in mined:
-            add_closed_graph(
-                cght, ClosedGraphRecord(p.code, chains[p.discovery_index], p.discovery_index)
+            record = ClosedGraphRecord(
+                p.code, chains[p.discovery_index], p.discovery_index, p.containing_graphs
             )
+            add_closed_graph(cght, record)
         alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
         proj = project_code(alpha, db)
         key = frozenset((c.gid, c.edge[2]) for c in proj)  # images of edge (1, 2)
@@ -136,9 +137,10 @@ def test_hash_table_state():
         mined = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
         cght = ClosedGraphHashTable()
         for p in mined:
-            add_closed_graph(
-                cght, ClosedGraphRecord(p.code, project_code(p.code, db), p.discovery_index)
+            record = ClosedGraphRecord(
+                p.code, project_code(p.code, db), p.discovery_index, p.containing_graphs
             )
+            add_closed_graph(cght, record)
         # Both patterns occur in graphs 0 and 1 and share one support set.
         assert list(cght) == [(0, 1)]
         names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
@@ -261,7 +263,7 @@ def test_canonical_form_oracle_exhaustive():
             for c in all_dfs_codes(g):
                 assert is_min(DFSCode(c)) == (c == expected)
                 checked += 1
-        assert graphs > 70000
+        assert graphs == 70056
         assert checked > 900000
 
 

@@ -54,7 +54,9 @@ def build_table(patterns, db):
     patterns in discovery order."""
     cght = ClosedGraphHashTable()
     for p in patterns:
-        add_closed_graph(cght, ClosedGraphRecord(p.code, project_code(p.code, db), p.discovery_index))
+        chains = project_code(p.code, db)
+        record = ClosedGraphRecord(p.code, chains, p.discovery_index, p.containing_graphs)
+        add_closed_graph(cght, record)
     return cght
 
 
@@ -200,7 +202,7 @@ def test_lookup_builds_pattern_maps_in_the_reference_graph_only(sample_db, sampl
     inserted = {}
     for p in sample_closed:
         chains = project_code(p.code, sample_db)
-        record = ClosedGraphRecord(p.code, chains, p.discovery_index)
+        record = ClosedGraphRecord(p.code, chains, p.discovery_index, p.containing_graphs)
         inserted[record] = chains
         add_closed_graph(cght, record)
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
@@ -258,7 +260,7 @@ def test_cover_counts_distinct_projections_of_record_maps():
     # record has more maps than the pattern has chains, and still covers.
     db = star_database(extra_b=False)
     chains = project_code(STAR, db)
-    record = ClosedGraphRecord(STAR, chains, 0)
+    record = ClosedGraphRecord(STAR, chains, 0, containing_graphs(chains))
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     proj = project_code(B_C, db)
@@ -275,7 +277,7 @@ def test_cover_fails_when_distinct_projections_are_one_short():
     # onto the same B-C map and the other is left uncovered.
     db = star_database(extra_b=True)
     chains = project_code(STAR, db)
-    record = ClosedGraphRecord(STAR, chains, 0)
+    record = ClosedGraphRecord(STAR, chains, 0, containing_graphs(chains))
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     proj = project_code(B_C, db)
@@ -322,7 +324,8 @@ def test_early_termination_no_candidate_when_images_diverge():
     )
     db = parse_dataset_text(text)
     stored = DFSCode([(0, 1, 0, 1, 2)])  # A-y-C
-    rec = ClosedGraphRecord(stored, project_code(stored, db), 0)
+    chains = project_code(stored, db)
+    rec = ClosedGraphRecord(stored, chains, 0, containing_graphs(chains))
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, rec)
     s = DFSCode([(0, 1, 0, 0, 1), (0, 2, 0, 1, 2)])  # A(-x-B)(-y-C)
@@ -371,7 +374,7 @@ def test_early_termination_one_edge_pattern():
     )
     stored = DFSCode([(0, 1, 0, 5, 1), (1, 2, 1, 6, 2)])
     chains = project_code(stored, path_db)
-    record = ClosedGraphRecord(stored, chains, 0)
+    record = ClosedGraphRecord(stored, chains, 0, containing_graphs(chains))
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 1)])
@@ -387,7 +390,7 @@ def test_early_termination_one_edge_pattern():
     )
     stored = DFSCode([(0, 1, 0, 5, 0), (1, 2, 0, 6, 1)])
     chains = project_code(stored, sym_db)
-    record = ClosedGraphRecord(stored, chains, 0)
+    record = ClosedGraphRecord(stored, chains, 0, containing_graphs(chains))
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 0)])
@@ -499,7 +502,8 @@ def test_reject_worked_example(etf_db):
     # positions 0 and 2; the full CG1 code is registered, so its first
     # n+1 = 3 tuples are unsafe and the termination is rejected.
     db = etf_db
-    rec = ClosedGraphRecord(CG1, project_code(CG1, db), 0)
+    chains = project_code(CG1, db)
+    rec = ClosedGraphRecord(CG1, chains, 0, containing_graphs(chains))
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, rec)
     unsafe = set()
@@ -515,7 +519,8 @@ def test_reject_worked_example(etf_db):
 
 def test_reject_false_when_the_prefix_is_not_registered(etf_db):
     db = etf_db
-    rec = ClosedGraphRecord(CG1, project_code(CG1, db), 0)
+    chains = project_code(CG1, db)
+    rec = ClosedGraphRecord(CG1, chains, 0, containing_graphs(chains))
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, rec)
     s = DFSCode([(0, 1, 0, 0, 1), (0, 2, 0, 2, 2)])
@@ -681,6 +686,16 @@ P4_WITNESSES = {
 }
 
 
+def witness_graph(name: str) -> LabeledGraph:
+    vlabels, edges, _ = P4_WITNESSES[name]
+    g = LabeledGraph()
+    for lbl in vlabels:
+        g.add_vertex(lbl)
+    for u, v in edges:
+        g.add_edge(u, v, 0)
+    return g
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -694,13 +709,8 @@ P4_WITNESSES = {
     ],
 )
 def test_one_graph_witnesses_match_oracle(name):
-    vlabels, edges, _ = P4_WITNESSES[name]
-    g = LabeledGraph()
-    for lbl in vlabels:
-        g.add_vertex(lbl)
-    for u, v in edges:
-        g.add_edge(u, v, 0)
-    rep = verify_run(GraphDatabase([g]), MiningConfig(min_support=1, mode="closed"))
+    db = GraphDatabase([witness_graph(name)])
+    rep = verify_run(db, MiningConfig(min_support=1, mode="closed"))
     assert rep.ok, "\n".join(rep.lines())
 
 

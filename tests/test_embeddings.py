@@ -490,6 +490,24 @@ def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode, monkeypat
     assert nodes > 0
 
 
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_chains_have_pairwise_distinct_vertex_maps(sample_db, etf_db, mode, monkeypatch):
+    # The closed-graph lookup tries each pattern map of the reference graph
+    # as a rho without deduplicating: it relies on no two chains of a node,
+    # and so of a record, sharing a vertex map in one graph. Chains in
+    # different graphs may share one.
+    nodes = 0
+    for db in [sample_db, etf_db] + [fuzz_database(seed) for seed in range(120)]:
+        for sup in (1, 2, 3):
+            for cap in (None, 2):
+                config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+                for code, chains in visited_nodes(db, config, monkeypatch):
+                    maps = zip([c.gid for c in chains], vertex_maps(code, chains))
+                    assert len(set(maps)) == len(chains)
+                    nodes += 1
+    assert nodes > 0
+
+
 def test_child_sort_key_orders_backward_first():
     backward = (3, 0, 4, 4, 0)
     fwd_deep = (1, 3, 1, 3, 4)
