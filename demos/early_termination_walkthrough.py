@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Step-by-step tour of early termination and its failure handling.
+"""Step-by-step tour of early termination and the closure check.
 
-The closed miner cuts a branch when the pattern at its root has equivalent
-occurrence with an already-stored closed graph: every occurrence of the
-pattern extends to an occurrence of that graph, so nothing below the branch
-can be closed. The cut is usually sound, but a stored graph can shadow a
-branch that still hides an unreached closed pattern; the miner therefore
-registers every prefix of such risky codes as unsafe (detect_etf) and
-abandons exactly the terminations that walk into one (reject_early_termination).
+Mode closed_no_etf runs the paper's Early Termination: it cuts a branch
+when the pattern at its root has equivalent occurrence with an
+already-stored closed graph, so every occurrence of the pattern extends to
+an occurrence of that graph. The cut is usually sound, but a stored graph
+can shadow a branch that still hides an unreached closed pattern, and this
+mode has no failure detection to stop it. Mode closed cuts nothing: it
+visits every frequent pattern and emits those that the closure check
+keeps.
 
 This database is the smallest shape that trips the failure: cutting the
-branch of X(-a-Y)(-c-Z) after storing X(-a-Y-b-X)(-c-Z) would lose the
-closed pattern X(-a-Y)(-c-Z-d-X). The script first shows the end-to-end
+branch of X(-a-Y)(-c-Z) after storing X(-a-Y-b-X)(-c-Z) loses the closed
+pattern X(-a-Y)(-c-Z-d-X). The script first shows the end-to-end
 difference between the two modes, then replays the low-level calls.
 """
 
@@ -22,12 +23,16 @@ from graphmine.cgspan import (
     ClosedGraphHashTable,
     ClosedGraphRecord,
     add_closed_graph,
-    detect_etf,
     early_termination,
-    reject_early_termination,
 )
 from graphmine.dfscode import DFSCode
-from graphmine.embeddings import containing_graphs, project_code
+from graphmine.embeddings import (
+    containing_graphs,
+    dropped_extension_covers,
+    equivalent_occurrence,
+    project_code,
+    rightmost_extensions,
+)
 
 LINE = "=" * 72
 
@@ -60,7 +65,7 @@ A, B, C, D = 0, 1, 2, 3
 CG1 = DFSCode([(0, 1, X, A, Y), (1, 2, Y, B, X), (0, 3, X, C, Z)])  # X(-a-Y-b-X)(-c-Z)
 CG2 = DFSCode([(0, 1, X, A, Y), (0, 2, X, C, Z), (2, 3, Z, D, X)])  # X(-a-Y)(-c-Z-d-X)
 
-# The pattern whose branch the table tries to cut; CG2 lives below it.
+# The pattern whose branch the table cuts; CG2 lives below it.
 DOOMED = DFSCode([(0, 1, X, A, Y), (0, 2, X, C, Z)])  # X(-a-Y)(-c-Z)
 
 
@@ -78,7 +83,7 @@ def main() -> int:
     db = parse_dataset_text(DB_TEXT)
 
     print(LINE)
-    print("part 1: what failure handling buys, end to end")
+    print("part 1: what an unchecked cut costs, end to end")
     print(LINE)
     for mode in ("closed", "closed_no_etf"):
         stats = MiningStats()
@@ -87,9 +92,8 @@ def main() -> int:
         print(f"\nmode={mode}: {len(found)} {noun}")
         for p in found:
             print(f"  {render(p.code, db)}")
-        print(f"  terminations applied={stats.early_terminations_applied} "
-              f"rejected={stats.early_terminations_rejected} "
-              f"unsafe prefixes={stats.trie_size}")
+        print(f"  nodes visited={stats.visited_nodes} "
+              f"terminations applied={stats.early_terminations_applied}")
         report = verify_run(db, MiningConfig(min_support=2, mode=mode))
         print(f"  oracle verdict: {'match' if report.ok else 'MISMATCH'}")
         for code in report.missing:
@@ -115,20 +119,25 @@ def main() -> int:
     print(f"early_termination -> {terminate}, via stored graph #{rec.discovery_index}, "
           f"vertex map rho={rho}")
     print("every occurrence of the candidate extends to an occurrence of the")
-    print("stored graph, so plain early termination would cut the branch here.")
+    print("stored graph, so mode closed_no_etf cuts the branch here and never")
+    print(f"reaches its child {render(CG2, db)}")
 
-    unsafe: set = set()
-    registered = detect_etf(CG1, unsafe)
-    print(f"\ndetect_etf on the stored graph's code -> {registered}")
-    print("deleting its dfs-vertex 1 (the Y hub) leaves X-c-Z, a part that is")
-    print("not in the code's parent and sorts after the code itself: a branch")
-    print("that has not been searched yet. The code and its prefixes are now unsafe.")
-
-    rejected = reject_early_termination(DOOMED, rec, rho, unsafe)
-    print(f"\nreject_early_termination -> {rejected}")
-    print("the candidate's edges map into the registered code's risky prefix,")
-    print("so the cut is abandoned and the branch stays open; mining it finds")
-    print(f"  {render(CG2, db)}")
+    print("\nmode closed makes no lookup and cuts nothing. It settles each pattern")
+    print("by the closure check: a frequent right-most extension that extends")
+    print("every occurrence, then a walk over the chains for the extensions the")
+    print("scan does not build.")
+    for code in (DOOMED, CG2):
+        chains = project_code(code, db)
+        exts = rightmost_extensions(code, chains, db)
+        kept = {t: b for t, b in exts.items() if b.support() >= 2}
+        covering = [t for t, b in kept.items() if equivalent_occurrence(chains, b)]
+        walk = not covering and dropped_extension_covers(code, chains, db, kept)
+        verdict = "not closed" if covering or walk else "closed, emitted"
+        print(f"\n  {render(code, db)}")
+        print(f"    extensions that extend every occurrence: {covering}; walk: {walk}")
+        print(f"    -> {verdict}")
+    print("\nthe candidate is not closed, as the stored graph proved, but its branch")
+    print("stays open: the search visits its child and keeps it.")
     return 0
 
 

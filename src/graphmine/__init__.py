@@ -1,9 +1,11 @@
 """Frequent and closed subgraph mining over labeled undirected graphs.
 
 gSpan grows patterns along minimum DFS codes; the closed miner adds a
-hash-table-driven early-termination test with failure detection so only
-closed patterns (no frequent supergraph with equivalent occurrence)
-survive. A brute-force oracle provides independent verification.
+closure check at every node, so only closed patterns (no frequent
+supergraph with equivalent occurrence) are emitted. Mode
+``closed_no_etf`` also prunes by the paper's hash-table early termination,
+without failure detection. A brute-force oracle provides independent
+verification.
 """
 
 from .cgspan import mine_closed

@@ -1,16 +1,22 @@
-"""Closed-pattern mining: gSpan pruned by closed-graph early termination.
+"""Closed-pattern mining: gSpan with a closure check at every node.
 
-A branch of the DFS code tree is cut when its pattern provably leads only
-to already-discovered closed graphs: the pattern has equivalent occurrence,
-directly or through a chain of one-edge extensions, with a closed graph
-found earlier. Discovered closed graphs are kept in a closed-graph hash
-table (CGHT) filed by support set: only a closed graph with the pattern's
-support set can cover it. The key is the sorted tuple of graph ids that the
-closed pattern holds as ``MinedPattern.containing_graphs``, so the table
-and the output share one object per support set. The paper also keys the
-table by the database images of single pattern edges; a cover implies that
-key, so the table builds none. Known failure cases of that pruning rule are tracked as a set
-of code prefixes and force the branch to be explored anyway.
+Mode ``closed`` is gSpan plus the check: the search visits every frequent
+pattern, as ``mine_frequent`` does, and emits the closed ones, those that
+no one-edge extension at any vertex preserves all occurrences of.
+
+Mode ``closed_no_etf`` adds the paper's Early Termination without its
+failure detection. A branch is cut when its pattern has equivalent
+occurrence, through one vertex mapping, with a closed graph found earlier,
+so its subtree is taken to hold no closed pattern. Discovered closed
+graphs are kept in a closed-graph hash table (CGHT) filed by support set:
+only a closed graph with the pattern's support set can cover it. The key
+is the sorted tuple of graph ids that the closed pattern holds as
+``MinedPattern.containing_graphs``, so the table and the output share one
+object per support set. The paper also keys the table by the database
+images of single pattern edges; a cover implies that key, so the table
+builds none. Nothing detects the cases where a cut loses a closed pattern
+below it, so this mode can lose closed patterns; it never emits one that
+is not closed.
 """
 
 from __future__ import annotations
@@ -21,14 +27,14 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
 
-from .dfscode import DFSCode, code_less_than_min, code_to_graph
+from .dfscode import DFSCode
 from .embeddings import (
     containing_graphs,
     dropped_extension_covers,
     equivalent_occurrence,
     vertex_maps,
 )
-from .graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
+from .graphs import GraphDatabase
 from .gspan import MinedPattern, MiningConfig, MiningStats, search
 
 __all__ = [
@@ -36,8 +42,6 @@ __all__ = [
     "ClosedGraphHashTable",
     "add_closed_graph",
     "early_termination",
-    "detect_etf",
-    "reject_early_termination",
     "mine_closed",
 ]
 
@@ -205,75 +209,6 @@ def early_termination(
     return False, None, None
 
 
-def detect_etf(code: Sequence[Sequence[int]], unsafe: set) -> bool:
-    """Register the code when terminating through it could lose patterns.
-
-    Registering adds every prefix of the code, as a tuple of tuples, to
-    ``unsafe``.
-
-    Witness search: deleting any vertex w other than the right-most one
-    must leave a nonempty part beta around the right-most vertex such that
-    beta is not contained in the code's parent pattern and beta's own
-    canonical code sorts after this code, meaning beta's subtree has not
-    been searched yet and never will be if branches equivalent to this one
-    are cut. Leaf deletions count: a pattern one spoke short of this one
-    can be exactly such a beta.
-    """
-    if len(code) < 2:
-        return False
-    g = code_to_graph(code)
-    rm = g.vertex_count - 1
-    parent = code_to_graph(code[:-1])
-    for w in range(rm):
-        beta = _part_around(g, rm, w)
-        if beta.edge_count == 0:
-            continue
-        if next(subgraph_isomorphisms(beta, parent), None) is not None:
-            continue
-        if code_less_than_min(code, beta):
-            unsafe.update(tuple(code[:k]) for k in range(1, len(code) + 1))
-            return True
-    return False
-
-
-def _part_around(g: LabeledGraph, start: int, removed: int) -> LabeledGraph:
-    """The subgraph induced on the vertices ``start`` reaches once
-    ``removed`` is deleted, with ids densified in ascending old-id order."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for _, to, _, _ in g.adj[stack.pop()]:
-            if to != removed and to not in seen:
-                seen.add(to)
-                stack.append(to)
-    part = LabeledGraph()
-    new = {v: part.add_vertex(g.vlabels[v]) for v in sorted(seen)}
-    for u, v, elb in g.edges:
-        if u in new and v in new:
-            part.add_edge(new[u], new[v], elb)
-    return part
-
-
-def reject_early_termination(
-    code: Sequence[Sequence[int]],
-    record: ClosedGraphRecord,
-    rho: tuple[int, ...],
-    unsafe: set,
-) -> bool:
-    """True when the planned termination must be abandoned.
-
-    Projects the pattern's edges through rho into the terminating closed
-    graph's code, takes the last covered position n, and rejects when any
-    registered code starts with that code's first n+1 tuples, that is when
-    those tuples are in ``unsafe``.
-    """
-    if not unsafe:
-        return False
-    edge_pos = record.edge_pos
-    n = max(edge_pos[frozenset((rho[t[0]], rho[t[1]]))] for t in code)
-    return tuple(record.code[: n + 1]) in unsafe
-
-
 def mine_closed(
     db: GraphDatabase,
     config: MiningConfig | None = None,
@@ -286,61 +221,46 @@ def mine_closed(
     it, from its own extensions alone, so the output is ``mine_frequent``'s
     list with the patterns that are not closed left out.
 
-    Mode ``closed_no_etf`` keeps the early-termination pruning but skips
-    failure detection, so no code is registered and no cut rejected; it
-    can lose closed patterns and exists to measure what the failure
-    handling contributes.
+    The search is gSpan's, with the hooks every search runs. In mode
+    ``closed`` ``enter`` never cuts, so the search visits what
+    ``mine_frequent`` visits, and ``settle`` is the closure check. The
+    check is the definition: a pattern is emitted when no one-edge
+    extension at any of its vertices extends every chain. It asks the
+    frequent buckets the search already built first (none at a node with
+    ``max_pattern_edges`` edges, which is not scanned), and only then walks
+    the chains for every other extension. The walk reads the candidates
+    off the first chain, tests each later chain's vertex map for the
+    candidates' own edges, and stops at the first chain that has none of
+    them.
 
-    The search is gSpan's, with the hooks every search runs: ``enter``
-    adds the CGHT lookup, rejection and failure detection before a node's
-    extension scan, ``settle`` the closure check and the CGHT insert after
-    it. The closure check is the definition: a pattern is emitted when no
-    one-edge extension at any of its vertices extends every chain. Early
-    termination only prunes; a cut that was wrong can lose a pattern but
-    never emit one that is not closed. The check asks the cheap questions
-    first: a covering stored closed graph (proof enough that the pattern is
-    not closed), then the frequent buckets the search already built (none
-    at a node with ``max_pattern_edges`` edges, which is not scanned), and
-    only then a walk over the chains for every other extension. The walk
-    reads the candidates off the first chain, tests each later chain's
-    vertex map for the candidates' own edges, and stops at the first chain
-    that has none of them.
+    Mode ``closed_no_etf`` adds early termination: ``enter`` cuts a branch
+    whose pattern a stored closed graph covers, and ``settle`` files every
+    emitted pattern in the CGHT. A cut can lose a closed pattern below it,
+    never emit one, since the check alone decides what is emitted.
     """
     config = config or MiningConfig(mode="closed")
     if config.mode not in ("closed", "closed_no_etf"):
         raise ValueError(f"mine_closed requires mode closed or closed_no_etf, got {config.mode!r}")
     stats = stats if stats is not None else MiningStats()
-    use_etf = config.mode == "closed"
+    use_cght = config.mode == "closed_no_etf"
     cght = ClosedGraphHashTable()
-    unsafe: set[tuple] = set()
 
-    def enter(code: list, projected: list) -> bool | None:
-        terminate, record, rho = early_termination(code, projected, cght)
-        if terminate:
-            if reject_early_termination(code, record, rho, unsafe):
-                stats.early_terminations_rejected += 1
-            else:
-                stats.early_terminations_applied += 1
-                return None
-        if use_etf:
-            detect_etf(code, unsafe)
-        return terminate
+    def enter(code: list, projected: list) -> bool:
+        if use_cght and early_termination(code, projected, cght)[0]:
+            stats.early_terminations_applied += 1
+            return True
+        return False
 
-    def settle(code: list, projected: list, exts: dict, covered: bool, emit) -> None:
-        # A pattern that triggered termination is covered by a stored
-        # closed graph even when failure detection forced its branch open.
-        if (
-            covered
-            or any(equivalent_occurrence(projected, b) for b in exts.values())
-            or dropped_extension_covers(code, projected, db, exts)
+    def settle(code: list, projected: list, exts: dict, emit) -> None:
+        if any(equivalent_occurrence(projected, b) for b in exts.values()) or (
+            dropped_extension_covers(code, projected, db, exts)
         ):
             return
         pattern = emit(code, projected)
-        record = ClosedGraphRecord(
-            pattern.code, projected, pattern.discovery_index, pattern.containing_graphs
-        )
-        add_closed_graph(cght, record)
+        if use_cght:
+            record = ClosedGraphRecord(
+                pattern.code, projected, pattern.discovery_index, pattern.containing_graphs
+            )
+            add_closed_graph(cght, record)
 
-    out = search(db, config, stats, enter, settle)
-    stats.trie_size = len(unsafe)
-    return out
+    return search(db, config, stats, enter, settle)

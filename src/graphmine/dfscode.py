@@ -9,7 +9,6 @@ tuple order below (``child_sort_key``) is the graph's canonical form.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import LabeledGraph
@@ -95,10 +94,10 @@ def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
     Greedy construction: every prefix yielded so far is the minimum code of
     some subgraph reachable by right-most extension, so the minimal next
     tuple over all embeddings of the prefix in g extends the global minimum.
-    Consumers that only need a prefix can stop early. A graph that is not
-    connected raises ValueError: at the first position no tuple reaches,
-    or after the last tuple when the rest of the graph is isolated
-    vertices.
+    ``is_min`` stops at the first tuple that differs from its code. A
+    graph that is not connected raises ValueError: at the first position
+    no tuple reaches, or after the last tuple when the rest of the graph
+    is isolated vertices.
 
     Each embedding of the prefix is a vertex map, a tuple from dfs id to
     vertex of g, as everywhere else in the package. Graphs are simple and
@@ -115,9 +114,8 @@ def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
     vertex toward the root (growth filter against the path edge leaving
     it), all in one loop. This does not reuse
     ``embeddings.rightmost_extensions``: that scan builds every extension
-    bucket, and routing ``is_min`` and ``code_less_than_min`` through it
-    made them about 2.5x slower on the calls a ``dense`` benchmark run
-    makes.
+    bucket, and routing ``is_min`` through it made it about 2.5x slower
+    on the calls a ``dense`` benchmark run makes.
     """
     adj = g.adj
     vl = g.vlabels
@@ -209,30 +207,15 @@ def min_dfs_code(g: LabeledGraph) -> DFSCode:
 
 
 def is_min(code: Sequence[Sequence[int]]) -> bool:
-    """True iff the code equals the minimum DFS code of its own graph."""
+    """True iff the code equals the minimum DFS code of its own graph.
+
+    Decided lazily from the minimum-code stream: the first position where
+    the two differ settles it, so a code that is not minimal fails fast.
+    The graph has one edge per tuple, so the stream is as long as the code.
+    """
     if not code:
         raise ValueError("empty code")
-    return _compare_with_min(code, code_to_graph(code)) == 0
-
-
-def code_less_than_min(code: Sequence[Sequence[int]], g: LabeledGraph) -> bool:
-    """True iff ``code`` sorts strictly before min_dfs_code(g)."""
-    return _compare_with_min(code, g) < 0
-
-
-def _compare_with_min(code: Sequence[Sequence[int]], g: LabeledGraph) -> int:
-    """-1, 0 or 1 as ``code`` sorts before, equal to or after
-    min_dfs_code(g).
-
-    Decided lazily from the minimum-code stream: the first differing
-    position settles the comparison, so the full canonical form of g is
-    rarely needed and a code that is not minimal fails fast. A proper
-    prefix sorts first.
-    """
-    for ck, t in zip_longest(map(tuple, code), _min_code_stream(g)):
+    for ck, t in zip(map(tuple, code), _min_code_stream(code_to_graph(code))):
         if ck != t:
-            if ck is None or t is None:
-                return -1 if ck is None else 1
-            # Both extend the common prefix before them.
-            return -1 if child_sort_key(ck) < child_sort_key(t) else 1
-    return 0
+            return False
+    return True

@@ -5,8 +5,9 @@ extensions sorted ascending, and a node is expanded only when its code is
 minimal, so every frequent pattern is visited exactly once, at its
 canonical form, in pre-order. Both miners run it with two hooks at every
 node, before its children are pushed: frequent mining's never cut and emit
-every node, closed mining's cut by early termination and emit the closed
-patterns. A node at ``max_pattern_edges`` is not scanned; it gets ``{}``.
+every node, closed mining's emit the closed patterns, and in mode
+``closed_no_etf`` cut by early termination. A node at
+``max_pattern_edges`` is not scanned; it gets ``{}``.
 """
 
 from __future__ import annotations
@@ -104,12 +105,11 @@ def search(
     Every visit takes one path: link the node's bucket into its chains,
     ``enter``, scan, ``settle``, push the children from ``exts``.
 
-    - ``enter(code, projected)`` returns None to cut the branch, otherwise
-      a flag for ``settle`` (closed mining's: known not to be closed).
-    - ``settle(code, projected, exts, covered, emit)`` gets the node's
-      frequent extension buckets, exactly the children's (``{}`` at a node
-      with ``max_pattern_edges`` edges, which is not scanned), and
-      ``enter``'s result; extensions not in ``exts`` are its own to check.
+    - ``enter(code, projected)`` returns True to cut the branch.
+    - ``settle(code, projected, exts, emit)`` gets the node's frequent
+      extension buckets, exactly the children's (``{}`` at a node with
+      ``max_pattern_edges`` edges, which is not scanned); extensions not in
+      ``exts`` are its own to check.
       It emits the pattern by calling ``emit(code, projected)``, which
       returns the MinedPattern. ``emit`` interns each support set, so
       patterns with the same containing graphs share one sorted tuple.
@@ -159,8 +159,7 @@ def search(
         code, projected, sources = stack.pop()
         projected = projected.link()
         stats.visited_nodes += 1
-        covered = enter(code, projected)
-        if covered is None:
+        if enter(code, projected):
             continue
         exts = {}  # frees the last node's buckets before this scan
         if max_edges is None or len(code) < max_edges:
@@ -169,7 +168,7 @@ def search(
                 for t, bucket in rightmost_extensions(code, projected, db, sources).items()
                 if bucket.support() >= min_freq
             }
-        settle(code, projected, exts, covered, emit)
+        settle(code, projected, exts, emit)
         sources = {t[0] for t in exts if t[0] < t[1]}
         for t in sorted(exts, key=child_sort_key, reverse=True):
             child = code + [t]
@@ -188,7 +187,7 @@ def mine_frequent(
     if config.mode != "frequent":
         raise ValueError(f"mine_frequent requires mode frequent, got {config.mode!r}")
 
-    def settle(code: list, projected: list, exts: dict, covered: bool, emit) -> None:
+    def settle(code: list, projected: list, exts: dict, emit) -> None:
         emit(code, projected)
 
     stats = stats if stats is not None else MiningStats()

@@ -2,11 +2,9 @@
 
 Everything here recomputes embeddings from scratch with
 ``graphs.subgraph_isomorphisms`` over the whole database. With the miners
-it shares only the graph containers, that subgraph matcher (also the
-closed miner's failure-detection witness test) and canonical forms; it
-uses none of their embedding chains, right-most extension scan, closed-graph
-hash table or failure set. Intended for verification at desk scale, not
-for large datasets.
+it shares only the graph containers and canonical forms; it uses none of
+their embedding chains, right-most extension scan or closed-graph hash
+table. Intended for verification at desk scale, not for large datasets.
 """
 
 from __future__ import annotations

@@ -50,9 +50,10 @@ e 1 4 d
 e 0 4 f
 """
 
-# Two graphs exhibiting the early-termination failure: without failure
-# handling, the branch of X(-a-Y)(-c-Z) is cut by the closed graph
-# X(-a-Y-b-X)(-c-Z) and the closed graph X(-a-Y)(-c-Z-d-X) is lost.
+# Two graphs exhibiting the early-termination failure: in mode
+# closed_no_etf, which has no failure detection, the branch of
+# X(-a-Y)(-c-Z) is cut by the closed graph X(-a-Y-b-X)(-c-Z) and the
+# closed graph X(-a-Y)(-c-Z-d-X) is lost.
 # Interned ids: X=0 Y=1 Z=2; a=0 b=1 c=2 d=3.
 ETF_TEXT = """t # 0
 v 0 X

@@ -9,7 +9,8 @@ with ``mine_closed`` and feeds into one digest, run by run:
   output order;
 - the run's ``MiningStats``;
 - every ``early_termination`` result, in call order, as ``(terminate,
-  record.discovery_index, rho)``.
+  record.discovery_index, rho)``. Only mode ``closed_no_etf`` makes
+  lookups; mode ``closed`` contributes its patterns and counters.
 
 Two trees that print the same digest make the same lookups with the same
 answers and mine the same patterns with the same counters. Run it in each

@@ -5,7 +5,6 @@ import pytest
 from graphmine.dfscode import (
     DFSCode,
     EdgeTuple,
-    code_less_than_min,
     code_to_graph,
     is_min,
     min_dfs_code,
@@ -137,16 +136,3 @@ def test_min_code_is_permutation_invariant():
         for u, v, lbl in g.edges:
             h.add_edge(perm[u], perm[v], lbl)
         assert min_dfs_code(g) == min_dfs_code(h)
-
-
-def test_code_less_than_min_three_outcomes():
-    # Less, equal-prefix (exhausted stream), and greater.
-    g_cg1 = graph_of(CG1)
-    assert not code_less_than_min(CG1, g_cg1)  # equal is not less
-    smaller = DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 1, 0), (0, 3, 0, 1, 2)])
-    assert code_less_than_min(smaller, g_cg1)
-    bigger = DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 2, 0), (0, 3, 0, 2, 2)])
-    assert not code_less_than_min(bigger, g_cg1)
-    # A proper prefix of the minimum counts as less.
-    assert code_less_than_min(DFSCode(list(CG1)[:2]), g_cg1)
-

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from graphmine.cgspan import _part_around, mine_closed
+from graphmine.cgspan import mine_closed
 from graphmine.datasets import dump_dataset, parse_dataset_text, write_patterns
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from graphmine.gspan import MODES, MiningConfig, mine_frequent
@@ -150,48 +150,6 @@ def test_label_names_default_to_str():
     db = GraphDatabase()
     assert db.vertex_label_name(3) == "3"
     assert db.edge_label_name(0) == "0"
-
-
-# ``cgspan._part_around(g, start, removed)``, failure detection's part
-# beta, is the subgraph induced on the component of ``start`` once
-# ``removed`` is deleted. The vertex labels of ``triangle_with_tail`` are
-# its vertex ids, so a part's ``vlabels`` name the vertices it kept.
-
-
-def test_component_of_whole_graph():
-    g = triangle_with_tail()
-    g.add_edge(g.add_vertex(4), g.add_vertex(5), 0)
-    # Deleting a vertex outside the component keeps all of it.
-    assert _part_around(g, 0, removed=4).vlabels == [0, 1, 2, 3]
-    assert _part_around(g, 0, removed=4).edges == g.edges[:4]
-    assert _part_around(g, 3, removed=5).vlabels == [0, 1, 2, 3]
-
-
-def test_component_of_with_removed_vertex():
-    g = triangle_with_tail()
-    # Deleting the articulation vertex 2 separates the tail.
-    assert _part_around(g, 3, removed=2).vlabels == [3]
-    assert _part_around(g, 0, removed=2).vlabels == [0, 1]
-    # Deleting a triangle vertex leaves the rest connected.
-    assert _part_around(g, 3, removed=0).vlabels == [1, 2, 3]
-
-
-def test_induced_subgraph_relabels_densely():
-    g = triangle_with_tail()
-    sub = _part_around(g, 3, removed=0)
-    assert sub.vertex_count == 3
-    # Ids densify in ascending original order: 1->0, 2->1, 3->2.
-    assert sub.vlabels == [1, 2, 3]
-    assert sorted((min(u, v), max(u, v), lbl) for u, v, lbl in sub.edges) == [
-        (0, 1, 1),
-        (1, 2, 1),
-    ]
-
-
-def test_induced_subgraph_single_vertex():
-    g = triangle_with_tail()
-    sub = _part_around(g, 3, removed=2)
-    assert sub.vertex_count == 1 and sub.edge_count == 0
 
 
 def build(vlabels, edges) -> LabeledGraph:

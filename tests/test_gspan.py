@@ -187,8 +187,8 @@ def test_is_min_runs_when_a_child_is_pushed(mode, monkeypatch):
 
 def hook_events(db, config, monkeypatch):
     """Mine, and return the ``enter``, scan and ``settle`` calls in order,
-    as ``(kind, code, value)``: ``enter``'s result, nothing, and a copy of
-    the buckets ``settle`` got. Both miners are read through their hooks."""
+    as ``(kind, code, value)``: ``enter``'s result (True cuts), nothing,
+    and a copy of the buckets ``settle`` got. Both miners are read through their hooks."""
     events = []
     real_search, real_scan = gspan.search, gspan.rightmost_extensions
 
@@ -198,13 +198,13 @@ def hook_events(db, config, monkeypatch):
 
     def spy_search(db_, config_, stats, enter, settle):
         def spy_enter(code, projected):
-            covered = enter(code, projected)
-            events.append(("enter", tuple(map(tuple, code)), covered))
-            return covered
+            cut = enter(code, projected)
+            events.append(("enter", tuple(map(tuple, code)), cut))
+            return cut
 
-        def spy_settle(code, projected, exts, covered, emit):
+        def spy_settle(code, projected, exts, emit):
             events.append(("settle", tuple(map(tuple, code)), dict(exts)))
-            return settle(code, projected, exts, covered, emit)
+            return settle(code, projected, exts, emit)
 
         return real_search(db_, config_, stats, spy_enter, spy_settle)
 
@@ -230,7 +230,7 @@ def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap, 
             config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
             min_freq = config.min_frequency(len(db.graphs))
             events, mined, stats = hook_events(db, config, monkeypatch)
-            entered = [(code, covered) for kind, code, covered in events if kind == "enter"]
+            entered = [(code, cut) for kind, code, cut in events if kind == "enter"]
             assert len(entered) == stats.visited_nodes
             path, last_child = [], {}
             for code, _ in entered:
@@ -241,10 +241,10 @@ def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap, 
                 last_child[code[:-1]] = key
                 path.append(code)
             pos = 0
-            for code, covered in entered:
-                assert events[pos] == ("enter", code, covered)
+            for code, cut in entered:
+                assert events[pos] == ("enter", code, cut)
                 pos += 1
-                if covered is None:
+                if cut:
                     cuts += 1
                     continue
                 grow = cap is None or len(code) < cap
@@ -265,7 +265,7 @@ def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap, 
             if mode == "frequent":
                 assert [tuple(map(tuple, p.code)) for p in mined] == [c for c, _ in entered]
     assert (capped > 0) == (cap is not None)
-    if mode == "frequent":
+    if mode != "closed_no_etf":
         assert cuts == 0
     elif cap is None:
         assert cuts > 0
@@ -336,7 +336,7 @@ def test_long_path_mines_under_a_tight_recursion_limit():
     mined = call_under_tight_recursion_limit(mine_frequent, db, MiningConfig(min_support=2))
     assert len(mined) == 237
     assert max(len(p.code) for p in mined) == 80
-    # Closed mode also runs the failure-detection witness test.
+    # Closed mode also runs the closure check at every node.
     closed = call_under_tight_recursion_limit(mine_closed, db, MiningConfig(mode="closed"))
     assert len(closed) == 27
     assert max(len(p.code) for p in closed) == 80
