@@ -231,7 +231,9 @@ def mine_closed(
     the chains for every other extension. The walk reads the candidates
     off the first chain, tests each later chain's vertex map for the
     candidates' own edges, and stops at the first chain that has none of
-    them.
+    them. It reads the later chains last-first, since those next to the
+    first often share its graph and keep its incidental candidates; the
+    answer does not depend on the order.
 
     Mode ``closed_no_etf`` adds early termination: ``enter`` cuts a branch
     whose pattern a stored closed graph covers, and ``settle`` files every

@@ -134,7 +134,10 @@ def dropped_extension_covers(
     tuple needs a half-edge of its label at the source's image leading
     outside the map to a vertex of its label; a backward tuple needs the
     edge of its label between its two images. The walk stops at the first
-    chain that keeps no candidate.
+    chain that keeps no candidate. Later chains are read last-first:
+    chains come in graph-id order, and those right after chain 0 often
+    share its graph and keep its incidental candidates. The answer,
+    whether some candidate survives every chain, does not depend on it.
     """
     graphs = db.graphs
     joined = {(t[0], t[1]) for t in code} | {(t[1], t[0]) for t in code}
@@ -157,21 +160,31 @@ def dropped_extension_covers(
     common.difference_update(kept)
     if not common:
         return False
-    rest = projected[1:]
+    cands = [(t[0], t[1], t[3], t[4], t[0] < t[1]) for t in common]
+    gid = c.gid
+    rest = projected[:0:-1]
     for c, vmap in zip(rest, _vertex_maps(code, rest)):
-        g = graphs[c.gid]
-        adj, vl = g.adj, g.vlabels
-        common = {
-            t
-            for t in common
-            if (
-                any(e[3] == t[3] and e[1] not in vmap and vl[e[1]] == t[4] for e in adj[vmap[t[0]]])
-                if t[0] < t[1]
-                else any(e[1] == vmap[t[1]] and e[3] == t[3] for e in adj[vmap[t[0]]])
-            )
-        }
-        if not common:
+        if c.gid != gid:
+            gid = c.gid
+            g = graphs[gid]
+            adj, vl = g.adj, g.vlabels
+        survivors = []
+        for cand in cands:
+            v, w, elb, tlb, forward = cand
+            if forward:
+                for e in adj[vmap[v]]:
+                    if e[3] == elb and vl[e[1]] == tlb and e[1] not in vmap:
+                        survivors.append(cand)
+                        break
+            else:
+                to = vmap[w]
+                for e in adj[vmap[v]]:
+                    if e[1] == to and e[3] == elb:
+                        survivors.append(cand)
+                        break
+        if not survivors:
             return False
+        cands = survivors
     return True
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from graphmine import cgspan, gspan
+from graphmine import cgspan, embeddings, gspan
 from graphmine.cgspan import (
     ClosedGraphHashTable,
     ClosedGraphRecord,
@@ -892,8 +892,12 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
     # keeping those whose covered parents number the pattern's chains and
     # which are not among the kept buckets. ``off_path`` counts the True
     # answers that only an extension the right-most scan cannot build
-    # settles.
-    kinds, answers, off_path = set(), set(), 0
+    # settles. The answer is whether some candidate survives every chain,
+    # so the walk may read the chains in any order: the reversed list and
+    # a rotation, each with another chain first, give the same answer.
+    # ``other_graph`` counts the nodes whose reversed list starts in
+    # another graph.
+    kinds, answers, off_path, other_graph = set(), set(), 0, 0
     for seed in range(120):
         db = fuzz_database(seed)
         cap = 2 + seed % 2 if seed % 5 == 0 else None
@@ -904,6 +908,10 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
             monkeypatch.undo()
             for code, projected, kept in nodes:
                 got = dropped_extension_covers(code, projected, db, kept)
+                half = len(projected) // 2
+                for chains in (projected[::-1], projected[half:] + projected[:half]):
+                    assert dropped_extension_covers(code, chains, db, kept) == got, (seed, sup, code)
+                other_graph += projected[0].gid != projected[-1].gid
                 exts_all = all_extensions(code, db)
                 candidates = exts_all.keys() - {rm_as_key(t) for t in kept}
                 covering = {
@@ -922,6 +930,7 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
     assert kinds == {"f", "b"}
     assert answers == {True, False}
     assert off_path > 0
+    assert other_graph > 0
 
 
 def test_dropped_backward_tuple_settles_closure():
@@ -951,3 +960,36 @@ def test_dropped_backward_tuple_settles_closure():
         projected = project_code(code, db)
         assert not dropped_extension_covers(code, projected, db, {})
         assert is_closed(code, db)
+
+
+def test_walk_reads_the_last_chain_second(monkeypatch):
+    # Five graphs hold the edge 0-1, and all but the last a label-2 leaf
+    # at vertex 0: the one candidate chain 0 offers. The walk reads the
+    # last chain right after chain 0, drops the candidate there and stops
+    # after two vertex maps; with a leaf in every graph it reads all five.
+    def leaves(n):
+        return parse_dataset_text(
+            "".join(
+                f"t # {i}\nv 0 0\nv 1 1\n"
+                + ("v 2 2\ne 0 1 0\ne 0 2 0\n" if i < n else "e 0 1 0\n")
+                for i in range(5)
+            )
+        )
+
+    read = []
+    maps_of = embeddings._vertex_maps
+
+    def counting_maps(code, chains):
+        for vmap in maps_of(code, chains):
+            read.append(vmap)
+            yield vmap
+
+    monkeypatch.setattr(embeddings, "_vertex_maps", counting_maps)
+    code = DFSCode([(0, 1, 0, 0, 1)])
+    for n, covers, maps_read in ((4, False, 2), (5, True, 5)):
+        db = leaves(n)
+        projected = project_code(code, db)
+        assert [c.gid for c in projected] == [0, 1, 2, 3, 4]
+        read.clear()
+        assert dropped_extension_covers(code, projected, db, {}) == covers
+        assert len(read) == maps_read
