@@ -34,11 +34,30 @@ def _fail(lineno: int, msg: str):
 
 
 def parse_dataset(source: str | Path | TextIO) -> GraphDatabase:
-    """Parse a transactional graph file into a GraphDatabase."""
+    """Parse a transactional graph file into a GraphDatabase.
+
+    A file that is not UTF-8 raises DatasetError naming the line and byte
+    offset of its first bad byte.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _parse(fh)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return _parse(fh)
+        except UnicodeDecodeError:
+            raise _not_utf8(Path(source).read_bytes()) from None
     return _parse(source)
+
+
+def _not_utf8(data: bytes) -> DatasetError:
+    """The error for a file the text reader could not decode. That reader
+    decodes in chunks, so its error's offset is within a chunk; the file's
+    bytes are decoded again to place the first bad byte."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        return DatasetError(f"line {lineno}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8")
+    return DatasetError("the file is not UTF-8")
 
 
 def parse_dataset_text(text: str) -> GraphDatabase:

@@ -36,12 +36,18 @@ def child_sort_key(t: Sequence[int]) -> tuple:
 
 
 class DFSCode(list):
-    """A DFS code: a list of EdgeTuples with list semantics."""
+    """A DFS code: a list of EdgeTuples with list semantics.
+
+    An EdgeTuple it is given is kept, not copied: tuples are immutable, so
+    the miners' codes share them with their ancestors' and each emitted
+    pattern adds one tuple object, not one per edge. Plain tuples are
+    converted.
+    """
 
     __slots__ = ()
 
     def __init__(self, tuples=()):
-        super().__init__(EdgeTuple._make(t) for t in tuples)
+        super().__init__(t if type(t) is EdgeTuple else EdgeTuple._make(t) for t in tuples)
 
     @property
     def vertex_count(self) -> int:

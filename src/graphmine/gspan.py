@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dfscode import DFSCode, child_sort_key, is_min
+from .dfscode import DFSCode, EdgeTuple, child_sort_key, is_min
 from .embeddings import containing_graphs, frequent_single_edges, rightmost_extensions
 from .graphs import GraphDatabase
 
@@ -63,6 +63,12 @@ class MiningConfig:
 @dataclass
 class MinedPattern:
     """One emitted pattern: canonical code plus its database statistics.
+
+    ``code`` is the pattern's own list, but its ``EdgeTuple``s are the same
+    objects as in the codes of its ancestors in the search tree: a pattern
+    with k edges shares its first k - 1 tuples with the code it extends.
+    Tuples are immutable, so sharing them is safe, and each pattern adds
+    one tuple object, not one per edge.
 
     ``containing_graphs`` holds dense internal graph ids, sorted, as a tuple
     that every pattern of the run with the same support set shares (and
@@ -124,6 +130,13 @@ def search(
     hooks, ``emit`` and the next scan see ``Embedding`` chains while
     ``exts`` holds unlinked buckets.
 
+    Memory peaks right after a ``link``. By then the last node's ``exts`` is
+    gone: it is released as soon as its children are pushed, so the buckets
+    of children that fail ``is_min``, which nothing reads again, do not
+    live through the next ``link``. A child's code is its parent's list
+    plus one ``EdgeTuple``, and ``DFSCode`` keeps the tuples it is given,
+    so every emitted code shares its prefix tuples with its ancestors'.
+
     Each child is pushed with the sources of its parent's frequent forward
     tuples, one set shared by all siblings. Its scan reads forward edges
     only from those path vertices and from its right-most vertex; the
@@ -161,7 +174,7 @@ def search(
         stats.visited_nodes += 1
         if enter(code, projected):
             continue
-        exts = {}  # frees the last node's buckets before this scan
+        exts = {}
         if max_edges is None or len(code) < max_edges:
             exts = {
                 t: bucket
@@ -171,9 +184,12 @@ def search(
         settle(code, projected, exts, emit)
         sources = {t[0] for t in exts if t[0] < t[1]}
         for t in sorted(exts, key=child_sort_key, reverse=True):
-            child = code + [t]
+            child = code + [EdgeTuple._make(t)]
             if is_min(child):
                 stack.append((child, exts[t], sources))
+        # Memory peaks at the next ``link``: free the buckets no child took
+        # before it.
+        del exts
     return out
 
 

@@ -150,6 +150,16 @@ def test_mine_unwritable_output_fails_before_mining(sample_file, tmp_path, capsy
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["mine", "verify"])
+def test_input_that_is_not_utf8_fails_with_one_error_line(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.graphs"
+    bad.write_bytes(b"t # 0\nv 0 caf\xe9\nv 1 B\ne 0 1 x\n")
+    assert main([command, "--input", str(bad), "--min-support", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: byte 0xe9 at offset 13 is not UTF-8\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 # --------------------------------------------------------------- verify
 
 

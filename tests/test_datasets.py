@@ -161,6 +161,18 @@ def test_parse_dataset_from_path(tmp_path):
     assert len(db) == 2
 
 
+@pytest.mark.parametrize("graphs", [0, 1000])
+def test_parse_names_the_first_byte_that_is_not_utf8(tmp_path, graphs):
+    # The reader decodes in chunks, so a bad byte past the first chunk
+    # (1000 graphs are 21 KiB) is placed by reading the file's bytes.
+    good = b"".join(b"t # %d\nv 0 A\nv 1 B\ne 0 1 x\n" % i for i in range(graphs))
+    p = tmp_path / "latin1.graphs"
+    p.write_bytes(good + b"t # -5\nv 0 caf\xe9\n")
+    offset = len(good) + len(b"t # -5\nv 0 caf")
+    with pytest.raises(DatasetError, match=f"^line {4 * graphs + 2}: byte 0xe9 at offset {offset} is not UTF-8$"):
+        parse_dataset(p)
+
+
 def test_write_patterns_golden(sample_db):
     patterns = mine_closed(sample_db, MiningConfig(min_support=2, mode="closed"))
     text = write_patterns(patterns, sample_db)

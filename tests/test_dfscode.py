@@ -39,6 +39,10 @@ def test_dfscode_normalizes_plain_tuples():
     c = DFSCode([(0, 1, 2, 3, 4)])
     assert isinstance(c[0], EdgeTuple)
     assert c.vertex_count == 2
+    # An EdgeTuple is kept by identity, so codes can share their tuples.
+    t = EdgeTuple(1, 2, 3, 4, 5)
+    d = DFSCode([c[0], t])
+    assert d[0] is c[0] and d[1] is t
 
 
 def test_rightmost_path_of_sample_pattern():

@@ -1,9 +1,10 @@
 import random
 import sys
+import weakref
 
 import pytest
 
-from graphmine import cgspan, gspan
+from graphmine import cgspan, embeddings, gspan
 from graphmine.cgspan import mine_closed
 from graphmine.dfscode import code_to_graph, min_dfs_code
 from graphmine.graphs import GraphDatabase, LabeledGraph
@@ -139,6 +140,57 @@ def test_patterns_with_one_support_set_share_one_tuple():
     a, b = (mine_frequent(db, MiningConfig(min_support=2)) for _ in range(2))
     assert a[0].containing_graphs == b[0].containing_graphs
     assert a[0].containing_graphs is not b[0].containing_graphs
+
+
+def test_emitted_codes_share_their_parents_tuples():
+    # A child's code is its parent's plus one EdgeTuple, and ``DFSCode``
+    # keeps the tuples it is given: each pattern adds one tuple object.
+    for seed in range(30):
+        db = random_database(random.Random(seed))
+        mined = mine_frequent(db, MiningConfig(min_support=2))
+        by_code = {tuple(p.code): p for p in mined}
+        for p in mined:
+            if len(p.code) > 1:
+                parent = by_code[tuple(p.code[:-1])]
+                assert all(p.code[i] is parent.code[i] for i in range(len(parent.code))), (seed, p.code)
+        assert len({id(t) for p in mined for t in p.code}) == len(mined), seed
+
+
+def test_unpushed_buckets_are_freed_before_the_next_link(sample_db, monkeypatch):
+    # Memory peaks right after a ``link``. By then the frequent buckets of
+    # the last node's children that fail ``is_min``, which nothing reads
+    # again, must be gone.
+    class WeakBucket(embeddings.Bucket):
+        __slots__ = ("__weakref__",)
+
+    real_scan = gspan.rightmost_extensions
+    unpushed: list[weakref.ref] = []
+
+    def spy_scan(code, projected, db_, sources=None):
+        exts = real_scan(code, projected, db_, sources)
+        for t, bucket in exts.items():
+            if bucket.support() >= min_freq and not gspan.is_min(list(code) + [t]):
+                unpushed.append(weakref.ref(bucket))
+        return exts
+
+    def enter(code, projected):
+        assert all(ref() is None for ref in unpushed), code
+        return False
+
+    def settle(code, projected, exts, emit):
+        emit(code, projected)
+
+    monkeypatch.setattr(embeddings, "Bucket", WeakBucket)
+    monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
+    checked = 0
+    for db in [sample_db] + [random_database(random.Random(seed)) for seed in range(10)]:
+        config = MiningConfig(min_support=2)
+        min_freq = config.min_frequency(len(db.graphs))
+        unpushed.clear()
+        mined = gspan.search(db, config, MiningStats(), enter, settle)
+        assert len(mined) == len(mine_frequent(db, config))
+        checked += len(unpushed)
+    assert checked > 0
 
 
 @pytest.mark.parametrize("mode", MODES)
