@@ -37,7 +37,8 @@ def parse_dataset(source: str | Path | TextIO) -> GraphDatabase:
     """Parse a transactional graph file into a GraphDatabase.
 
     A file that is not UTF-8 raises DatasetError naming the line and byte
-    offset of its first bad byte.
+    offset of its first bad byte. A stream cannot be read again to place
+    the byte, so for a stream the error names the byte alone.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -45,7 +46,10 @@ def parse_dataset(source: str | Path | TextIO) -> GraphDatabase:
                 return _parse(fh)
         except UnicodeDecodeError:
             raise _not_utf8(Path(source).read_bytes()) from None
-    return _parse(source)
+    try:
+        return _parse(source)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
 
 
 def _not_utf8(data: bytes) -> DatasetError:

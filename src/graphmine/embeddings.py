@@ -225,24 +225,18 @@ def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
     Complete for minimum codes: each prefix of a minimum code is minimum
     and each next tuple passes the extension scan's growth filters. The
     miners grow embeddings from the parent's instead; this serves callers
-    that hold only a code. It seeds the first tuple's label triple in the
-    seeding's hit order and extends each prefix by its next tuple through
-    the search's extension scan, reading only that tuple's source, so the
-    chains come in the order the search links them. A first tuple the
-    seeding never writes, one with ``lbl_frm > lbl_to``, gives ``[]``.
+    that hold only a code. It links the bucket of the first tuple's label
+    triple from ``frequent_single_edges(db, 1)``, the search's own seeding,
+    and extends each prefix by its next tuple through the search's
+    extension scan, reading only that tuple's source, so the chains come in
+    the order the search links them. A first tuple the seeding has no
+    bucket for, one with ``lbl_frm > lbl_to`` among them, gives ``[]``.
     """
-    _, _, lbl_frm, lbl_edge, lbl_to = code[0]
-    if lbl_frm > lbl_to:
+    seeds = {tuple(c[0][2:]): bucket for c, bucket in frequent_single_edges(db, 1)}
+    bucket = seeds.get(tuple(code[0][2:]))
+    if bucket is None:
         return []
-    chains = []
-    for gid, g in enumerate(db.graphs):
-        vl = g.vlabels
-        empty = Embedding(gid, None, None)
-        for u, lu in enumerate(vl):
-            if lu == lbl_frm:
-                for e in g.adj[u]:
-                    if e[3] == lbl_edge and vl[e[1]] == lbl_to:
-                        chains.append(Embedding(gid, e, empty))
+    chains = bucket.link()
     for k in range(1, len(code)):
         bucket = rightmost_extensions(code[:k], chains, db, {code[k][0]}).get(tuple(code[k]))
         if bucket is None:

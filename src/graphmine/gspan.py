@@ -87,7 +87,15 @@ class MinedPattern:
 
 @dataclass
 class MiningStats:
-    """Counters filled during one mining run."""
+    """Counters filled during one mining run.
+
+    ``early_terminations_applied`` counts the branches mode
+    ``closed_no_etf`` cuts. ``early_terminations_rejected`` and
+    ``trie_size`` are always 0: no mode rejects a cut or keeps a trie. They
+    stay because the ``--stats`` schema-1 key set holds them and
+    ``perfbench/tracing.py::layer_metrics`` reads both; deleting either
+    crashes the benchmark's traced pass.
+    """
 
     visited_nodes: int = 0
     pattern_count: int = 0

@@ -38,16 +38,12 @@ from graphmine.dfscode import min_dfs_code  # noqa: E402
 from graphmine.graphs import GraphDatabase, LabeledGraph  # noqa: E402
 from graphmine.gspan import MiningConfig, mine_frequent  # noqa: E402
 from graphmine.oracle import filter_closed  # noqa: E402
-from conftest import connected_labeled_graphs  # noqa: E402
+from conftest import connected_labeled_graphs, key_set  # noqa: E402
 
 # One-graph scopes as (max edges, vertex labels, graphs), ROADMAP P4's rows.
 ONE_GRAPH_SCOPES = ((6, 1, 52), (4, 2, 103), (4, 3, 526), (5, 2, 395), (6, 2, 1683))
 # Two-graph scope: graphs with up to 4 edges and 2 vertex labels.
 PAIR_SCOPE = (4, 2)
-
-
-def codes(patterns) -> set[tuple]:
-    return {tuple(map(tuple, p.code)) for p in patterns}
 
 
 def canonical(g: LabeledGraph) -> tuple:
@@ -70,9 +66,9 @@ def in_scope(code: tuple, max_edges: int, n_vlabels: int) -> bool:
 def mismatches(db: GraphDatabase, sup: int) -> tuple[bool, bool]:
     """Whether ``closed`` differs from the oracle, and whether
     ``closed_no_etf`` emits a pattern outside it."""
-    oracle = codes(filter_closed(mine_frequent(db, MiningConfig(min_support=sup)), db))
-    closed = codes(mine_closed(db, MiningConfig(min_support=sup, mode="closed")))
-    no_etf = codes(mine_closed(db, MiningConfig(min_support=sup, mode="closed_no_etf")))
+    oracle = key_set(filter_closed(mine_frequent(db, MiningConfig(min_support=sup)), db))
+    closed = key_set(mine_closed(db, MiningConfig(min_support=sup, mode="closed")))
+    no_etf = key_set(mine_closed(db, MiningConfig(min_support=sup, mode="closed_no_etf")))
     return closed != oracle, not no_etf <= oracle
 
 

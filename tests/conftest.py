@@ -1,17 +1,21 @@
 """Shared fixtures: the two worked-example databases, a seeded random
-database generator, a brute-force frequent-pattern enumerator, a reference
-right-most extension scan (with helpers that compare its chains with the
-package's unlinked buckets), and a brute-force DFS-code enumerator used as
-the canonical-form oracle."""
+database generator, a recorder of the search's calls, a brute-force
+frequent-pattern enumerator, a reference right-most extension scan (with
+helpers that compare its chains with the package's unlinked buckets), and a
+brute-force DFS-code enumerator used as the canonical-form oracle."""
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from graphmine import cgspan, gspan
+from graphmine.cgspan import mine_closed
+from graphmine.gspan import mine_frequent
 from graphmine.dfscode import DFSCode, code_to_graph, min_dfs_code, rightmost_path
 from graphmine.embeddings import Bucket, Embedding
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
@@ -89,7 +93,111 @@ CG2 = DFSCode([(0, 1, 0, 0, 1), (0, 2, 0, 2, 2), (2, 3, 2, 3, 0)])
 
 def key_set(patterns) -> set[tuple]:
     """Canonical comparable form of a pattern list."""
-    return {tuple(map(tuple, p.code)) for p in patterns}
+    return {code_key(p.code) for p in patterns}
+
+
+def mine(db, config, stats=None) -> list:
+    """Mine with the miner of ``config.mode``."""
+    return (mine_frequent if config.mode == "frequent" else mine_closed)(db, config, stats)
+
+
+@contextmanager
+def recording():
+    """Record the calls the miners make, and restore what is patched on exit.
+
+    Yields one list that each call appends ``(kind, code, payload)`` to, in
+    the order the calls begin, ``code`` being the call's code as a tuple of
+    tuples. The kinds and their payloads:
+
+    - ``enter``: ``(projected, cut)``, the node's chains and the hook's
+      answer (True cuts the branch);
+    - ``scan``: ``(projected, sources, exts)``, the arguments and answer of
+      ``rightmost_extensions``, infrequent buckets included;
+    - ``settle``: ``(projected, exts)``, a copy of the frequent buckets the
+      hook gets (``{}`` at a node with ``max_pattern_edges`` edges);
+    - ``is_min``: the answer for a child's code;
+    - ``lookup``: ``(projected, (terminate, record, rho))``, what
+      ``early_termination`` answers;
+    - ``insert``: ``(cght, record, chains)``, the table and record
+      ``add_closed_graph`` gets, with the chains the record holds then
+      (``materialize`` drops them).
+
+    It wraps the names the miners call: ``gspan.search`` and
+    ``cgspan.search`` (their ``enter`` and ``settle`` hooks),
+    ``gspan.rightmost_extensions``, ``gspan.is_min``,
+    ``cgspan.early_termination`` and ``cgspan.add_closed_graph``. Every
+    recorded object lives as long as the list.
+    """
+    events: list = []
+    real_search, real_scan, real_is_min = gspan.search, gspan.rightmost_extensions, gspan.is_min
+    real_lookup, real_insert = cgspan.early_termination, cgspan.add_closed_graph
+
+    def search(db, config, stats, enter, settle):
+        def recorded_enter(code, projected):
+            at = len(events)
+            events.append(None)  # the lookup ``enter`` makes comes after it
+            cut = enter(code, projected)
+            events[at] = ("enter", code_key(code), (projected, cut))
+            return cut
+
+        def recorded_settle(code, projected, exts, emit):
+            events.append(("settle", code_key(code), (projected, dict(exts))))
+            return settle(code, projected, exts, emit)
+
+        return real_search(db, config, stats, recorded_enter, recorded_settle)
+
+    def scan(code, projected, db, sources=None):
+        exts = real_scan(code, projected, db, sources)
+        events.append(("scan", code_key(code), (projected, sources, exts)))
+        return exts
+
+    def is_min(code):
+        passed = real_is_min(code)
+        events.append(("is_min", code_key(code), passed))
+        return passed
+
+    def lookup(code, projected, cght):
+        result = real_lookup(code, projected, cght)
+        events.append(("lookup", code_key(code), (projected, result)))
+        return result
+
+    def insert(cght, record):
+        events.append(("insert", code_key(record.code), (cght, record, list(record.chains))))
+        return real_insert(cght, record)
+
+    patches = [
+        (gspan, "search", search),
+        (cgspan, "search", search),
+        (gspan, "rightmost_extensions", scan),
+        (gspan, "is_min", is_min),
+        (cgspan, "early_termination", lookup),
+        (cgspan, "add_closed_graph", insert),
+    ]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    try:
+        for owner, name, fn in patches:
+            setattr(owner, name, fn)
+        yield events
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+
+
+def record_run(db, config, stats=None) -> tuple[list, list]:
+    """Mine under ``recording()``: the run's events and its patterns."""
+    with recording() as events:
+        mined = mine(db, config, stats)
+    return events, mined
+
+
+def calls(events, kind: str) -> list[tuple]:
+    """The ``(code, payload)`` of each event of one kind, in call order."""
+    return [(code, payload) for k, code, payload in events if k == kind]
+
+
+def code_key(code) -> tuple:
+    """A code as a tuple of plain tuples."""
+    return tuple(map(tuple, code))
 
 
 @pytest.fixture
@@ -402,8 +510,8 @@ def code_precedes(a: tuple, b: tuple) -> bool:
     return len(a) < len(b)
 
 
-def brute_min_code(g: LabeledGraph) -> tuple:
-    codes = all_dfs_codes(g)
+def least_code(codes: list[tuple]) -> tuple:
+    """The least of one graph's DFS codes, by ``code_precedes``."""
     if not codes:
         raise ValueError("graph has no edges")
     best = codes[0]
@@ -411,6 +519,10 @@ def brute_min_code(g: LabeledGraph) -> tuple:
         if code_precedes(c, best):
             best = c
     return best
+
+
+def brute_min_code(g: LabeledGraph) -> tuple:
+    return least_code(all_dfs_codes(g))
 
 
 def connected_labeled_graphs(max_edges: int = 4, n_vlabels: int = 2, n_elabels: int = 2, lowest_label: int = 0):

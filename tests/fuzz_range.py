@@ -30,14 +30,10 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 from graphmine.cgspan import mine_closed  # noqa: E402
 from graphmine.gspan import MiningConfig, mine_frequent  # noqa: E402
 from graphmine.oracle import filter_closed  # noqa: E402
-from conftest import brute_code_supports  # noqa: E402
+from conftest import brute_code_supports, key_set  # noqa: E402
 from test_cgspan import fuzz_database  # noqa: E402
 
 SUPPORTS = (1, 2, 3)
-
-
-def codes(patterns) -> set[tuple]:
-    return {tuple(map(tuple, p.code)) for p in patterns}
 
 
 def main(n_seeds: int) -> int:
@@ -50,13 +46,13 @@ def main(n_seeds: int) -> int:
         brute = brute_code_supports(db)
         for sup in SUPPORTS:
             frequent = mine_frequent(db, MiningConfig(min_support=sup))
-            if codes(frequent) != {code for code, n in brute.items() if n >= sup}:
+            if key_set(frequent) != {code for code, n in brute.items() if n >= sup}:
                 wrong_frequent.add((seed, sup))
-            oracle = codes(filter_closed(frequent, db))
-            if codes(mine_closed(db, MiningConfig(min_support=sup, mode="closed"))) != oracle:
+            oracle = key_set(filter_closed(frequent, db))
+            if key_set(mine_closed(db, MiningConfig(min_support=sup, mode="closed"))) != oracle:
                 failing.add((seed, sup))
             no_etf = MiningConfig(min_support=sup, mode="closed_no_etf")
-            if not codes(mine_closed(db, no_etf)) <= oracle:
+            if not key_set(mine_closed(db, no_etf)) <= oracle:
                 extra.add((seed, sup))
     runs = len(seeds) * len(SUPPORTS)
     print(f"{runs} runs, frequent runs that differ from brute force: {sorted(wrong_frequent)}")

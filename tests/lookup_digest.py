@@ -9,8 +9,9 @@ with ``mine_closed`` and feeds into one digest, run by run:
   output order;
 - the run's ``MiningStats``;
 - every ``early_termination`` result, in call order, as ``(terminate,
-  record.discovery_index, rho)``. Only mode ``closed_no_etf`` makes
-  lookups; mode ``closed`` contributes its patterns and counters.
+  record.discovery_index, rho)``, read from ``conftest.recording``'s
+  ``lookup`` events. Only mode ``closed_no_etf`` makes lookups; mode
+  ``closed`` contributes its patterns and counters.
 
 Two trees that print the same digest make the same lookups with the same
 answers and mine the same patterns with the same counters. Run it in each
@@ -29,49 +30,41 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from graphmine import cgspan  # noqa: E402
 from graphmine.gspan import MiningConfig, MiningStats  # noqa: E402
+from conftest import calls, record_run  # noqa: E402
 from test_cgspan import fuzz_database  # noqa: E402
 
 
 def lookup_digest(n_seeds: int) -> tuple[int, int, str]:
     """Runs, covering lookups and the hex digest over seeds 0..n_seeds-1."""
     digest = hashlib.sha256()
-    lookups = []
-    lookup = cgspan.early_termination
-
-    def spy(code, projected, cght):
-        terminate, record, rho = result = lookup(code, projected, cght)
-        lookups.append((terminate, record and record.discovery_index, rho))
-        return result
-
-    cgspan.early_termination = spy
     runs = hits = 0
-    try:
-        for seed in range(n_seeds):
-            db = fuzz_database(seed)
-            for sup in (1, 2, 3):
-                for mode in ("closed", "closed_no_etf"):
-                    for cap in (None, 2):
-                        lookups.clear()
-                        stats = MiningStats()
-                        config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-                        patterns = [
-                            (
-                                tuple(map(tuple, p.code)),
-                                p.support,
-                                p.occurrence,
-                                list(p.containing_graphs),
-                                p.discovery_index,
-                            )
-                            for p in cgspan.mine_closed(db, config, stats)
-                        ]
-                        run = (seed, sup, mode, cap, patterns, stats.as_dict(), lookups)
-                        digest.update(repr(run).encode())
-                        runs += 1
-                        hits += sum(t for t, _, _ in lookups)
-    finally:
-        cgspan.early_termination = lookup
+    for seed in range(n_seeds):
+        db = fuzz_database(seed)
+        for sup in (1, 2, 3):
+            for mode in ("closed", "closed_no_etf"):
+                for cap in (None, 2):
+                    stats = MiningStats()
+                    config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+                    events, mined = record_run(db, config, stats)
+                    patterns = [
+                        (
+                            tuple(map(tuple, p.code)),
+                            p.support,
+                            p.occurrence,
+                            list(p.containing_graphs),
+                            p.discovery_index,
+                        )
+                        for p in mined
+                    ]
+                    lookups = [
+                        (terminate, record and record.discovery_index, rho)
+                        for _, (_, (terminate, record, rho)) in calls(events, "lookup")
+                    ]
+                    run = (seed, sup, mode, cap, patterns, stats.as_dict(), lookups)
+                    digest.update(repr(run).encode())
+                    runs += 1
+                    hits += sum(t for t, _, _ in lookups)
     return runs, hits, digest.hexdigest()
 
 

@@ -39,10 +39,12 @@ from conftest import (
     all_dfs_codes,
     as_bucket,
     assert_links_match,
-    brute_min_code,
     connected_labeled_graphs,
     edge_image_sets,
     extension_family,
+    key_set,
+    least_code,
+    mine,
     random_database,
     reference_rightmost_extensions,
     tuple_precedes,
@@ -70,10 +72,6 @@ def criterion(name: str):
     print(f"PASS  {name}", flush=True)
 
 
-def codes(patterns) -> set[tuple]:
-    return {tuple(map(tuple, p.code)) for p in patterns}
-
-
 # ------------------------------------------------- 1. worked micro-examples
 
 
@@ -94,8 +92,8 @@ def test_etf_db_ablation():
     with criterion("etf example: closed keeps CG1+CG2, closed-no-etf loses CG2"):
         start = time.perf_counter()
         db = parse_dataset_text(ETF_TEXT)
-        on = codes(mine_closed(db, MiningConfig(min_support=2, mode="closed")))
-        off = codes(mine_closed(db, MiningConfig(min_support=2, mode="closed_no_etf")))
+        on = key_set(mine_closed(db, MiningConfig(min_support=2, mode="closed")))
+        off = key_set(mine_closed(db, MiningConfig(min_support=2, mode="closed_no_etf")))
         cg1, cg2 = tuple(map(tuple, CG1)), tuple(map(tuple, CG2))
         assert on == {cg1, cg2}
         assert off == {cg1}
@@ -207,8 +205,8 @@ def test_chemical_no_etf_ablation():
     with criterion("Chemical_340: no-etf equals closed at 10-6%, 1765 vs 1771 at 5%"):
         db = parse_dataset(CHEMICAL)
         for support in (0.10, 0.09, 0.08, 0.07, 0.06):
-            on = codes(mine_closed(db, MiningConfig(min_support=support, mode="closed")))
-            off = codes(
+            on = key_set(mine_closed(db, MiningConfig(min_support=support, mode="closed")))
+            off = key_set(
                 mine_closed(db, MiningConfig(min_support=support, mode="closed_no_etf"))
             )
             assert on == off, f"mode sets diverge at {support:.0%}"
@@ -250,21 +248,27 @@ def test_oracle_equivalence_on_seeded_databases():
 
 
 def test_canonical_form_oracle_exhaustive():
+    # Isomorphic graphs have the same DFS codes, so the graphs fall into
+    # classes keyed by their brute-force minimum, each with one code set,
+    # and is_min runs once per distinct code.
     with criterion(
         "canonical form: min_dfs_code and is_min match brute force on all"
         " connected <=4-edge graphs over a 2x2 alphabet"
     ):
         graphs = 0
-        checked = 0
+        classes: dict[tuple, frozenset] = {}
         for g in connected_labeled_graphs(max_edges=4, n_vlabels=2, n_elabels=2):
             graphs += 1
-            expected = brute_min_code(g)
+            codes = all_dfs_codes(g)
+            expected = least_code(codes)
             assert tuple(min_dfs_code(g)) == expected
-            for c in all_dfs_codes(g):
+            assert classes.setdefault(expected, frozenset(codes)) == frozenset(codes)
+        distinct = 0
+        for expected, codes in classes.items():
+            for c in codes:
                 assert is_min(DFSCode(c)) == (c == expected)
-                checked += 1
-        assert graphs == 70056
-        assert checked > 900000
+                distinct += 1
+        assert (graphs, len(classes), distinct) == (70056, 1031, 9736)
 
 
 def test_order_laws_on_random_inputs():
@@ -341,11 +345,7 @@ def test_determinism():
                 for _ in range(2):
                     stats = MiningStats()
                     config = MiningConfig(min_support=2, mode=mode)
-                    patterns = (
-                        mine_frequent(db, config, stats)
-                        if mode == "frequent"
-                        else mine_closed(db, config, stats)
-                    )
+                    patterns = mine(db, config, stats)
                     outputs.append(write_patterns(patterns, db))
                     stats_dicts.append(stats.as_dict())
                 assert outputs[0] == outputs[1]

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from graphmine import cgspan, embeddings, gspan
+from graphmine import cgspan, embeddings
 from graphmine.cgspan import (
     ClosedGraphHashTable,
     ClosedGraphRecord,
@@ -38,10 +38,12 @@ from conftest import (
     X,
     Z,
     assert_links_match,
-    chain_edges,
+    calls,
+    code_key,
     edge_image_sets,
     key_set,
     random_database,
+    record_run,
     reference_rightmost_extensions,
     rm_as_key,
 )
@@ -514,6 +516,19 @@ def fuzz_database(seed: int):
     )
 
 
+def fuzz_runs(mode: str):
+    """The recorded runs of the fuzz checks below: seeds 0-119 at supports
+    1-3, with ``max_pattern_edges`` 2 or 3 on every fifth seed. Yields
+    ``(seed, db, config, events, mined)``, ``events`` from ``recording()``."""
+    for seed in range(120):
+        db = fuzz_database(seed)
+        cap = 2 + seed % 2 if seed % 5 == 0 else None
+        for sup in (1, 2, 3):
+            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+            events, mined = record_run(db, config)
+            yield seed, db, config, events, mined
+
+
 # ROADMAP P4's one-graph witnesses of the same loss, from an exhaustive
 # sweep of small graphs with one edge label: vertex labels, edges, and the
 # closed pattern that the vetoed cuts lost at support 1.
@@ -632,7 +647,7 @@ def reference_cover(code, projected, record, chains):
 
 
 @pytest.mark.parametrize("mode", ["closed_no_etf"])
-def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
+def test_lazy_lookup_matches_eager_index_on_fuzz(mode):
     # Reference: every record is filed under each of its edge image sets as
     # it is inserted, and a lookup returns the first record of the pattern's
     # bucket that covers the pattern, by the test-local coverage check on
@@ -643,155 +658,96 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode, monkeypatch):
         terminate, record, rho = result
         return terminate, record and record.discovery_index, rho
 
-    for seed in range(120):
-        db = fuzz_database(seed)
-        cap = 2 + seed % 2 if seed % 5 == 0 else None
-        for sup in (1, 2, 3):
-            eager: dict[frozenset, list] = {}
-            inserted: dict[ClosedGraphRecord, list] = {}
-
-            def spy_insert(cght, record):
-                inserted[record] = record.chains
-                images = [(c.gid, chain_edges(c, len(record.code))) for c in record.chains]
-                for pos in range(len(record.code)):
-                    key = frozenset((gid, edges[pos][2]) for gid, edges in images)
-                    bucket = eager.setdefault(key, [])
+    for seed, _, config, events, _ in fuzz_runs(mode):
+        eager: dict[frozenset, list] = {}
+        inserted: dict[ClosedGraphRecord, list] = {}
+        for kind, code, payload in events:
+            if kind == "insert":
+                _, record, chains = payload
+                inserted[record] = chains
+                for images in edge_image_sets(record.code, chains):
+                    bucket = eager.setdefault(images, [])
                     if not any(r is record for r in bucket):
                         bucket.append(record)
-                return add_closed_graph(cght, record)
-
-            def spy_lookup(code, projected, cght):
-                nonlocal lookups, hits
-                got = early_termination(code, projected, cght)
+            elif kind == "lookup":
+                projected, got = payload
                 want = (False, None, None)
                 for record in eager.get(frozenset((c.gid, c.edge[2]) for c in projected), ()):
                     rho = reference_cover(code, projected, record, inserted[record])
                     if rho is not None:
                         want = (True, record, rho)
                         break
-                assert summary(got) == summary(want), (seed, sup, code)
+                assert summary(got) == summary(want), (seed, config.min_support, code)
                 lookups += 1
                 hits += got[0]
-                return got
-
-            monkeypatch.setattr(cgspan, "add_closed_graph", spy_insert)
-            monkeypatch.setattr(cgspan, "early_termination", spy_lookup)
-            mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
-            monkeypatch.undo()
     assert lookups > 0 and hits > 0
 
 
 @pytest.mark.parametrize("mode", ["closed_no_etf"])
-def test_covering_record_has_the_pattern_edge_images_on_fuzz(mode, monkeypatch):
+def test_covering_record_has_the_pattern_edge_images_on_fuzz(mode):
     # Why a lookup needs no edge-image key: when a record covers the pattern
     # under rho, every pattern edge (a, b) has exactly the image set of the
     # record's edge rho(a)-rho(b), the last edge's set being the paper's
     # key, and the record has at least as many embeddings as the pattern.
     # The images are read off the chains the record was inserted with.
     hits = 0
-    inserted: dict[ClosedGraphRecord, list] = {}
-
-    def spy_insert(cght, record):
-        inserted[record] = record.chains
-        return add_closed_graph(cght, record)
-
-    def spy_lookup(code, projected, cght):
-        nonlocal hits
-        result = early_termination(code, projected, cght)
-        terminate, record, rho = result
-        if terminate:
+    for _, _, _, events, _ in fuzz_runs(mode):
+        inserted = {record: chains for _, (_, record, chains) in calls(events, "insert")}
+        for code, (projected, (terminate, record, rho)) in calls(events, "lookup"):
+            if not terminate:
+                continue
             hits += 1
             chains = inserted[record]
             assert record.occurrence == len(chains) >= len(projected)
             images = edge_image_sets(record.code, chains)
             for t, want in zip(code, edge_image_sets(code, projected)):
                 assert images[record.edge_pos[frozenset((rho[t[0]], rho[t[1]]))]] == want
-        return result
-
-    monkeypatch.setattr(cgspan, "add_closed_graph", spy_insert)
-    monkeypatch.setattr(cgspan, "early_termination", spy_lookup)
-    for seed in range(120):
-        db = fuzz_database(seed)
-        cap = 2 + seed % 2 if seed % 5 == 0 else None
-        for sup in (1, 2, 3):
-            mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
     assert hits > 0
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
-def test_hook_embedding_lists_are_in_graph_id_order_on_fuzz(mode, monkeypatch):
+def test_hook_embedding_lists_are_in_graph_id_order_on_fuzz(mode):
     # The lookup reads each graph's chains as one run and the reference
     # graph's chains first, so every list ``enter`` and ``settle`` receive,
     # and with it every record's chains, must be in graph-id order.
     seen = 0
-
-    def check(projected):
-        nonlocal seen
-        gids = [c.gid for c in projected]
-        assert gids == sorted(gids)
-        seen += 1
-
-    def spy_search(db, config, stats, enter, settle):
-        def spy_enter(code, projected):
-            check(projected)
-            return enter(code, projected)
-
-        def spy_settle(code, projected, exts, emit):
-            check(projected)
-            return settle(code, projected, exts, emit)
-
-        return gspan.search(db, config, stats, spy_enter, spy_settle)
-
-    monkeypatch.setattr(cgspan, "search", spy_search)
-    for seed in range(120):
-        db = fuzz_database(seed)
-        cap = 2 + seed % 2 if seed % 5 == 0 else None
-        for sup in (1, 2, 3):
-            mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
+    for _, _, _, events, _ in fuzz_runs(mode):
+        for kind, _, payload in events:
+            if kind in ("enter", "settle"):
+                gids = [c.gid for c in payload[0]]
+                assert gids == sorted(gids)
+                seen += 1
     assert seen > 0
 
 
 @pytest.mark.parametrize("mode", ["closed_no_etf"])
-def test_group_keys_are_the_patterns_support_set_tuples_on_fuzz(mode, monkeypatch):
+def test_group_keys_are_the_patterns_support_set_tuples_on_fuzz(mode):
     # The table files each record under the very tuple its pattern holds as
     # ``containing_graphs``; a record no lookup reads has built no edge
     # positions, and one that was read has them for every code edge.
-    tables = []
-
-    def spy_insert(cght, record):
-        if not tables or tables[-1] is not cght:
-            tables.append(cght)
-        return add_closed_graph(cght, record)
-
-    monkeypatch.setattr(cgspan, "add_closed_graph", spy_insert)
     unread = read = 0
-    for seed in range(120):
-        db = fuzz_database(seed)
-        cap = 2 + seed % 2 if seed % 5 == 0 else None
-        for sup in (1, 2, 3):
-            tables.clear()
-            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-            mined = mine_closed(db, config)
-            if not mined:
-                continue
-            (cght,) = tables
-            by_index = {p.discovery_index: p for p in mined}
-            filed = 0
-            for key, records in cght.items():
-                assert type(key) is tuple
-                for record in records:
-                    assert by_index[record.discovery_index].containing_graphs is key
-                    assert record.support_set is key
-                    if record.maps is None:
-                        assert record.edge_pos is None and record.chains is not None
-                        unread += 1
-                    else:
-                        assert record.edge_pos == {
-                            frozenset((t[0], t[1])): i for i, t in enumerate(record.code)
-                        }
-                        read += 1
-                filed += len(records)
-            assert filed == len(mined)
+    for _, _, _, events, mined in fuzz_runs(mode):
+        if not mined:
+            continue
+        tables = {id(cght): cght for _, (cght, _, _) in calls(events, "insert")}
+        (cght,) = tables.values()
+        by_index = {p.discovery_index: p for p in mined}
+        filed = 0
+        for key, records in cght.items():
+            assert type(key) is tuple
+            for record in records:
+                assert by_index[record.discovery_index].containing_graphs is key
+                assert record.support_set is key
+                if record.maps is None:
+                    assert record.edge_pos is None and record.chains is not None
+                    unread += 1
+                else:
+                    assert record.edge_pos == {
+                        frozenset((t[0], t[1])): i for i, t in enumerate(record.code)
+                    }
+                    read += 1
+            filed += len(records)
+        assert filed == len(mined)
     assert unread > 0 and read > 0
 
 
@@ -811,65 +767,42 @@ def test_lookup_digest_is_pinned():
 # ------------------------------------------------------- closure decision
 
 
-def record_settled_nodes(nodes: list, monkeypatch) -> None:
-    """Make closed mining append ``(code, projected, exts)`` to ``nodes``
-    for every node its ``settle`` hook gets, capped nodes included."""
-
-    def spy_search(db, config, stats, enter, settle):
-        def spy_settle(code, projected, exts, emit):
-            nodes.append((list(code), projected, exts))
-            return settle(code, projected, exts, emit)
-
-        return gspan.search(db, config, stats, enter, spy_settle)
-
-    monkeypatch.setattr(cgspan, "search", spy_search)
-
-
-def closure_decisions(db, config, monkeypatch) -> int:
-    """Mine ``db`` and hold every closure decision ``settle`` makes to the
-    oracle: at every node ``settle`` gets, capped nodes and their empty
-    ``exts`` included, the pattern is emitted exactly when ``is_closed``
-    says so. Returns how many nodes only the walk settled (no kept bucket
-    with equivalent occurrence, yet not closed)."""
-    settled = []
-    record_settled_nodes(settled, monkeypatch)
-    emitted = key_set(mine_closed(db, config))
-    monkeypatch.undo()
-
+def closure_decisions(db, events, mined) -> int:
+    """Hold every closure decision of a recorded closed run to the oracle:
+    at every node ``settle`` gets, capped nodes and their empty ``exts``
+    included, the pattern is emitted exactly when ``is_closed`` says so.
+    Returns how many nodes only the walk settled (no kept bucket with
+    equivalent occurrence, yet not closed)."""
+    emitted = key_set(mined)
     walk_only = 0
-    for code, projected, exts in settled:
-        key = tuple(map(tuple, code))
+    for code, (projected, exts) in calls(events, "settle"):
         closed = is_closed(code, db)
-        assert (key in emitted) == closed, key
+        assert (code in emitted) == closed, code
         if not closed:
             walk_only += not any(equivalent_occurrence(projected, b) for b in exts.values())
     return walk_only
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
-def test_closure_decision_matches_unrestricted_rule_on_sample(sample_db, etf_db, mode, monkeypatch):
+def test_closure_decision_matches_unrestricted_rule_on_sample(sample_db, etf_db, mode):
     for db in (sample_db, etf_db):
         for sup in (1, 2, 3):
             for cap in (None, 1, 2, 3):
                 config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-                closure_decisions(db, config, monkeypatch)
+                closure_decisions(db, *record_run(db, config))
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
-def test_closure_decision_matches_unrestricted_rule_on_fuzz(mode, monkeypatch):
+def test_closure_decision_matches_unrestricted_rule_on_fuzz(mode):
     alphabets, walk_only = set(), 0
-    for seed in range(120):
-        db = fuzz_database(seed)
+    for _, db, _, events, mined in fuzz_runs(mode):
         alphabets.add(len({lbl for g in db.graphs for lbl in g.vlabels}))
-        cap = 2 + seed % 2 if seed % 5 == 0 else None
-        for sup in (1, 2, 3):
-            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-            walk_only += closure_decisions(db, config, monkeypatch)
+        walk_only += closure_decisions(db, events, mined)
     assert alphabets == {1, 2, 3}
     assert walk_only > 0
 
 
-def test_walk_alone_settles_closure(monkeypatch):
+def test_walk_alone_settles_closure():
     # In mode closed_no_etf every visited node is uncovered; at support 1
     # on fuzz database 0 this 3-edge star has no kept bucket with
     # equivalent occurrence, yet a tuple the scan does not build extends
@@ -880,13 +813,13 @@ def test_walk_alone_settles_closure(monkeypatch):
     kept = rightmost_extensions(code, projected, db)
     assert not any(equivalent_occurrence(projected, b) for b in kept.values())
     assert dropped_extension_covers(code, projected, db, kept)
-    mined = key_set(mine_closed(db, MiningConfig(min_support=1, mode="closed_no_etf")))
-    assert tuple(map(tuple, code)) not in mined
-    assert closure_decisions(db, MiningConfig(min_support=1, mode="closed_no_etf"), monkeypatch) > 0
+    events, mined = record_run(db, MiningConfig(min_support=1, mode="closed_no_etf"))
+    assert code_key(code) not in key_set(mined)
+    assert closure_decisions(db, events, mined) > 0
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
-def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
+def test_dropped_extension_covers_matches_rescans_on_fuzz(mode):
     # At every node ``settle`` reaches, with the buckets it gets (none at a
     # capped node). Reference: the oracle's extensions at every vertex,
     # keeping those whose covered parents number the pattern's chains and
@@ -898,35 +831,28 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode, monkeypatch):
     # ``other_graph`` counts the nodes whose reversed list starts in
     # another graph.
     kinds, answers, off_path, other_graph = set(), set(), 0, 0
-    for seed in range(120):
-        db = fuzz_database(seed)
-        cap = 2 + seed % 2 if seed % 5 == 0 else None
-        for sup in (1, 2, 3):
-            nodes = []
-            record_settled_nodes(nodes, monkeypatch)
-            mine_closed(db, MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap))
-            monkeypatch.undo()
-            for code, projected, kept in nodes:
-                got = dropped_extension_covers(code, projected, db, kept)
-                half = len(projected) // 2
-                for chains in (projected[::-1], projected[half:] + projected[:half]):
-                    assert dropped_extension_covers(code, chains, db, kept) == got, (seed, sup, code)
-                other_graph += projected[0].gid != projected[-1].gid
-                exts_all = all_extensions(code, db)
-                candidates = exts_all.keys() - {rm_as_key(t) for t in kept}
-                covering = {
-                    k for k in candidates if len(exts_all[k].covered_parents) == len(projected)
-                }
-                if candidates and len(projected) > 1:
-                    kinds |= {k.kind for k in candidates}
-                    answers.add(got)
-                rightmost = reference_rightmost_extensions(code, projected, db, restricted=False)
-                for t, b in kept.items():
-                    assert b.support() == len(containing_graphs(rightmost[t]))
-                    assert_links_match(b, rightmost[t])
-                rightmost = {rm_as_key(t) for t in rightmost}
-                off_path += bool(covering) and not covering & rightmost
-                assert got == bool(covering), (seed, sup, code)
+    for seed, db, config, events, _ in fuzz_runs(mode):
+        for code, (projected, kept) in calls(events, "settle"):
+            got = dropped_extension_covers(code, projected, db, kept)
+            half = len(projected) // 2
+            for chains in (projected[::-1], projected[half:] + projected[:half]):
+                assert dropped_extension_covers(code, chains, db, kept) == got, (seed, config, code)
+            other_graph += projected[0].gid != projected[-1].gid
+            exts_all = all_extensions(code, db)
+            candidates = exts_all.keys() - {rm_as_key(t) for t in kept}
+            covering = {
+                k for k in candidates if len(exts_all[k].covered_parents) == len(projected)
+            }
+            if candidates and len(projected) > 1:
+                kinds |= {k.kind for k in candidates}
+                answers.add(got)
+            rightmost = reference_rightmost_extensions(code, projected, db, restricted=False)
+            for t, b in kept.items():
+                assert b.support() == len(containing_graphs(rightmost[t]))
+                assert_links_match(b, rightmost[t])
+            rightmost = {rm_as_key(t) for t in rightmost}
+            off_path += bool(covering) and not covering & rightmost
+            assert got == bool(covering), (seed, config, code)
     assert kinds == {"f", "b"}
     assert answers == {True, False}
     assert off_path > 0

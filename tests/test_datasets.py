@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -171,6 +172,12 @@ def test_parse_names_the_first_byte_that_is_not_utf8(tmp_path, graphs):
     offset = len(good) + len(b"t # -5\nv 0 caf")
     with pytest.raises(DatasetError, match=f"^line {4 * graphs + 2}: byte 0xe9 at offset {offset} is not UTF-8$"):
         parse_dataset(p)
+
+
+def test_parse_names_the_byte_of_a_stream_that_is_not_utf8():
+    stream = io.TextIOWrapper(io.BytesIO(b"t # 0\nv 0 caf\xe9\n"), encoding="utf-8")
+    with pytest.raises(DatasetError, match="^byte 0xe9 is not UTF-8$"):
+        parse_dataset(stream)
 
 
 def test_write_patterns_golden(sample_db):

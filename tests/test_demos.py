@@ -1,4 +1,5 @@
-"""Every demo script runs end to end against the current API."""
+"""Every demo script, and README's library example, runs end to end
+against the current API."""
 
 import importlib.util
 import sys
@@ -6,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+from graphmine import MiningConfig, mine_closed, parse_dataset_text, write_patterns
+
+from conftest import SAMPLE_TEXT
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -17,3 +23,16 @@ def test_demo_main_succeeds(path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path)])
     assert module.main() == 0
     assert capsys.readouterr().out
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The first python block under README's "## Library", run as written
+    # in a directory that holds the sample database as graphs.txt.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "graphs.txt").write_text(SAMPLE_TEXT)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    db = parse_dataset_text(SAMPLE_TEXT)
+    closed = mine_closed(db, MiningConfig(min_support=0.1, mode="closed"))
+    assert capsys.readouterr().out == write_patterns(closed, db) + "\n"

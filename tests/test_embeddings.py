@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from graphmine import cgspan, embeddings, gspan
-from graphmine.cgspan import mine_closed
+from graphmine import embeddings
 from graphmine.dfscode import DFSCode, child_sort_key, code_to_graph, is_min
 from graphmine.embeddings import (
     Embedding,
@@ -30,8 +29,10 @@ from conftest import (
     Z,
     as_bucket,
     assert_links_match,
+    calls,
     chain_edges,
     random_database,
+    record_run,
     reference_rightmost_extensions,
 )
 from test_cgspan import fuzz_database
@@ -113,17 +114,16 @@ def test_vertex_map_and_chain_edges(sample_db):
         assert edges[0][3] == EA and edges[1][3] == EF
 
 
-def assert_scan_matches_reference(code, projected, db, sources=None, min_freq=None) -> int:
-    """The scan of one node equals the reference: the same bucket keys and,
-    per bucket, as many hits as reference chains, the same support, and
-    links with the same (gid, edge, parent chain) sequence; and every
-    chain's vertex map equals the reference's.
+def assert_scan_matches_reference(code, projected, db, got, sources=None, min_freq=None) -> int:
+    """The scan ``got`` of one node equals the reference: the same bucket
+    keys and, per bucket, as many hits as reference chains, the same
+    support, and links with the same (gid, edge, parent chain) sequence;
+    and every chain's vertex map equals the reference's.
 
     With inherited ``sources`` the scan may omit a key, but only one whose
     reference support is below ``min_freq``, so the kept buckets (support
     >= ``min_freq``) equal the reference's kept buckets link by link, and
     so does every bucket it builds. Returns the number of keys omitted."""
-    got = rightmost_extensions(code, projected, db, sources)
     want = reference_rightmost_extensions(code, projected, db)
     if sources is None:
         assert got.keys() == want.keys()
@@ -140,36 +140,31 @@ def assert_scan_matches_reference(code, projected, db, sources=None, min_freq=No
     return len(want) - len(got)
 
 
-def check_every_visited_node(db, monkeypatch) -> tuple[int, int]:
-    """Mine every mode at supports 1-3, comparing each node the search scans
-    with the reference. Returns the number of nodes checked and of keys the
-    inherited sources omitted."""
+def check_every_visited_node(db) -> tuple[int, int]:
+    """Mine frequent and closed patterns at supports 1-3, comparing every
+    scan the search makes with the reference. Returns the number of nodes
+    checked and of keys the inherited sources omitted."""
     nodes = omitted = 0
-
-    def checked(code, projected, db_, sources=None):
-        nonlocal nodes, omitted
-        nodes += 1
-        omitted += assert_scan_matches_reference(code, projected, db_, sources, sup)
-        return rightmost_extensions(code, projected, db_, sources)
-
-    monkeypatch.setattr(gspan, "rightmost_extensions", checked)
     for sup in (1, 2, 3):
-        mine_frequent(db, MiningConfig(min_support=sup))
-        mine_closed(db, MiningConfig(min_support=sup, mode="closed"))
+        for mode in ("frequent", "closed"):
+            events, _ = record_run(db, MiningConfig(min_support=sup, mode=mode))
+            for code, (projected, sources, exts) in calls(events, "scan"):
+                nodes += 1
+                omitted += assert_scan_matches_reference(code, projected, db, exts, sources, sup)
     return nodes, omitted
 
 
-def test_scan_matches_reference_on_sample(sample_db, monkeypatch):
-    nodes, omitted = check_every_visited_node(sample_db, monkeypatch)
+def test_scan_matches_reference_on_sample(sample_db):
+    nodes, omitted = check_every_visited_node(sample_db)
     assert nodes > 0 and omitted > 0
 
 
 @pytest.mark.parametrize("n_vlabels", [1, 2, 3])
-def test_scan_matches_reference_on_random_databases(n_vlabels, monkeypatch):
+def test_scan_matches_reference_on_random_databases(n_vlabels):
     rng = random.Random(60 + n_vlabels)
     for _ in range(8):
         db = random_database(rng, n_graphs=rng.randint(3, 6), max_vertices=6, n_vlabels=n_vlabels)
-        check_every_visited_node(db, monkeypatch)
+        check_every_visited_node(db)
 
 
 def test_rightmost_extensions_of_root(sample_db):
@@ -393,29 +388,14 @@ def links_built_by_mining(db, min_support, monkeypatch) -> int:
     root's included, is linked only for a node that passes is_min, so every
     other chain built is a chain of an emitted pattern. Returns how many
     children failed is_min, unlinked."""
-    hits = rejected = 0
-
-    def spy_scan(code, projected, db_, sources=None):
-        nonlocal hits
-        exts = rightmost_extensions(code, projected, db_, sources)
-        hits += sum(map(len, exts.values()))
-        return exts
-
-    def spy_is_min(code):
-        nonlocal rejected
-        minimal = is_min(code)
-        rejected += not minimal
-        return minimal
-
     counter = count_links(monkeypatch)
-    monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
-    monkeypatch.setattr(gspan, "is_min", spy_is_min)
-    mined = mine_frequent(db, MiningConfig(min_support=min_support))
+    events, mined = record_run(db, MiningConfig(min_support=min_support))
     monkeypatch.undo()
     assert counter.built == len(db.graphs) + sum(p.occurrence for p in mined)
     # Infrequent buckets and children that fail is_min are never linked.
+    hits = sum(len(b) for _, (_, _, exts) in calls(events, "scan") for b in exts.values())
     assert sum(p.occurrence for p in mined if len(p.code) >= 2) < hits
-    return rejected
+    return sum(not minimal for _, minimal in calls(events, "is_min"))
 
 
 def test_mining_links_only_visited_children(sample_db, monkeypatch):
@@ -431,30 +411,16 @@ def test_mining_links_no_child_that_fails_is_min(monkeypatch):
     assert rejected > 0
 
 
-def visited_nodes(db, config, monkeypatch) -> list[tuple[list, list]]:
+def visited_nodes(db, config) -> list[tuple[tuple, list]]:
     """Mine, and return each node the search visits with the chain list it
-    linked for it, in visit order, read through a spy on the ``enter``
-    hook, which every visit runs first in every mode."""
-    nodes = []
-    search = gspan.search
-
-    def spy_search(db_, config_, stats, enter, settle):
-        def spy_enter(code, projected):
-            nodes.append((list(code), projected))
-            return enter(code, projected)
-
-        return search(db_, config_, stats, spy_enter, settle)
-
-    monkeypatch.setattr(gspan, "search", spy_search)
-    monkeypatch.setattr(cgspan, "search", spy_search)
-    (mine_frequent if config.mode == "frequent" else mine_closed)(db, config)
-    monkeypatch.undo()
-    return nodes
+    linked for it, in visit order: the ``enter`` calls, which every visit
+    makes first in every mode."""
+    events, _ = record_run(db, config)
+    return [(code, projected) for code, (projected, _) in calls(events, "enter")]
 
 
-def test_project_code_matches_mining_embeddings(sample_db, monkeypatch):
-    config = MiningConfig(min_support=2)
-    nodes = visited_nodes(sample_db, config, monkeypatch)
+def test_project_code_matches_mining_embeddings(sample_db):
+    nodes = visited_nodes(sample_db, MiningConfig(min_support=2))
     assert nodes
     for code, mined in nodes:
         chains = project_code(code, sample_db)
@@ -464,7 +430,7 @@ def test_project_code_matches_mining_embeddings(sample_db, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["frequent", "closed", "closed_no_etf"])
-def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode, monkeypatch):
+def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode):
     # The miners keep no chains in their output; ``project_code`` rebuilds
     # them. Every node's list must be what it rebuilds: the same graph ids
     # and vertex maps in the same order, each an Embedding chain with one
@@ -475,7 +441,7 @@ def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode, monkeypat
         for sup in (1, 2, 3):
             for cap in (None, 2):
                 config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-                for code, chains in visited_nodes(db, config, monkeypatch):
+                for code, chains in visited_nodes(db, config):
                     nodes += 1
                     want = project_code(code, db)
                     assert [c.gid for c in chains] == [c.gid for c in want]
@@ -491,7 +457,7 @@ def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode, monkeypat
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
-def test_chains_have_pairwise_distinct_vertex_maps(sample_db, etf_db, mode, monkeypatch):
+def test_chains_have_pairwise_distinct_vertex_maps(sample_db, etf_db, mode):
     # The closed-graph lookup tries each pattern map of the reference graph
     # as a rho without deduplicating: it relies on no two chains of a node,
     # and so of a record, sharing a vertex map in one graph. Chains in
@@ -501,7 +467,7 @@ def test_chains_have_pairwise_distinct_vertex_maps(sample_db, etf_db, mode, monk
         for sup in (1, 2, 3):
             for cap in (None, 2):
                 config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-                for code, chains in visited_nodes(db, config, monkeypatch):
+                for code, chains in visited_nodes(db, config):
                     maps = zip([c.gid for c in chains], vertex_maps(code, chains))
                     assert len(set(maps)) == len(chains)
                     nodes += 1

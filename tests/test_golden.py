@@ -32,12 +32,11 @@ import random
 
 import pytest
 
-from graphmine.cgspan import mine_closed
 from graphmine.datasets import parse_dataset_text, write_patterns
 from graphmine.embeddings import project_code, vertex_maps
-from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
+from graphmine.gspan import MODES, MiningConfig, MiningStats
 
-from conftest import ETF_TEXT, SAMPLE_TEXT, random_database
+from conftest import ETF_TEXT, SAMPLE_TEXT, mine, random_database
 
 # (min_support, max_pattern_edges, digest embeddings)
 FIXTURE_CONFIGS = [(1, None, True), (2, None, True), (2, 2, False), (1, 3, False)]
@@ -91,7 +90,6 @@ def chain_maps(code, db) -> list:
 def run_digest(db, mode, min_support, max_edges, emit) -> bytes:
     config = MiningConfig(min_support=min_support, mode=mode, max_pattern_edges=max_edges)
     stats = MiningStats()
-    mine = mine_frequent if mode == "frequent" else mine_closed
     patterns = mine(db, config, stats)
     record = {
         "patterns": write_patterns(patterns, db),

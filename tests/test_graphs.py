@@ -3,12 +3,11 @@ from itertools import permutations
 
 import pytest
 
-from graphmine.cgspan import mine_closed
 from graphmine.datasets import dump_dataset, parse_dataset_text, write_patterns
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from graphmine.gspan import MODES, MiningConfig, mine_frequent
 
-from conftest import ETF_TEXT, SAMPLE_TEXT, connected_labeled_graphs
+from conftest import ETF_TEXT, SAMPLE_TEXT, connected_labeled_graphs, mine
 from test_cgspan import fuzz_database
 
 
@@ -71,7 +70,6 @@ def mined_files(db, min_support=1) -> list[str]:
     """The pattern file of each mode, in ``MODES`` order."""
     files = []
     for mode in MODES:
-        mine = mine_frequent if mode == "frequent" else mine_closed
         patterns = mine(db, MiningConfig(min_support=min_support, mode=mode))
         files.append(write_patterns(patterns, db))
     return files

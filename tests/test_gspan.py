@@ -4,14 +4,14 @@ import weakref
 
 import pytest
 
-from graphmine import cgspan, embeddings, gspan
+from graphmine import embeddings, gspan
 from graphmine.cgspan import mine_closed
 from graphmine.dfscode import code_to_graph, min_dfs_code
 from graphmine.graphs import GraphDatabase, LabeledGraph
 from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import verify_run
 
-from conftest import brute_frequent_codes, key_set, random_database
+from conftest import brute_frequent_codes, calls, code_key, key_set, mine, random_database, record_run
 
 
 def test_frequent_set_matches_brute_force(sample_db):
@@ -127,7 +127,6 @@ def test_patterns_with_one_support_set_share_one_tuple():
     for seed in range(20):
         db = random_database(random.Random(seed))
         for mode in MODES:
-            mine = mine_frequent if mode == "frequent" else mine_closed
             mined = mine(db, MiningConfig(min_support=2, mode=mode))
             shared: dict[tuple, tuple] = {}
             for p in mined:
@@ -194,84 +193,37 @@ def test_unpushed_buckets_are_freed_before_the_next_link(sample_db, monkeypatch)
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_is_min_runs_when_a_child_is_pushed(mode, monkeypatch):
+def test_is_min_runs_when_a_child_is_pushed(mode):
     # A node's children are tested right after its scan, before any other
-    # node is visited, in push order (descending), once each; only the
+    # node is visited, in push order (descending), once each; exactly the
     # minimal ones are visited and the 1-edge roots are never tested.
-    events = []
-    real_is_min, real_scan = gspan.is_min, gspan.rightmost_extensions
-
-    def spy_is_min(code):
-        passed = real_is_min(code)
-        events.append(("is_min", tuple(map(tuple, code)), passed))
-        return passed
-
-    def spy_scan(code, projected, db, sources=None):
-        exts = real_scan(code, projected, db, sources)
-        events.append(("scan", tuple(map(tuple, code)), exts))
-        return exts
-
-    monkeypatch.setattr(gspan, "is_min", spy_is_min)
-    monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
     for seed in range(20):
         db = random_database(random.Random(seed))
-        events.clear()
         stats = MiningStats()
-        config = MiningConfig(min_support=2, mode=mode)
-        mined = (mine_frequent if mode == "frequent" else mine_closed)(db, config, stats)
+        events, mined = record_run(db, MiningConfig(min_support=2, mode=mode), stats)
+        events = [e for e in events if e[0] in ("enter", "scan", "is_min")]
         roots = sum(1 for kind, code, _ in events if kind == "scan" and len(code) == 1)
         passed = 0
-        for i, (kind, code, exts) in enumerate(events):
+        for i, (kind, code, payload) in enumerate(events):
             if kind != "scan":
                 continue
-            kept = [t for t, b in exts.items() if b.support() >= 2]
+            kept = [t for t, b in payload[2].items() if b.support() >= 2]
             want = [code + (t,) for t in sorted(kept, key=gspan.child_sort_key, reverse=True)]
-            got = [c for _, c, _ in events[i + 1 : i + 1 + len(want)]]
-            assert got == want, (seed, code)
-            assert all(e[0] == "is_min" for e in events[i + 1 : i + 1 + len(want)])
-            passed += sum(e[2] for e in events[i + 1 : i + 1 + len(want)])
-        tested = [code for kind, code, _ in events if kind == "is_min"]
-        assert all(len(code) > 1 for code in tested)
-        assert len(tested) == len(set(tested))
+            tested = events[i + 1 : i + 1 + len(want)]
+            assert [e[:2] for e in tested] == [("is_min", c) for c in want], (seed, code)
+            passed += sum(e[2] for e in tested)
+        tested = calls(events, "is_min")
+        assert all(len(code) > 1 for code, _ in tested)
+        assert len(tested) == len({code for code, _ in tested})
+        visited = [code for code, _ in calls(events, "enter") if len(code) > 1]
+        assert sorted(visited) == sorted(code for code, minimal in tested if minimal)
         if mode == "frequent":
             assert stats.visited_nodes == len(mined) == roots + passed
 
 
-def hook_events(db, config, monkeypatch):
-    """Mine, and return the ``enter``, scan and ``settle`` calls in order,
-    as ``(kind, code, value)``: ``enter``'s result (True cuts), nothing,
-    and a copy of the buckets ``settle`` got. Both miners are read through their hooks."""
-    events = []
-    real_search, real_scan = gspan.search, gspan.rightmost_extensions
-
-    def spy_scan(code, projected, db_, sources=None):
-        events.append(("scan", tuple(map(tuple, code)), None))
-        return real_scan(code, projected, db_, sources)
-
-    def spy_search(db_, config_, stats, enter, settle):
-        def spy_enter(code, projected):
-            cut = enter(code, projected)
-            events.append(("enter", tuple(map(tuple, code)), cut))
-            return cut
-
-        def spy_settle(code, projected, exts, emit):
-            events.append(("settle", tuple(map(tuple, code)), dict(exts)))
-            return settle(code, projected, exts, emit)
-
-        return real_search(db_, config_, stats, spy_enter, spy_settle)
-
-    monkeypatch.setattr(gspan, "search", spy_search)
-    monkeypatch.setattr(cgspan, "search", spy_search)
-    monkeypatch.setattr(gspan, "rightmost_extensions", spy_scan)
-    stats = MiningStats()
-    mined = (mine_frequent if config.mode == "frequent" else mine_closed)(db, config, stats)
-    monkeypatch.undo()
-    return events, mined, stats
-
-
 @pytest.mark.parametrize("cap", [None, 2])
 @pytest.mark.parametrize("mode", MODES)
-def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap, monkeypatch):
+def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap):
     # Every visit runs enter, then (unless enter cut the branch) the scan,
     # skipped at the edge cap, then settle with exactly the children's
     # buckets; children are visited in pre-order, ascending.
@@ -281,8 +233,10 @@ def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap, 
         for sup in (1, 2):
             config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
             min_freq = config.min_frequency(len(db.graphs))
-            events, mined, stats = hook_events(db, config, monkeypatch)
-            entered = [(code, cut) for kind, code, cut in events if kind == "enter"]
+            stats = MiningStats()
+            events, mined = record_run(db, config, stats)
+            events = [e for e in events if e[0] in ("enter", "scan", "settle")]
+            entered = [(code, cut) for code, (_, cut) in calls(events, "enter")]
             assert len(entered) == stats.visited_nodes
             path, last_child = [], {}
             for code, _ in entered:
@@ -294,16 +248,16 @@ def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap, 
                 path.append(code)
             pos = 0
             for code, cut in entered:
-                assert events[pos] == ("enter", code, cut)
+                assert events[pos][:2] == ("enter", code)
                 pos += 1
                 if cut:
                     cuts += 1
                     continue
                 grow = cap is None or len(code) < cap
                 if grow:
-                    assert events[pos] == ("scan", code, None)
+                    assert events[pos][:2] == ("scan", code)
                     pos += 1
-                kind, settled, exts = events[pos]
+                kind, settled, (_, exts) = events[pos]
                 assert (kind, settled) == ("settle", code)
                 pos += 1
                 if not grow:
@@ -315,7 +269,7 @@ def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap, 
                 assert children == minimal, code
             assert pos == len(events)
             if mode == "frequent":
-                assert [tuple(map(tuple, p.code)) for p in mined] == [c for c, _ in entered]
+                assert [code_key(p.code) for p in mined] == [c for c, _ in entered]
     assert (capped > 0) == (cap is not None)
     if mode != "closed_no_etf":
         assert cuts == 0
@@ -325,7 +279,6 @@ def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap, 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_recursion_limit_is_restored(sample_db, mode):
-    mine = mine_frequent if mode == "frequent" else mine_closed
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -337,7 +290,6 @@ def test_recursion_limit_is_restored(sample_db, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_search_leaves_recursion_limit_alone(sample_db, mode, monkeypatch):
-    mine = mine_frequent if mode == "frequent" else mine_closed
     seen = []
     real_is_min = gspan.is_min
 
