@@ -27,7 +27,6 @@ from graphmine.cgspan import (
 )
 from graphmine.dfscode import DFSCode
 from graphmine.embeddings import (
-    containing_graphs,
     dropped_extension_covers,
     equivalent_occurrence,
     project_code,
@@ -85,9 +84,10 @@ def main() -> int:
     print(LINE)
     print("part 1: what an unchecked cut costs, end to end")
     print(LINE)
+    mined = {}
     for mode in ("closed", "closed_no_etf"):
         stats = MiningStats()
-        found = mine_closed(db, MiningConfig(min_support=2, mode=mode), stats)
+        found = mined[mode] = mine_closed(db, MiningConfig(min_support=2, mode=mode), stats)
         noun = "pattern" if len(found) == 1 else "patterns"
         print(f"\nmode={mode}: {len(found)} {noun}")
         for p in found:
@@ -105,10 +105,9 @@ def main() -> int:
     print(LINE)
 
     print(f"\nstored closed graph: {render(CG1, db)}")
-    chains = project_code(CG1, db)
-    record = ClosedGraphRecord(CG1, chains, 0, containing_graphs(chains))
+    (cg1,) = [p for p in mined["closed"] if p.code == CG1]
     cght = ClosedGraphHashTable()
-    add_closed_graph(cght, record)
+    add_closed_graph(cght, ClosedGraphRecord(cg1, project_code(CG1, db)))
     graphs = sorted(next(iter(cght)))
     print(f"hash table files it under its support set, graphs {graphs}; a lookup")
     print("reads the records of the pattern's own support set and no other.")
@@ -116,7 +115,7 @@ def main() -> int:
     print(f"\ncandidate for termination: {render(DOOMED, db)}")
     projected = project_code(DOOMED, db)
     terminate, rec, rho = early_termination(DOOMED, projected, cght)
-    print(f"early_termination -> {terminate}, via stored graph #{rec.discovery_index}, "
+    print(f"early_termination -> {terminate}, via stored graph #{rec.pattern.discovery_index}, "
           f"vertex map rho={rho}")
     print("every occurrence of the candidate extends to an occurrence of the")
     print("stored graph, so mode closed_no_etf cuts the branch here and never")

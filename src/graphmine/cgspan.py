@@ -27,7 +27,6 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
 
-from .dfscode import DFSCode
 from .embeddings import (
     containing_graphs,
     dropped_extension_covers,
@@ -47,40 +46,22 @@ __all__ = [
 
 
 class ClosedGraphRecord:
-    """One discovered closed graph: its code, its embeddings and its support
-    set.
+    """One discovered closed graph: the ``MinedPattern`` it was emitted as
+    and its embeddings.
 
-    ``support_set`` is the group key, the pattern's ``containing_graphs``
-    tuple. A record holds its embedding chains, in graph-id order, until a
-    lookup first reads it. ``materialize`` then replaces them with their
-    vertex maps and builds ``edge_pos``, which is None until then;
-    ``occurrence`` keeps the chain count either way.
+    The table files it under ``pattern.containing_graphs``. A record holds
+    its embedding chains, in graph-id order, until a lookup first reads
+    it. ``materialize`` then replaces them with their vertex maps and
+    builds ``edges``, which are None until then; ``pattern.occurrence``
+    keeps the chain count either way.
     """
 
-    __slots__ = (
-        "code",
-        "chains",
-        "occurrence",
-        "discovery_index",
-        "support_set",
-        "edge_pos",
-        "maps",
-        "ends",
-    )
+    __slots__ = ("pattern", "chains", "edges", "maps", "ends")
 
-    def __init__(
-        self,
-        code: DFSCode,
-        chains: list,
-        discovery_index: int,
-        support_set: tuple[int, ...],
-    ):
-        self.code = code
+    def __init__(self, pattern: MinedPattern, chains: list):
+        self.pattern = pattern
         self.chains = chains
-        self.occurrence = len(chains)
-        self.discovery_index = discovery_index
-        self.support_set = support_set
-        self.edge_pos = None
+        self.edges = None
         self.maps = None
         self.ends = None
 
@@ -88,22 +69,21 @@ class ClosedGraphRecord:
         """The vertex maps, one flat list in chain order, and the offsets
         where each graph's run of maps ends.
 
-        The first call builds both, and ``edge_pos`` (the code position of
-        each edge, keyed by its pair of dfs ids), and sets ``chains`` to
-        None: a lookup reads only the maps, and the chains' links outweigh
-        them. Most records are never read, so none of this is built at
-        insert.
+        The first call builds both, and ``edges`` (the code's edges as
+        frozensets of dfs-id pairs), and sets ``chains`` to None: a lookup
+        reads only the maps and edges, and the chains' links outweigh them.
+        Most records are never read, so none of this is built at insert.
         """
         if self.maps is None:
-            code = self.code
-            self.edge_pos = {frozenset((t[0], t[1])): i for i, t in enumerate(code)}
+            code = self.pattern.code
+            self.edges = {frozenset((t[0], t[1])) for t in code}
             self.maps = vertex_maps(code, self.chains)
             self.ends = array("l", accumulate(_run_lengths(self.chains)))
             self.chains = None
         return self.maps, self.ends
 
     def __repr__(self) -> str:
-        return f"ClosedGraphRecord(#{self.discovery_index}, {self.code!r})"
+        return f"ClosedGraphRecord(#{self.pattern.discovery_index}, {self.pattern.code!r})"
 
 
 def _run_lengths(chains: list) -> list[int]:
@@ -125,7 +105,7 @@ ClosedGraphHashTable = dict[tuple[int, ...], list[ClosedGraphRecord]]
 
 def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> None:
     """File a closed graph under its support set; no chain is walked."""
-    cght.setdefault(record.support_set, []).append(record)
+    cght.setdefault(record.pattern.containing_graphs, []).append(record)
 
 
 def early_termination(
@@ -180,7 +160,7 @@ def early_termination(
     if group is None:
         return False, None, None
     size, occ = len(code), len(projected)
-    candidates = [r for r in group if len(r.code) > size and r.occurrence >= occ]
+    candidates = [r for r in group if len(r.pattern.code) > size and r.pattern.occurrence >= occ]
     if not candidates:
         return False, None, None
 
@@ -191,12 +171,12 @@ def early_termination(
         maps, ends = record.materialize()
         image = set(maps[0])
         inverse = {v: i for i, v in enumerate(maps[0])}
-        edge_pos = record.edge_pos
+        edges = record.edges
         for fmap in ref_fmaps:
             if not image.issuperset(fmap):
                 continue
             rho = itemgetter(*fmap)(inverse)
-            if not all(frozenset((rho[a], rho[b])) in edge_pos for a, b in pairs):
+            if not all(frozenset((rho[a], rho[b])) in edges for a, b in pairs):
                 continue
             get = itemgetter(*rho)
             start = 0
@@ -260,9 +240,6 @@ def mine_closed(
             return
         pattern = emit(code, projected)
         if use_cght:
-            record = ClosedGraphRecord(
-                pattern.code, projected, pattern.discovery_index, pattern.containing_graphs
-            )
-            add_closed_graph(cght, record)
+            add_closed_graph(cght, ClosedGraphRecord(pattern, projected))
 
     return search(db, config, stats, enter, settle)

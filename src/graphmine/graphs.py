@@ -24,13 +24,12 @@ class LabeledGraph:
         adj: per vertex, list of directed half-edges ``(frm, to, eid, elb)``.
     """
 
-    __slots__ = ("vlabels", "edges", "adj", "_pairs")
+    __slots__ = ("vlabels", "edges", "adj")
 
     def __init__(self):
         self.vlabels: list[Label] = []
         self.edges: list[tuple[int, int, Label]] = []
         self.adj: list[list[tuple[int, int, int, Label]]] = []
-        self._pairs: set[tuple[int, int]] = set()
 
     def add_vertex(self, label: Label) -> int:
         self.vlabels.append(label)
@@ -43,14 +42,16 @@ class LabeledGraph:
             raise ValueError(f"edge ({u}, {v}) references a nonexistent vertex")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in self._pairs:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        self._pairs.add(pair)
+        adj = self.adj
+        # A repeated edge shows in the shorter of the two adjacency lists.
+        a, b = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
+        for h in adj[a]:
+            if h[1] == b:
+                raise ValueError(f"duplicate edge ({u}, {v})")
         eid = len(self.edges)
         self.edges.append((u, v, label))
-        self.adj[u].append((u, v, eid, label))
-        self.adj[v].append((v, u, eid, label))
+        adj[u].append((u, v, eid, label))
+        adj[v].append((v, u, eid, label))
         return eid
 
     @property

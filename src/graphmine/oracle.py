@@ -9,7 +9,7 @@ table. Intended for verification at desk scale, not for large datasets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .dfscode import DFSCode, code_to_graph
@@ -32,34 +32,27 @@ class ExtensionKey(NamedTuple):
     lbl_to: int
 
 
-@dataclass
-class Extension:
-    """One extension with the evidence found for it in the database."""
+def all_extensions(code: Sequence[Sequence[int]], db: GraphDatabase) -> dict[ExtensionKey, set]:
+    """Every realized one-edge extension of the pattern, from any vertex,
+    mapped to the set of parents it covers.
 
-    key: ExtensionKey
-    covered_parents: set = field(default_factory=set)  # (gid, parent map)
-
-
-def all_extensions(code: Sequence[Sequence[int]], db: GraphDatabase) -> dict[ExtensionKey, Extension]:
-    """Every realized one-edge extension of the pattern, from any vertex.
-
-    For each extension the covered parents are the embeddings of the pattern
-    that extend that way, under the identity inclusion of the pattern in its
-    child; the extension has equivalent occurrence with the pattern iff it
-    covers every embedding in the database.
+    A covered parent is an embedding ``(gid, parent map)`` of the pattern
+    that extends that way, under the identity inclusion of the pattern in
+    its child; the extension has equivalent occurrence with the pattern iff
+    it covers every embedding in the database.
     """
     return _extensions_and_occurrence(code, db)[0]
 
 
 def _extensions_and_occurrence(
     code: Sequence[Sequence[int]], db: GraphDatabase
-) -> tuple[dict[ExtensionKey, Extension], int]:
+) -> tuple[dict[ExtensionKey, set], int]:
     """``all_extensions`` plus the number of embeddings it walked, which is
     ``total_occurrence``."""
     pattern = code_to_graph(code)
     n = pattern.vertex_count
     existing = {frozenset((u, v)) for u, v, _ in pattern.edges}
-    found: dict[ExtensionKey, Extension] = {}
+    found: dict[ExtensionKey, set] = {}
     total = 0
 
     for gid, g in enumerate(db.graphs):
@@ -78,10 +71,7 @@ def _extensions_and_occurrence(
                         key = ExtensionKey("b", k, j, elb, -1)
                     else:
                         key = ExtensionKey("f", k, -1, elb, vl[to])
-                    ext = found.get(key)
-                    if ext is None:
-                        ext = found[key] = Extension(key)
-                    ext.covered_parents.add(parent)
+                    found.setdefault(key, set()).add(parent)
     return found, total
 
 
@@ -93,7 +83,7 @@ def total_occurrence(code: Sequence[Sequence[int]], db: GraphDatabase) -> int:
 def is_closed(code: Sequence[Sequence[int]], db: GraphDatabase) -> bool:
     """True iff no one-edge extension has equivalent occurrence."""
     found, total = _extensions_and_occurrence(code, db)
-    return all(len(ext.covered_parents) != total for ext in found.values())
+    return all(len(parents) != total for parents in found.values())
 
 
 def filter_closed(patterns: Sequence, db: GraphDatabase) -> list:

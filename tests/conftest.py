@@ -162,7 +162,8 @@ def recording():
         return result
 
     def insert(cght, record):
-        events.append(("insert", code_key(record.code), (cght, record, list(record.chains))))
+        payload = (cght, record, list(record.chains))
+        events.append(("insert", code_key(record.pattern.code), payload))
         return real_insert(cght, record)
 
     patches = [
@@ -244,6 +245,22 @@ def random_database(
             g.add_edge(u, v, rng.randrange(n_elabels))
         graphs.append(g)
     return GraphDatabase(graphs)
+
+
+def fuzz_database(seed: int):
+    """The fuzz database of one seed: ``random_database`` over 3-8 graphs
+    with one to three vertex labels and one or two edge labels, in its
+    exact draw order. The fuzz tests and scripts all draw from it."""
+    rng = random.Random(seed)
+    nv = rng.choice([1, 2, 3])
+    ne = rng.choice([1, 2])
+    return random_database(
+        rng,
+        n_graphs=rng.randint(3, 8),
+        max_vertices=rng.randint(4, 9),
+        n_vlabels=nv,
+        n_elabels=ne,
+    )
 
 
 def brute_code_supports(db) -> dict[tuple, int]:

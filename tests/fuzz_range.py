@@ -30,8 +30,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 from graphmine.cgspan import mine_closed  # noqa: E402
 from graphmine.gspan import MiningConfig, mine_frequent  # noqa: E402
 from graphmine.oracle import filter_closed  # noqa: E402
-from conftest import brute_code_supports, key_set  # noqa: E402
-from test_cgspan import fuzz_database  # noqa: E402
+from conftest import brute_code_supports, fuzz_database, key_set  # noqa: E402
 
 SUPPORTS = (1, 2, 3)
 

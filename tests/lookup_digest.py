@@ -9,7 +9,7 @@ with ``mine_closed`` and feeds into one digest, run by run:
   output order;
 - the run's ``MiningStats``;
 - every ``early_termination`` result, in call order, as ``(terminate,
-  record.discovery_index, rho)``, read from ``conftest.recording``'s
+  record.pattern.discovery_index, rho)``, read from ``conftest.recording``'s
   ``lookup`` events. Only mode ``closed_no_etf`` makes lookups; mode
   ``closed`` contributes its patterns and counters.
 
@@ -31,8 +31,7 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from graphmine.gspan import MiningConfig, MiningStats  # noqa: E402
-from conftest import calls, record_run  # noqa: E402
-from test_cgspan import fuzz_database  # noqa: E402
+from conftest import calls, fuzz_database, record_run  # noqa: E402
 
 
 def lookup_digest(n_seeds: int) -> tuple[int, int, str]:
@@ -58,7 +57,7 @@ def lookup_digest(n_seeds: int) -> tuple[int, int, str]:
                         for p in mined
                     ]
                     lookups = [
-                        (terminate, record and record.discovery_index, rho)
+                        (terminate, record and record.pattern.discovery_index, rho)
                         for _, (_, (terminate, record, rho)) in calls(events, "lookup")
                     ]
                     run = (seed, sup, mode, cap, patterns, stats.as_dict(), lookups)

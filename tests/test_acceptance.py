@@ -108,23 +108,21 @@ def test_hash_key_and_termination_example():
         cght = ClosedGraphHashTable()
         chains = {p.discovery_index: project_code(p.code, db) for p in mined}
         for p in mined:
-            record = ClosedGraphRecord(
-                p.code, chains[p.discovery_index], p.discovery_index, p.containing_graphs
-            )
-            add_closed_graph(cght, record)
+            add_closed_graph(cght, ClosedGraphRecord(p, chains[p.discovery_index]))
         alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
         proj = project_code(alpha, db)
         key = frozenset((c.gid, c.edge[2]) for c in proj)  # images of edge (1, 2)
         assert key == frozenset({(0, 4), (1, 3)})
         terminate, record, rho = early_termination(alpha, proj, cght)
         assert terminate
-        assert tuple(map(tuple, record.code)) == tuple(map(tuple, P1))
+        assert tuple(map(tuple, record.pattern.code)) == tuple(map(tuple, P1))
         assert rho == (0, 1, 3)
         # The cover implies the paper's key: P1's edge rho(1)-rho(2) has
         # exactly the images of alpha's last edge, read off the chains P1
         # was inserted with (the lookup dropped the record's own).
-        pos = record.edge_pos[frozenset((rho[1], rho[2]))]
-        assert edge_image_sets(record.code, chains[record.discovery_index])[pos] == key
+        code = record.pattern.code
+        pos = [frozenset((t[0], t[1])) for t in code].index(frozenset((rho[1], rho[2])))
+        assert edge_image_sets(code, chains[record.pattern.discovery_index])[pos] == key
         assert time.perf_counter() - start < 1.0
 
 
@@ -135,19 +133,15 @@ def test_hash_table_state():
         mined = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
         cght = ClosedGraphHashTable()
         for p in mined:
-            record = ClosedGraphRecord(
-                p.code, project_code(p.code, db), p.discovery_index, p.containing_graphs
-            )
-            add_closed_graph(cght, record)
+            add_closed_graph(cght, ClosedGraphRecord(p, project_code(p.code, db)))
         # Both patterns occur in graphs 0 and 1 and share one support set.
         assert list(cght) == [(0, 1)]
         names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
         state: dict[tuple, list[str]] = {}
         for record in cght[(0, 1)]:
-            for images in dict.fromkeys(edge_image_sets(record.code, record.chains)):
-                state.setdefault(tuple(sorted(images)), []).append(
-                    names[tuple(map(tuple, record.code))]
-                )
+            code = record.pattern.code
+            for images in dict.fromkeys(edge_image_sets(code, record.chains)):
+                state.setdefault(tuple(sorted(images)), []).append(names[tuple(map(tuple, code))])
         assert state == {
             ((0, 1), (1, 0)): ["p1"],
             ((0, 2), (1, 1)): ["p1"],
@@ -306,7 +300,7 @@ def test_counting_oracle_on_random_databases():
                 assert p.occurrence == len(chains) == total
                 oracle_exts = all_extensions(p.code, db)
                 gids = {
-                    gid for ext in oracle_exts.values() for gid, _ in ext.covered_parents
+                    gid for parents in oracle_exts.values() for gid, _ in parents
                 }
                 assert len(containing_graphs(chains)) == p.support
                 rm = reference_rightmost_extensions(
@@ -323,7 +317,7 @@ def test_counting_oracle_on_random_databases():
                         key = ExtensionKey(
                             "b", min(t[0], t[1]), max(t[0], t[1]), t[3], -1
                         )
-                    covered = len(oracle_exts[key].covered_parents)
+                    covered = len(oracle_exts[key])
                     assert equivalent_occurrence(chains, as_bucket(bucket)) == (
                         covered == total
                     )

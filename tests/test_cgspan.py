@@ -23,7 +23,7 @@ from graphmine.embeddings import (
     vertex_maps,
 )
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
-from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
+from graphmine.gspan import MinedPattern, MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import all_extensions, filter_closed, is_closed, verify_run
 
 from conftest import (
@@ -31,8 +31,6 @@ from conftest import (
     CG2,
     EA,
     ED,
-    P1,
-    P2,
     S,
     W,
     X,
@@ -41,6 +39,7 @@ from conftest import (
     calls,
     code_key,
     edge_image_sets,
+    fuzz_database,
     key_set,
     random_database,
     record_run,
@@ -54,10 +53,17 @@ def build_table(patterns, db):
     patterns in discovery order."""
     cght = ClosedGraphHashTable()
     for p in patterns:
-        chains = project_code(p.code, db)
-        record = ClosedGraphRecord(p.code, chains, p.discovery_index, p.containing_graphs)
-        add_closed_graph(cght, record)
+        add_closed_graph(cght, ClosedGraphRecord(p, project_code(p.code, db)))
     return cght
+
+
+def bare_record(code, db):
+    """A record of ``code`` filed as the first closed graph of a run, and
+    the chains it holds until a lookup drops them."""
+    chains = project_code(code, db)
+    gids = containing_graphs(chains)
+    pattern = MinedPattern(DFSCode(code), len(gids), len(chains), gids, 0)
+    return ClosedGraphRecord(pattern, chains), chains
 
 
 @pytest.fixture
@@ -68,27 +74,10 @@ def sample_closed(sample_db):
 # ---------------------------------------------------------------- mining
 
 
-def test_sample_closed_set_exact(sample_db):
-    mined = mine_closed(sample_db, MiningConfig(min_support=2, mode="closed"))
-    got = {tuple(map(tuple, p.code)): (p.support, p.occurrence) for p in mined}
-    assert got == {
-        tuple(map(tuple, P1)): (2, 2),
-        tuple(map(tuple, P2)): (2, 3),
-    }
-
-
 def test_sample_closed_set_stable_without_etf(sample_db):
     on = mine_closed(sample_db, MiningConfig(min_support=2, mode="closed"))
     off = mine_closed(sample_db, MiningConfig(min_support=2, mode="closed_no_etf"))
     assert key_set(on) == key_set(off)
-
-
-def test_etf_handling_recovers_missed_pattern(etf_db):
-    on = key_set(mine_closed(etf_db, MiningConfig(min_support=2, mode="closed")))
-    off = key_set(mine_closed(etf_db, MiningConfig(min_support=2, mode="closed_no_etf")))
-    cg1, cg2 = tuple(map(tuple, CG1)), tuple(map(tuple, CG2))
-    assert cg1 in on and cg2 in on
-    assert cg1 in off and cg2 not in off
 
 
 def test_mine_closed_rejects_frequent_mode(sample_db):
@@ -158,28 +147,6 @@ def test_closed_set_equals_oracle_filter(sample_db, etf_db):
 # ---------------------------------------------------------- hash table
 
 
-def test_hash_table_state_matches_worked_example(sample_db, sample_closed):
-    # Both closed patterns occur in graphs 0 and 1, so the table files them
-    # under one support set. The paper's keys are their edge image sets,
-    # sets of (graph id, edge id), both 0-based.
-    cght = build_table(sample_closed, sample_db)
-    assert list(cght) == [(0, 1)]
-    names = {tuple(map(tuple, P1)): "p1", tuple(map(tuple, P2)): "p2"}
-    state: dict[tuple, list[str]] = {}
-    for record in cght[(0, 1)]:
-        for images in dict.fromkeys(edge_image_sets(record.code, record.chains)):
-            state.setdefault(tuple(sorted(images)), []).append(
-                names[tuple(map(tuple, record.code))]
-            )
-    assert state == {
-        ((0, 1), (1, 0)): ["p1"],
-        ((0, 2), (1, 1)): ["p1"],
-        ((0, 4), (1, 3)): ["p1"],
-        ((0, 5), (1, 4)): ["p1", "p2"],
-        ((0, 0), (0, 1), (1, 0)): ["p2"],
-    }
-
-
 def test_lookup_reads_only_its_support_set(sample_db, monkeypatch):
     # At support 1 the sample's closed patterns fall into several support
     # sets; a lookup materializes no record of another set and leaves the
@@ -214,7 +181,7 @@ def test_lookup_builds_pattern_maps_in_the_reference_graph_only(sample_db, sampl
     inserted = {}
     for p in sample_closed:
         chains = project_code(p.code, sample_db)
-        record = ClosedGraphRecord(p.code, chains, p.discovery_index, p.containing_graphs)
+        record = ClosedGraphRecord(p, chains)
         inserted[record] = chains
         add_closed_graph(cght, record)
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
@@ -238,12 +205,12 @@ def test_lookup_builds_pattern_maps_in_the_reference_graph_only(sample_db, sampl
     assert result[1] in read and len(read) < len(inserted)
     assert sorted(record_builds) == sorted(len(inserted[r]) for r in read)
     for record, chains in inserted.items():
-        assert record.occurrence == len(chains)
+        assert record.pattern.occurrence == len(chains)
         if record.maps is None:
             assert record.chains is chains
             continue
         assert record.chains is None
-        assert record.maps == vertex_maps(record.code, chains)
+        assert record.maps == vertex_maps(record.pattern.code, chains)
         gids = [c.gid for c in chains] + [None]
         assert list(record.ends) == [i for i in range(1, len(gids)) if gids[i] != gids[i - 1]]
 
@@ -271,8 +238,7 @@ def test_cover_counts_distinct_projections_of_record_maps():
     # two maps per graph and both project onto the one B-C map there. The
     # record has more maps than the pattern has chains, and still covers.
     db = star_database(extra_b=False)
-    chains = project_code(STAR, db)
-    record = ClosedGraphRecord(STAR, chains, 0, containing_graphs(chains))
+    record, chains = bare_record(STAR, db)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     proj = project_code(B_C, db)
@@ -288,8 +254,7 @@ def test_cover_fails_when_distinct_projections_are_one_short():
     # per graph, as many as the star has maps, but both star maps project
     # onto the same B-C map and the other is left uncovered.
     db = star_database(extra_b=True)
-    chains = project_code(STAR, db)
-    record = ClosedGraphRecord(STAR, chains, 0, containing_graphs(chains))
+    record, chains = bare_record(STAR, db)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     proj = project_code(B_C, db)
@@ -300,16 +265,6 @@ def test_cover_fails_when_distinct_projections_are_one_short():
 
 
 # ----------------------------------------------------- early termination
-
-
-def test_early_termination_worked_example(sample_db, sample_closed):
-    cght = build_table(sample_closed, sample_db)
-    alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
-    proj = project_code(alpha, sample_db)
-    terminate, record, rho = early_termination(alpha, proj, cght)
-    assert terminate
-    assert tuple(map(tuple, record.code)) == tuple(map(tuple, P1))
-    assert rho == (0, 1, 3)
 
 
 def test_early_termination_empty_table(sample_db):
@@ -336,10 +291,8 @@ def test_early_termination_no_candidate_when_images_diverge():
     )
     db = parse_dataset_text(text)
     stored = DFSCode([(0, 1, 0, 1, 2)])  # A-y-C
-    chains = project_code(stored, db)
-    rec = ClosedGraphRecord(stored, chains, 0, containing_graphs(chains))
     cght = ClosedGraphHashTable()
-    add_closed_graph(cght, rec)
+    add_closed_graph(cght, bare_record(stored, db)[0])
     s = DFSCode([(0, 1, 0, 0, 1), (0, 2, 0, 1, 2)])  # A(-x-B)(-y-C)
     proj = project_code(s, db)
     assert early_termination(s, proj, cght) == (False, None, None)
@@ -371,7 +324,7 @@ def test_early_termination_accepts_equal_vertex_images():
     proj = project_code(path, db)
     terminate, record, rho = early_termination(path, proj, cght)
     assert terminate
-    assert record.code.vertex_count == path.vertex_count
+    assert record.pattern.code.vertex_count == path.vertex_count
     assert sorted(rho) == [0, 1, 2, 3, 4]
     # End to end the whole database yields exactly one closed pattern.
     rep = verify_run(db, MiningConfig(min_support=2, mode="closed"))
@@ -385,8 +338,7 @@ def test_early_termination_one_edge_pattern():
         "".join(f"t # {i}\nv 0 0\nv 1 1\nv 2 2\ne 0 1 5\ne 1 2 6\n" for i in range(2))
     )
     stored = DFSCode([(0, 1, 0, 5, 1), (1, 2, 1, 6, 2)])
-    chains = project_code(stored, path_db)
-    record = ClosedGraphRecord(stored, chains, 0, containing_graphs(chains))
+    record, chains = bare_record(stored, path_db)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 1)])
@@ -401,8 +353,7 @@ def test_early_termination_one_edge_pattern():
         "".join(f"t # {i}\nv 0 0\nv 1 0\nv 2 1\ne 0 1 5\ne 1 2 6\n" for i in range(2))
     )
     stored = DFSCode([(0, 1, 0, 5, 0), (1, 2, 0, 6, 1)])
-    chains = project_code(stored, sym_db)
-    record = ClosedGraphRecord(stored, chains, 0, containing_graphs(chains))
+    record, chains = bare_record(stored, sym_db)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 0)])
@@ -500,20 +451,6 @@ def test_closed_mining_matches_oracle_on_random_databases():
 # and seeds 3277 and 4843 at support 2 too. Seed 1227 lost one at support 1
 # until a reordering of the table's records changed which cut was vetoed.
 REGRESSION_SEEDS = (1227, 1307, 1712, 2079, 2394, 3217, 3242, 3277, 4843, 5026, 5851, 6013, 6330)
-
-
-def fuzz_database(seed: int):
-    """The fuzz generator, in its exact draw order."""
-    rng = random.Random(seed)
-    nv = rng.choice([1, 2, 3])
-    ne = rng.choice([1, 2])
-    return random_database(
-        rng,
-        n_graphs=rng.randint(3, 8),
-        max_vertices=rng.randint(4, 9),
-        n_vlabels=nv,
-        n_elabels=ne,
-    )
 
 
 def fuzz_runs(mode: str):
@@ -622,12 +559,12 @@ def reference_cover(code, projected, record, chains):
     the first rho under which every pattern map equals some record map of
     its graph composed with rho wins."""
     fmaps = list(zip([c.gid for c in projected], vertex_maps(code, projected)))
-    rmaps = vertex_maps(record.code, chains)
+    rmaps = vertex_maps(record.pattern.code, chains)
     by_gid: dict[int, list] = {}
     for c, m in zip(chains, rmaps):
         by_gid.setdefault(c.gid, []).append(m)
     ref_gid, ref_map = chains[0].gid, rmaps[0]
-    record_edges = {frozenset((t[0], t[1])) for t in record.code}
+    record_edges = {frozenset((t[0], t[1])) for t in record.pattern.code}
     tried = set()
     for gid, fmap in fmaps:
         if gid != ref_gid or not set(fmap) <= set(ref_map):
@@ -656,7 +593,7 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode):
 
     def summary(result):
         terminate, record, rho = result
-        return terminate, record and record.discovery_index, rho
+        return terminate, record and record.pattern.discovery_index, rho
 
     for seed, _, config, events, _ in fuzz_runs(mode):
         eager: dict[frozenset, list] = {}
@@ -665,7 +602,7 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode):
             if kind == "insert":
                 _, record, chains = payload
                 inserted[record] = chains
-                for images in edge_image_sets(record.code, chains):
+                for images in edge_image_sets(record.pattern.code, chains):
                     bucket = eager.setdefault(images, [])
                     if not any(r is record for r in bucket):
                         bucket.append(record)
@@ -698,10 +635,11 @@ def test_covering_record_has_the_pattern_edge_images_on_fuzz(mode):
                 continue
             hits += 1
             chains = inserted[record]
-            assert record.occurrence == len(chains) >= len(projected)
-            images = edge_image_sets(record.code, chains)
+            assert record.pattern.occurrence == len(chains) >= len(projected)
+            images = edge_image_sets(record.pattern.code, chains)
+            pairs = [frozenset((t[0], t[1])) for t in record.pattern.code]
             for t, want in zip(code, edge_image_sets(code, projected)):
-                assert images[record.edge_pos[frozenset((rho[t[0]], rho[t[1]]))]] == want
+                assert images[pairs.index(frozenset((rho[t[0]], rho[t[1]])))] == want
     assert hits > 0
 
 
@@ -723,8 +661,8 @@ def test_hook_embedding_lists_are_in_graph_id_order_on_fuzz(mode):
 @pytest.mark.parametrize("mode", ["closed_no_etf"])
 def test_group_keys_are_the_patterns_support_set_tuples_on_fuzz(mode):
     # The table files each record under the very tuple its pattern holds as
-    # ``containing_graphs``; a record no lookup reads has built no edge
-    # positions, and one that was read has them for every code edge.
+    # ``containing_graphs``, and holds that very pattern; a record no lookup
+    # reads has built no edge set, and one that was read has every code edge.
     unread = read = 0
     for _, _, _, events, mined in fuzz_runs(mode):
         if not mined:
@@ -736,15 +674,13 @@ def test_group_keys_are_the_patterns_support_set_tuples_on_fuzz(mode):
         for key, records in cght.items():
             assert type(key) is tuple
             for record in records:
-                assert by_index[record.discovery_index].containing_graphs is key
-                assert record.support_set is key
+                assert by_index[record.pattern.discovery_index] is record.pattern
+                assert record.pattern.containing_graphs is key
                 if record.maps is None:
-                    assert record.edge_pos is None and record.chains is not None
+                    assert record.edges is None and record.chains is not None
                     unread += 1
                 else:
-                    assert record.edge_pos == {
-                        frozenset((t[0], t[1])): i for i, t in enumerate(record.code)
-                    }
+                    assert record.edges == {frozenset((t[0], t[1])) for t in record.pattern.code}
                     read += 1
             filed += len(records)
         assert filed == len(mined)
@@ -840,9 +776,7 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode):
             other_graph += projected[0].gid != projected[-1].gid
             exts_all = all_extensions(code, db)
             candidates = exts_all.keys() - {rm_as_key(t) for t in kept}
-            covering = {
-                k for k in candidates if len(exts_all[k].covered_parents) == len(projected)
-            }
+            covering = {k for k in candidates if len(exts_all[k]) == len(projected)}
             if candidates and len(projected) > 1:
                 kinds |= {k.kind for k in candidates}
                 answers.add(got)

@@ -31,11 +31,11 @@ from conftest import (
     assert_links_match,
     calls,
     chain_edges,
+    fuzz_database,
     random_database,
     record_run,
     reference_rightmost_extensions,
 )
-from test_cgspan import fuzz_database
 
 
 # Reference vertex map: a chain read into its full edge list. The package

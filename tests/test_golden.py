@@ -28,7 +28,6 @@ change.
 
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -36,7 +35,7 @@ from graphmine.datasets import parse_dataset_text, write_patterns
 from graphmine.embeddings import project_code, vertex_maps
 from graphmine.gspan import MODES, MiningConfig, MiningStats
 
-from conftest import ETF_TEXT, SAMPLE_TEXT, mine, random_database
+from conftest import ETF_TEXT, SAMPLE_TEXT, fuzz_database, mine
 
 # (min_support, max_pattern_edges, digest embeddings)
 FIXTURE_CONFIGS = [(1, None, True), (2, None, True), (2, 2, False), (1, 3, False)]
@@ -48,16 +47,11 @@ def fixture_cases(text):
 
 
 def random_cases():
-    """Support 1-3 over one- to three-label alphabets; every fourth case also
+    """The first 150 fuzz databases at support 1-3; every fourth case also
     caps the pattern size and every fifth digests embeddings."""
     cases = []
     for seed in range(150):
-        rng = random.Random(seed)
-        nv = rng.choice([1, 2, 3])
-        ne = rng.choice([1, 2])
-        db = random_database(
-            rng, n_graphs=rng.randint(3, 8), max_vertices=rng.randint(4, 9), n_vlabels=nv, n_elabels=ne
-        )
+        db = fuzz_database(seed)
         max_edges = 3 if seed % 4 == 0 else None
         cases.append((db, (seed % 3 + 1, max_edges, seed % 5 == 0)))
     return cases

@@ -7,8 +7,7 @@ from graphmine.datasets import dump_dataset, parse_dataset_text, write_patterns
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from graphmine.gspan import MODES, MiningConfig, mine_frequent
 
-from conftest import ETF_TEXT, SAMPLE_TEXT, connected_labeled_graphs, mine
-from test_cgspan import fuzz_database
+from conftest import ETF_TEXT, SAMPLE_TEXT, connected_labeled_graphs, fuzz_database, mine
 
 
 def triangle_with_tail() -> LabeledGraph:
@@ -46,6 +45,21 @@ def test_edge_validation():
         g.add_edge(1, 1, 0)
     with pytest.raises(ValueError):
         g.add_edge(1, 0, 1)  # duplicate regardless of orientation
+    # A hub with four leaves: the leaf's adjacency list is the shorter one
+    # for a spoke, the hub's for an edge between two leaves. A rejected
+    # edge leaves the graph unchanged; a new edge between leaves is kept.
+    g = LabeledGraph()
+    for _ in range(5):
+        g.add_vertex(0)
+    for leaf in range(1, 5):
+        g.add_edge(0, leaf, 0)
+    g.add_edge(1, 2, 0)
+    before = (list(g.edges), [list(a) for a in g.adj])
+    for u, v in [(0, 3), (3, 0), (1, 2), (2, 1), (0, 1), (1, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"duplicate edge ({u}, {v})")):
+            g.add_edge(u, v, 1)
+    assert (g.edges, g.adj) == before
+    assert g.add_edge(3, 4, 0) == 5
 
 
 def labeled_path(labels) -> LabeledGraph:

@@ -95,11 +95,11 @@ def test_extension_evidence_on_root(sample_db):
     exts = all_extensions(DFSCode([(0, 1, W, EA, X)]), sample_db)
     # Hanging Z on W with f covers every embedding: equivalent occurrence.
     full = exts[ExtensionKey("f", 0, -1, EF, Z)]
-    assert len(full.covered_parents) == 3
+    assert len(full) == 3
     # Hanging Z on X with d misses the embedding through graph 0's other X.
     partial = exts[ExtensionKey("f", 1, -1, ED, Z)]
-    assert len(partial.covered_parents) == 2
-    assert {gid for gid, _ in partial.covered_parents} == {0, 1}
+    assert len(partial) == 2
+    assert {gid for gid, _ in partial} == {0, 1}
 
 
 def test_extensions_cover_non_rightmost_vertices():
@@ -147,7 +147,7 @@ def test_is_closed_counts_in_the_extension_walk():
         for p in mine_frequent(db, MiningConfig(min_support=1)):
             total = total_occurrence(p.code, db)
             exts = all_extensions(p.code, db).values()
-            assert is_closed(p.code, db) == all(len(e.covered_parents) != total for e in exts)
+            assert is_closed(p.code, db) == all(len(parents) != total for parents in exts)
             checked += 1
     assert checked > 0
 
