@@ -70,13 +70,14 @@ class ClosedGraphRecord:
         where each graph's run of maps ends.
 
         The first call builds both, and ``edges`` (the code's edges as
-        frozensets of dfs-id pairs), and sets ``chains`` to None: a lookup
-        reads only the maps and edges, and the chains' links outweigh them.
-        Most records are never read, so none of this is built at insert.
+        dfs-id pairs, each in both orientations), and sets ``chains`` to
+        None: a lookup reads only the maps and edges, and the chains' links
+        outweigh them. Most records are never read, so none of this is
+        built at insert.
         """
         if self.maps is None:
             code = self.pattern.code
-            self.edges = {frozenset((t[0], t[1])) for t in code}
+            self.edges = {(t[0], t[1]) for t in code} | {(t[1], t[0]) for t in code}
             self.maps = vertex_maps(code, self.chains)
             self.ends = array("l", accumulate(_run_lengths(self.chains)))
             self.chains = None
@@ -176,7 +177,7 @@ def early_termination(
             if not image.issuperset(fmap):
                 continue
             rho = itemgetter(*fmap)(inverse)
-            if not all(frozenset((rho[a], rho[b])) in edges for a, b in pairs):
+            if not all((rho[a], rho[b]) in edges for a, b in pairs):
                 continue
             get = itemgetter(*rho)
             start = 0

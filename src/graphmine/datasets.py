@@ -2,8 +2,9 @@
 
 File format, one record per line, whitespace separated:
 
-    t # <graph-id>        start of a graph (a ``* <n>`` suffix is tolerated
-                          so mining output is itself parseable)
+    t # <graph-id>        start of a graph; an integer suffix ``* <n>`` is
+                          the only thing allowed after the id, so mining
+                          output is itself parseable
     v <vid> <label>       vertex
     e <u> <v> <label>     undirected edge between existing vertices
     x ...                 ignored (pattern-file occurrence lists)
@@ -82,7 +83,10 @@ def _parse(fh: TextIO) -> GraphDatabase:
             continue
         kind = parts[0]
         if kind == "t":
-            if len(parts) < 3 or parts[1] != "#":
+            suffix = parts[3:]
+            if len(parts) < 3 or parts[1] != "#" or suffix and (
+                len(suffix) != 2 or suffix[0] != "*" or not _INT_LABEL.fullmatch(suffix[1])
+            ):
                 _fail(lineno, f"malformed graph header {line.strip()!r}")
             try:
                 gid = int(parts[2])

@@ -9,7 +9,7 @@ table. Intended for verification at desk scale, not for large datasets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .dfscode import DFSCode, code_to_graph
@@ -118,13 +118,8 @@ def verify_run(db: GraphDatabase, config=None) -> VerifyReport:
     from .gspan import MiningConfig, mine_frequent
 
     config = config or MiningConfig(mode="closed")
-    frequent_cfg = MiningConfig(
-        min_support=config.min_support,
-        mode="frequent",
-        max_pattern_edges=config.max_pattern_edges,
-    )
     mined = mine_closed(db, config)
-    expected = filter_closed(mine_frequent(db, frequent_cfg), db)
+    expected = filter_closed(mine_frequent(db, replace(config, mode="frequent")), db)
 
     mined_keys = {tuple(map(tuple, p.code)) for p in mined}
     oracle_keys = {tuple(map(tuple, p.code)) for p in expected}

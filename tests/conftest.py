@@ -1,5 +1,6 @@
 """Shared fixtures: the two worked-example databases, a seeded random
-database generator, a recorder of the search's calls, a brute-force
+database generator, the verdict every check of a closed run against the
+oracle reads, a recorder of the search's calls, a brute-force
 frequent-pattern enumerator, a reference right-most extension scan (with
 helpers that compare its chains with the package's unlinked buckets), and a
 brute-force DFS-code enumerator used as the canonical-form oracle."""
@@ -8,19 +9,21 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from graphmine import cgspan, gspan
 from graphmine.cgspan import mine_closed
-from graphmine.gspan import mine_frequent
+from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
 from graphmine.dfscode import DFSCode, code_to_graph, min_dfs_code, rightmost_path
 from graphmine.embeddings import Bucket, Embedding
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from graphmine.datasets import parse_dataset_text
-from graphmine.oracle import ExtensionKey
+from graphmine.oracle import ExtensionKey, filter_closed
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -189,6 +192,50 @@ def record_run(db, config, stats=None) -> tuple[list, list]:
     with recording() as events:
         mined = mine(db, config, stats)
     return events, mined
+
+
+class ClosedVerdict(NamedTuple):
+    """One closed-mining run judged: ``closed`` against the oracle, and
+    ``closed_no_etf`` against ``closed``. Codes are tuples of tuples."""
+
+    frequent: list[tuple]  # mine_frequent's codes, in pre-order
+    closed: list[tuple]  # mode closed's codes, in output order
+    closed_ok: bool  # closed == filter_closed(frequent), same visits, no cut
+    no_etf_ok: bool  # closed_no_etf's list is a subsequence of closed's
+    lost: list[tuple]  # closed's codes that closed_no_etf lacks, in order
+
+
+def closed_verdict(db, min_support: int, max_pattern_edges: int | None = None) -> ClosedVerdict:
+    """Mine ``db`` once in each mode and judge both closed modes.
+
+    ``closed`` must emit the oracle's closed subset of the frequent list, in
+    order, and make no cut: its counters but ``pattern_count`` equal
+    ``mine_frequent``'s. ``closed_no_etf`` may lose closed patterns, but
+    emits none that ``closed`` does not, nor out of its order, so it stays
+    inside the oracle set."""
+    config = MiningConfig(min_support=min_support, max_pattern_edges=max_pattern_edges)
+
+    def run(mode):
+        stats = MiningStats()
+        return mine(db, replace(config, mode=mode), stats), stats
+
+    frequent, frequent_stats = run("frequent")
+    closed, closed_stats = run("closed")
+    closed_codes, no_etf_codes = codes(closed), codes(run("closed_no_etf")[0])
+    rest, kept = iter(closed_codes), set(no_etf_codes)
+    return ClosedVerdict(
+        frequent=codes(frequent),
+        closed=closed_codes,
+        closed_ok=closed_codes == codes(filter_closed(frequent, db))
+        and replace(closed_stats, pattern_count=0) == replace(frequent_stats, pattern_count=0),
+        no_etf_ok=all(code in rest for code in no_etf_codes),
+        lost=[code for code in closed_codes if code not in kept],
+    )
+
+
+def codes(patterns) -> list[tuple]:
+    """Pattern codes as tuples of tuples, in output order."""
+    return [code_key(p.code) for p in patterns]
 
 
 def calls(events, kind: str) -> list[tuple]:

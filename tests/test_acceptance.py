@@ -22,7 +22,7 @@ from graphmine.datasets import parse_dataset, parse_dataset_text, write_patterns
 from graphmine.dfscode import DFSCode, is_min, min_dfs_code
 from graphmine.embeddings import project_code
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
-from graphmine.oracle import ExtensionKey, all_extensions, total_occurrence, verify_run
+from graphmine.oracle import ExtensionKey, all_extensions, total_occurrence
 
 from conftest import (
     CG1,
@@ -39,6 +39,7 @@ from conftest import (
     all_dfs_codes,
     as_bucket,
     assert_links_match,
+    closed_verdict,
     connected_labeled_graphs,
     edge_image_sets,
     extension_family,
@@ -237,8 +238,8 @@ def test_oracle_equivalence_on_seeded_databases():
         for i in range(100):
             db = random_database(rng, n_graphs=rng.randint(5, 10))
             for sup in (2, 3):
-                rep = verify_run(db, MiningConfig(min_support=sup, mode="closed"))
-                assert rep.ok, f"db {i} support {sup}:\n" + "\n".join(rep.lines())
+                verdict = closed_verdict(db, sup)
+                assert verdict.closed_ok and verdict.no_etf_ok, f"db {i} support {sup}"
 
 
 def test_canonical_form_oracle_exhaustive():

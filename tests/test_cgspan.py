@@ -1,6 +1,4 @@
 import functools
-import random
-from dataclasses import replace
 
 import pytest
 
@@ -23,25 +21,27 @@ from graphmine.embeddings import (
     vertex_maps,
 )
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
-from graphmine.gspan import MinedPattern, MiningConfig, MiningStats, mine_frequent
-from graphmine.oracle import all_extensions, filter_closed, is_closed, verify_run
+from graphmine.gspan import MinedPattern, MiningConfig
+from graphmine.oracle import all_extensions, is_closed
 
 from conftest import (
     CG1,
     CG2,
     EA,
     ED,
+    ETF_TEXT,
     S,
+    SAMPLE_TEXT,
     W,
     X,
     Z,
     assert_links_match,
     calls,
+    closed_verdict,
     code_key,
     edge_image_sets,
     fuzz_database,
     key_set,
-    random_database,
     record_run,
     reference_rightmost_extensions,
     rm_as_key,
@@ -74,74 +74,51 @@ def sample_closed(sample_db):
 # ---------------------------------------------------------------- mining
 
 
-def test_sample_closed_set_stable_without_etf(sample_db):
-    on = mine_closed(sample_db, MiningConfig(min_support=2, mode="closed"))
-    off = mine_closed(sample_db, MiningConfig(min_support=2, mode="closed_no_etf"))
-    assert key_set(on) == key_set(off)
-
-
 def test_mine_closed_rejects_frequent_mode(sample_db):
     with pytest.raises(ValueError):
         mine_closed(sample_db, MiningConfig(min_support=2, mode="frequent"))
 
 
-def codes(patterns):
-    """Pattern codes as tuples, in output order."""
-    return [tuple(map(tuple, p.code)) for p in patterns]
-
-
 # (database, min_support, max_pattern_edges) where mode closed_no_etf loses
-# a closed pattern of etf_db: the paper's Early Termination cuts a branch
-# that still holds one, and nothing in this mode detects it.
+# CG2 of etf_db: the paper's Early Termination cuts a branch that still
+# holds it, and nothing in this mode detects it. No other case loses one.
 NO_ETF_LOSSES = {("etf", 1, None), ("etf", 1, 3), ("etf", 2, None), ("etf", 2, 3)}
 
 
-def assert_filtered_preorder(db, config):
-    """The closed list is the frequent pre-order with the patterns that are
-    not closed left out. In mode closed, with caps None and 2, the run also
-    makes no cut: it visits what ``mine_frequent`` visits, and applies,
-    rejects and registers nothing."""
-    stats = MiningStats()
-    got = codes(mine_closed(db, config, stats))
-    frequent_stats = MiningStats()
-    frequent = mine_frequent(db, replace(config, mode="frequent"), frequent_stats)
-    assert got == codes(filter_closed(frequent, db)), config
-    if config.mode == "closed" and config.max_pattern_edges in (None, 2):
-        assert stats.visited_nodes == frequent_stats.visited_nodes, config
-        assert stats.early_terminations_applied == 0
-        assert stats.early_terminations_rejected == 0
-        assert stats.trie_size == 0
+@functools.cache
+def fixture_verdicts(name: str) -> dict:
+    """The verdict of each (support, cap) case of a fixture database."""
+    db = parse_dataset_text({"sample": SAMPLE_TEXT, "etf": ETF_TEXT}[name])
+    return {(sup, cap): closed_verdict(db, sup, cap) for sup in (1, 2, 3) for cap in (None, 1, 2, 3)}
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
 @pytest.mark.parametrize("name", ["sample", "etf"])
-def test_closed_output_is_filtered_preorder(request, name, mode):
+def test_closed_output_is_filtered_preorder(name, mode):
     # Each pattern is settled when the search visits it, so the closed list
     # is the frequent pre-order with the patterns that are not closed left
     # out; a closed pattern never waits for the closed graphs below it.
-    db = request.getfixturevalue(f"{name}_db")
-    for sup in (1, 2, 3):
-        for cap in (None, 1, 2, 3):
-            if mode == "closed_no_etf" and (name, sup, cap) in NO_ETF_LOSSES:
-                continue
-            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-            assert_filtered_preorder(db, config)
+    # Mode closed_no_etf's list is closed's with exactly its losses left out.
+    for (sup, cap), verdict in fixture_verdicts(name).items():
+        if mode == "closed":
+            assert verdict.closed_ok, (sup, cap)
+        else:
+            lost = [code_key(CG2)] if (name, sup, cap) in NO_ETF_LOSSES else []
+            assert verdict.no_etf_ok and verdict.lost == lost, (sup, cap)
 
 
 def test_closed_output_is_filtered_preorder_on_fuzz():
-    for seed in range(200):
+    # Supports 1-3 at caps None and 2-4 (seeds 200-299 at caps 2-4 only).
+    # A capped node has no explored children: the check decides its closure.
+    wrong = []
+    for seed in range(300):
         db = fuzz_database(seed)
         for sup in (1, 2, 3):
-            for cap in (None, 2):
-                config = MiningConfig(min_support=sup, mode="closed", max_pattern_edges=cap)
-                assert_filtered_preorder(db, config)
-
-
-def test_closed_set_equals_oracle_filter(sample_db, etf_db):
-    for db in (sample_db, etf_db):
-        mined = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
-        frequent = mine_frequent(db, MiningConfig(min_support=2))
-        assert codes(mined) == codes(filter_closed(frequent, db))
+            for cap in (None, 2, 3, 4) if seed < 200 else (2, 3, 4):
+                verdict = closed_verdict(db, sup, cap)
+                if not (verdict.closed_ok and verdict.no_etf_ok):
+                    wrong.append((seed, sup, cap))
+    assert wrong == []
 
 
 # ---------------------------------------------------------- hash table
@@ -317,7 +294,6 @@ def test_early_termination_accepts_equal_vertex_images():
     )
     assert not is_closed(path, db)
     closed = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
-    assert tuple(map(tuple, path)) not in key_set(closed)
     # Direct check: the stored cover terminates the path via an equal-size
     # vertex image.
     cght = build_table(closed, db)
@@ -326,9 +302,9 @@ def test_early_termination_accepts_equal_vertex_images():
     assert terminate
     assert record.pattern.code.vertex_count == path.vertex_count
     assert sorted(rho) == [0, 1, 2, 3, 4]
-    # End to end the whole database yields exactly one closed pattern.
-    rep = verify_run(db, MiningConfig(min_support=2, mode="closed"))
-    assert rep.ok and rep.mined_count == 1
+    # End to end the database has one closed pattern, and not the path.
+    verdict = closed_verdict(db, 2)
+    assert verdict.closed_ok and len(verdict.closed) == 1
 
 
 def test_early_termination_one_edge_pattern():
@@ -420,29 +396,18 @@ def test_leaf_deletion_failure_regression():
         "t # 7\nv 0 2\nv 1 2\nv 2 1\nv 3 0\n"
         "e 0 3 1\ne 1 2 0\ne 1 3 0\ne 0 1 0\ne 0 2 0\ne 2 3 0\n"
     )
-    db = parse_dataset_text(text)
-    mined = key_set(mine_closed(db, MiningConfig(min_support=2, mode="closed")))
-    assert ((0, 1, 0, 0, 1), (1, 2, 1, 1, 2), (2, 3, 2, 1, 1)) in mined
+    verdict = closed_verdict(parse_dataset_text(text), 2)
+    assert ((0, 1, 0, 0, 1), (1, 2, 1, 1, 2), (2, 3, 2, 1, 1)) in verdict.closed
     assert (
         (0, 1, 0, 0, 1),
         (1, 2, 1, 1, 2),
         (2, 3, 2, 1, 1),
         (3, 4, 1, 0, 1),
-    ) in mined
-    rep = verify_run(db, MiningConfig(min_support=2, mode="closed"))
-    assert rep.ok, "\n".join(rep.lines())
+    ) in verdict.closed
+    assert verdict.closed_ok
 
 
-# ------------------------------------------------------------ random sweep
-
-
-def test_closed_mining_matches_oracle_on_random_databases():
-    rng = random.Random(17)
-    for _ in range(15):
-        db = random_database(rng)
-        for sup in (2, 3):
-            rep = verify_run(db, MiningConfig(min_support=sup, mode="closed"))
-            assert rep.ok, "\n".join(rep.lines())
+# ------------------------------------------------------------ fuzz seeds
 
 
 # Seeds of the differential fuzz (seeds 0-7199 at supports 1-3) where
@@ -500,52 +465,27 @@ def witness_graph(name: str) -> LabeledGraph:
 
 @pytest.mark.parametrize("name", list(P4_WITNESSES))
 def test_one_graph_witnesses_match_oracle(name):
-    db = GraphDatabase([witness_graph(name)])
-    config = MiningConfig(min_support=1, mode="closed")
-    rep = verify_run(db, config)
-    assert rep.ok, "\n".join(rep.lines())
-    assert P4_WITNESSES[name][2] in key_set(mine_closed(db, config))
+    verdict = closed_verdict(GraphDatabase([witness_graph(name)]), 1)
+    assert verdict.closed_ok and verdict.no_etf_ok
+    assert P4_WITNESSES[name][2] in verdict.closed
 
 
 @functools.cache
-def regression_seed_report(seed: int, sup: int, mode: str):
-    return verify_run(fuzz_database(seed), MiningConfig(min_support=sup, mode=mode))
+def regression_seed_verdict(seed: int, sup: int):
+    return closed_verdict(fuzz_database(seed), sup)
 
 
 @pytest.mark.parametrize("seed,sup", [(s, sup) for s in REGRESSION_SEEDS for sup in (1, 2, 3)])
 def test_fuzz_regression_seeds_match_oracle(seed, sup):
-    rep = regression_seed_report(seed, sup, "closed")
-    assert rep.ok, "\n".join(rep.lines())
+    assert regression_seed_verdict(seed, sup).closed_ok
 
 
 @pytest.mark.parametrize("seed,sup", [(s, sup) for s in REGRESSION_SEEDS for sup in (1, 2, 3)])
 def test_fuzz_regression_seeds_emit_only_closed_patterns(seed, sup):
     # Early termination only prunes: in mode closed_no_etf a wrong cut can
-    # lose closed patterns, never make the miner emit one that is not closed.
-    rep = regression_seed_report(seed, sup, "closed_no_etf")
-    assert not rep.extra, "\n".join(rep.lines())
-
-
-@pytest.mark.parametrize("cap", [1, 2, 3])
-def test_capped_closed_mining_matches_oracle_on_fixtures(sample_db, etf_db, cap):
-    # A capped node has no explored children, so no stored closed graph can
-    # cover it: its closure is decided by the extensions at every vertex.
-    for db in (sample_db, etf_db):
-        rep = verify_run(db, MiningConfig(min_support=1, mode="closed", max_pattern_edges=cap))
-        assert rep.ok, "\n".join(rep.lines())
-
-
-def test_capped_closed_mining_matches_oracle_on_fuzz():
-    mismatches = []
-    for seed in range(300):
-        db = fuzz_database(seed)
-        for sup in (1, 2, 3):
-            for cap in (2, 3, 4):
-                config = MiningConfig(min_support=sup, mode="closed", max_pattern_edges=cap)
-                rep = verify_run(db, config)
-                if not rep.ok:
-                    mismatches.append((seed, sup, cap, len(rep.missing), len(rep.extra)))
-    assert mismatches == []
+    # lose closed patterns, never make the miner emit one that is not closed
+    # or emit closed's patterns out of their order.
+    assert regression_seed_verdict(seed, sup).no_etf_ok
 
 
 # ------------------------------------------------------------ lazy index
@@ -680,7 +620,8 @@ def test_group_keys_are_the_patterns_support_set_tuples_on_fuzz(mode):
                     assert record.edges is None and record.chains is not None
                     unread += 1
                 else:
-                    assert record.edges == {frozenset((t[0], t[1])) for t in record.pattern.code}
+                    pairs = {(t[0], t[1]) for t in record.pattern.code}
+                    assert record.edges == pairs | {(b, a) for a, b in pairs}
                     read += 1
             filed += len(records)
         assert filed == len(mined)

@@ -50,6 +50,9 @@ def test_parse_reports_line_numbers():
         "t # 0\nv 0 A\nv 1 A\ne 0 2 x\n",  # dangling endpoint
         "t # 0\nv 0 A\nv 0 A\n",  # repeated vertex id
         "t 0\nv 0 A\n",  # malformed header
+        "t # 0 garbage\nv 0 A\n",  # a token after the id that is not a count
+        "t # 0 * x\nv 0 A\n",  # a count that is not an integer
+        "t # 0 *\nv 0 A\n",  # a count marker without a count
         "t # 0\nv 0\n",  # missing vertex label
         "t # 0\nv 0 A\nv 1 A\ne 0 1\n",  # missing edge label
     ],
