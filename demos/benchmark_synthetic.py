@@ -28,6 +28,7 @@ from graphmine import (
     mine_frequent,
     write_patterns,
 )
+from graphmine.cli import _support_list
 
 
 def random_connected(rng: random.Random, nv: int, n_vlabels: int, n_elabels: int,
@@ -95,6 +96,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7, help="generator seed (default 7)")
     ap.add_argument(
         "--supports",
+        type=_support_list,
         default="0.5,0.4,0.3,0.25",
         help="comma-separated thresholds, fractions or absolute counts",
     )
@@ -104,7 +106,6 @@ def main() -> int:
     n_edges = sum(g.edge_count for g in db)
     print(f"database: {len(db)} graphs, {n_edges} edges, seed {args.seed}")
 
-    supports = [float(s) if "." in s else int(s) for s in args.supports.split(",")]
     header = (
         f"{'support':>8} {'frequent':>9} {'closed':>7} {'ratio':>6} "
         f"{'freq_s':>7} {'closed_s':>9} {'no_etf':>7} {'cuts':>5}"
@@ -112,7 +113,7 @@ def main() -> int:
     print()
     print(header)
     print("-" * len(header))
-    for s in supports:
+    for s in args.supports:
         freq, t_freq, _ = timed(mine_frequent, db, MiningConfig(min_support=s))
         closed, t_closed, _ = timed(
             mine_closed, db, MiningConfig(min_support=s, mode="closed")
@@ -127,7 +128,7 @@ def main() -> int:
 
     print("\nno_etf = patterns closed_no_etf emits, cuts = branches its early termination prunes")
 
-    s = supports[-1]
+    s = args.supports[-1]
     first = write_patterns(mine_closed(db, MiningConfig(min_support=s, mode="closed")), db)
     second = write_patterns(mine_closed(db, MiningConfig(min_support=s, mode="closed")), db)
     same = first == second

@@ -207,8 +207,7 @@ def mine_closed(
     ``mine_frequent`` visits, and ``settle`` is the closure check. The
     check is the definition: a pattern is emitted when no one-edge
     extension at any of its vertices extends every chain. It asks the
-    frequent buckets the search already built first (none at a node with
-    ``max_pattern_edges`` edges, which is not scanned), and only then walks
+    frequent buckets the search already built first, and only then walks
     the chains for every other extension. The walk reads the candidates
     off the first chain, tests each later chain's vertex map for the
     candidates' own edges, and stops at the first chain that has none of

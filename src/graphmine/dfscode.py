@@ -49,10 +49,6 @@ class DFSCode(list):
     def __init__(self, tuples=()):
         super().__init__(t if type(t) is EdgeTuple else EdgeTuple._make(t) for t in tuples)
 
-    @property
-    def vertex_count(self) -> int:
-        return max((max(t[0], t[1]) for t in self), default=-1) + 1
-
     def __repr__(self) -> str:
         return "DFSCode(" + ", ".join(repr(tuple(t)) for t in self) + ")"
 

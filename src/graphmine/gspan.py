@@ -6,8 +6,7 @@ minimal, so every frequent pattern is visited exactly once, at its
 canonical form, in pre-order. Both miners run it with two hooks at every
 node, before its children are pushed: frequent mining's never cut and emit
 every node, closed mining's emit the closed patterns, and in mode
-``closed_no_etf`` cut by early termination. A node at
-``max_pattern_edges`` is not scanned; it gets ``{}``.
+``closed_no_etf`` cut by early termination.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ class MiningConfig:
     min_support: a float in (0, 1] is a fraction of the database (threshold
     ceil(fraction * |D|), taken on the fraction's decimal value so that
     0.07 of 100 graphs is 7, not 8); an int >= 1 is an absolute graph count.
-    max_pattern_edges: None for no cap, otherwise an int >= 1.
     """
 
     min_support: float | int = 2
     mode: str = "frequent"
-    max_pattern_edges: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -48,9 +45,6 @@ class MiningConfig:
                 raise ValueError("absolute support must be at least 1")
         elif not 0.0 < s <= 1.0:
             raise ValueError("fractional support must be in (0, 1]")
-        cap = self.max_pattern_edges
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
-            raise ValueError(f"max_pattern_edges must be None or an int >= 1, got {cap!r}")
 
     def min_frequency(self, db_size: int) -> int:
         if isinstance(self.min_support, int):
@@ -121,9 +115,8 @@ def search(
 
     - ``enter(code, projected)`` returns True to cut the branch.
     - ``settle(code, projected, exts, emit)`` gets the node's frequent
-      extension buckets, exactly the children's (``{}`` at a node with
-      ``max_pattern_edges`` edges, which is not scanned); extensions not in
-      ``exts`` are its own to check.
+      extension buckets, exactly the children's; extensions not in ``exts``
+      are its own to check.
       It emits the pattern by calling ``emit(code, projected)``, which
       returns the MinedPattern. ``emit`` interns each support set, so
       patterns with the same containing graphs share one sorted tuple.
@@ -152,7 +145,6 @@ def search(
     says why), so ``exts`` is the same as with every source read.
     """
     min_freq = config.min_frequency(len(db.graphs))
-    max_edges = config.max_pattern_edges
     out: list[MinedPattern] = []
     support_sets: dict[tuple, tuple] = {}
 
@@ -182,13 +174,11 @@ def search(
         stats.visited_nodes += 1
         if enter(code, projected):
             continue
-        exts = {}
-        if max_edges is None or len(code) < max_edges:
-            exts = {
-                t: bucket
-                for t, bucket in rightmost_extensions(code, projected, db, sources).items()
-                if bucket.support() >= min_freq
-            }
+        exts = {
+            t: bucket
+            for t, bucket in rightmost_extensions(code, projected, db, sources).items()
+            if bucket.support() >= min_freq
+        }
         settle(code, projected, exts, emit)
         sources = {t[0] for t in exts if t[0] < t[1]}
         for t in sorted(exts, key=child_sort_key, reverse=True):

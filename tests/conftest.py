@@ -25,8 +25,6 @@ from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from graphmine.datasets import parse_dataset_text
 from graphmine.oracle import ExtensionKey, filter_closed
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
-
 # Two graphs whose closed patterns at support 2 are the 4-edge W-a-X(-b-Y)
 # (-d-Z) + Z-f-W pattern and the 2-edge X-a-W-f-Z path. Edge lines follow
 # the enumeration used by the hash-table checks. Interned ids: W=0 X=1 Y=2
@@ -117,7 +115,7 @@ def recording():
     - ``scan``: ``(projected, sources, exts)``, the arguments and answer of
       ``rightmost_extensions``, infrequent buckets included;
     - ``settle``: ``(projected, exts)``, a copy of the frequent buckets the
-      hook gets (``{}`` at a node with ``max_pattern_edges`` edges);
+      hook gets;
     - ``is_min``: the answer for a child's code;
     - ``lookup``: ``(projected, (terminate, record, rho))``, what
       ``early_termination`` answers;
@@ -205,7 +203,7 @@ class ClosedVerdict(NamedTuple):
     lost: list[tuple]  # closed's codes that closed_no_etf lacks, in order
 
 
-def closed_verdict(db, min_support: int, max_pattern_edges: int | None = None) -> ClosedVerdict:
+def closed_verdict(db, min_support: int) -> ClosedVerdict:
     """Mine ``db`` once in each mode and judge both closed modes.
 
     ``closed`` must emit the oracle's closed subset of the frequent list, in
@@ -213,7 +211,7 @@ def closed_verdict(db, min_support: int, max_pattern_edges: int | None = None) -
     ``mine_frequent``'s. ``closed_no_etf`` may lose closed patterns, but
     emits none that ``closed`` does not, nor out of its order, so it stays
     inside the oracle set."""
-    config = MiningConfig(min_support=min_support, max_pattern_edges=max_pattern_edges)
+    config = MiningConfig(min_support=min_support)
 
     def run(mode):
         stats = MiningStats()

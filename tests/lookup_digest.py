@@ -1,8 +1,8 @@
 """One SHA-256 over closed mining's output and every CGHT lookup it makes.
 
-For seeds 0 to N-1 (N = 600 by default), supports 1, 2 and 3, both closed
-modes and ``max_pattern_edges`` None and 2, mines ``fuzz_database(seed)``
-with ``mine_closed`` and feeds into one digest, run by run:
+For seeds 0 to N-1 (N = 600 by default), supports 1, 2 and 3 and both
+closed modes, mines ``fuzz_database(seed)`` with ``mine_closed`` and feeds
+into one digest, run by run:
 
 - every emitted pattern's code, support, occurrence, containing graphs (as
   a list, whatever sequence type the pattern holds) and discovery index, in
@@ -42,28 +42,27 @@ def lookup_digest(n_seeds: int) -> tuple[int, int, str]:
         db = fuzz_database(seed)
         for sup in (1, 2, 3):
             for mode in ("closed", "closed_no_etf"):
-                for cap in (None, 2):
-                    stats = MiningStats()
-                    config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-                    events, mined = record_run(db, config, stats)
-                    patterns = [
-                        (
-                            tuple(map(tuple, p.code)),
-                            p.support,
-                            p.occurrence,
-                            list(p.containing_graphs),
-                            p.discovery_index,
-                        )
-                        for p in mined
-                    ]
-                    lookups = [
-                        (terminate, record and record.pattern.discovery_index, rho)
-                        for _, (_, (terminate, record, rho)) in calls(events, "lookup")
-                    ]
-                    run = (seed, sup, mode, cap, patterns, stats.as_dict(), lookups)
-                    digest.update(repr(run).encode())
-                    runs += 1
-                    hits += sum(t for t, _, _ in lookups)
+                stats = MiningStats()
+                config = MiningConfig(min_support=sup, mode=mode)
+                events, mined = record_run(db, config, stats)
+                patterns = [
+                    (
+                        tuple(map(tuple, p.code)),
+                        p.support,
+                        p.occurrence,
+                        list(p.containing_graphs),
+                        p.discovery_index,
+                    )
+                    for p in mined
+                ]
+                lookups = [
+                    (terminate, record and record.pattern.discovery_index, rho)
+                    for _, (_, (terminate, record, rho)) in calls(events, "lookup")
+                ]
+                run = (seed, sup, mode, patterns, stats.as_dict(), lookups)
+                digest.update(repr(run).encode())
+                runs += 1
+                hits += sum(t for t, _, _ in lookups)
     return runs, hits, digest.hexdigest()
 
 

@@ -22,7 +22,7 @@ from graphmine.datasets import parse_dataset, parse_dataset_text, write_patterns
 from graphmine.dfscode import DFSCode, is_min, min_dfs_code
 from graphmine.embeddings import project_code
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
-from graphmine.oracle import ExtensionKey, all_extensions, total_occurrence
+from graphmine.oracle import all_extensions, total_occurrence
 
 from conftest import (
     CG1,
@@ -48,6 +48,7 @@ from conftest import (
     mine,
     random_database,
     reference_rightmost_extensions,
+    rm_as_key,
     tuple_precedes,
 )
 
@@ -312,13 +313,7 @@ def test_counting_oracle_on_random_databases():
                 for t, bucket in scanned.items():
                     assert_links_match(bucket, rm[t])
                 for t, bucket in rm.items():
-                    if t[1] > t[0]:
-                        key = ExtensionKey("f", t[0], -1, t[3], t[4])
-                    else:
-                        key = ExtensionKey(
-                            "b", min(t[0], t[1]), max(t[0], t[1]), t[3], -1
-                        )
-                    covered = len(oracle_exts[key])
+                    covered = len(oracle_exts[rm_as_key(t)])
                     assert equivalent_occurrence(chains, as_bucket(bucket)) == (
                         covered == total
                     )

@@ -79,17 +79,17 @@ def test_mine_closed_rejects_frequent_mode(sample_db):
         mine_closed(sample_db, MiningConfig(min_support=2, mode="frequent"))
 
 
-# (database, min_support, max_pattern_edges) where mode closed_no_etf loses
-# CG2 of etf_db: the paper's Early Termination cuts a branch that still
-# holds it, and nothing in this mode detects it. No other case loses one.
-NO_ETF_LOSSES = {("etf", 1, None), ("etf", 1, 3), ("etf", 2, None), ("etf", 2, 3)}
+# (database, min_support) where mode closed_no_etf loses CG2 of etf_db:
+# the paper's Early Termination cuts a branch that still holds it, and
+# nothing in this mode detects it. No other case loses one.
+NO_ETF_LOSSES = {("etf", 1), ("etf", 2)}
 
 
 @functools.cache
 def fixture_verdicts(name: str) -> dict:
-    """The verdict of each (support, cap) case of a fixture database."""
+    """The verdict of each support of a fixture database."""
     db = parse_dataset_text({"sample": SAMPLE_TEXT, "etf": ETF_TEXT}[name])
-    return {(sup, cap): closed_verdict(db, sup, cap) for sup in (1, 2, 3) for cap in (None, 1, 2, 3)}
+    return {sup: closed_verdict(db, sup) for sup in (1, 2, 3)}
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
@@ -99,39 +99,23 @@ def test_closed_output_is_filtered_preorder(name, mode):
     # is the frequent pre-order with the patterns that are not closed left
     # out; a closed pattern never waits for the closed graphs below it.
     # Mode closed_no_etf's list is closed's with exactly its losses left out.
-    for (sup, cap), verdict in fixture_verdicts(name).items():
+    for sup, verdict in fixture_verdicts(name).items():
         if mode == "closed":
-            assert verdict.closed_ok, (sup, cap)
+            assert verdict.closed_ok, sup
         else:
-            lost = [code_key(CG2)] if (name, sup, cap) in NO_ETF_LOSSES else []
-            assert verdict.no_etf_ok and verdict.lost == lost, (sup, cap)
-
-
-def fuzz_runs_off_verdict(seeds, caps):
-    """The (seed, support, cap) runs of ``fuzz_database`` at supports 1-3
-    whose verdict is not both ``closed_ok`` and ``no_etf_ok``."""
-    wrong = []
-    for seed in seeds:
-        db = fuzz_database(seed)
-        for sup in (1, 2, 3):
-            for cap in caps:
-                verdict = closed_verdict(db, sup, cap)
-                if not (verdict.closed_ok and verdict.no_etf_ok):
-                    wrong.append((seed, sup, cap))
-    return wrong
-
-
-# The two fuzz tests split one set of inputs by cap, so no run is mined
-# twice: uncapped at seeds 0-199, caps 2-4 at seeds 0-299.
+            lost = [code_key(CG2)] if (name, sup) in NO_ETF_LOSSES else []
+            assert verdict.no_etf_ok and verdict.lost == lost, sup
 
 
 def test_closed_output_is_filtered_preorder_on_fuzz():
-    assert fuzz_runs_off_verdict(range(200), (None,)) == []
-
-
-def test_capped_closed_mining_matches_oracle_on_fuzz():
-    # A capped node has no explored children: the check decides its closure.
-    assert fuzz_runs_off_verdict(range(300), (2, 3, 4)) == []
+    wrong = []
+    for seed in range(200):
+        db = fuzz_database(seed)
+        for sup in (1, 2, 3):
+            verdict = closed_verdict(db, sup)
+            if not (verdict.closed_ok and verdict.no_etf_ok):
+                wrong.append((seed, sup))
+    assert wrong == []
 
 
 # ---------------------------------------------------------- hash table
@@ -313,7 +297,7 @@ def test_early_termination_accepts_equal_vertex_images():
     proj = project_code(path, db)
     terminate, record, rho = early_termination(path, proj, cght)
     assert terminate
-    assert record.pattern.code.vertex_count == path.vertex_count
+    assert code_to_graph(record.pattern.code).vertex_count == code_to_graph(path).vertex_count
     assert sorted(rho) == [0, 1, 2, 3, 4]
     # End to end the database has one closed pattern, and not the path.
     verdict = closed_verdict(db, 2)
@@ -433,13 +417,12 @@ REGRESSION_SEEDS = (1227, 1307, 1712, 2079, 2394, 3217, 3242, 3277, 4843, 5026, 
 
 def fuzz_runs(mode: str):
     """The recorded runs of the fuzz checks below: seeds 0-119 at supports
-    1-3, with ``max_pattern_edges`` 2 or 3 on every fifth seed. Yields
-    ``(seed, db, config, events, mined)``, ``events`` from ``recording()``."""
+    1-3. Yields ``(seed, db, config, events, mined)``, ``events`` from
+    ``recording()``."""
     for seed in range(120):
         db = fuzz_database(seed)
-        cap = 2 + seed % 2 if seed % 5 == 0 else None
         for sup in (1, 2, 3):
-            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+            config = MiningConfig(min_support=sup, mode=mode)
             events, mined = record_run(db, config)
             yield seed, db, config, events, mined
 
@@ -648,9 +631,9 @@ def test_lookup_digest_is_pinned():
     from lookup_digest import lookup_digest
 
     assert lookup_digest(100) == (
-        1200,
-        1336,
-        "092daf2eb611b0930bd5abda1003d4b0b33aeb10bd92dea8fb094dccd390d943",
+        600,
+        1328,
+        "3643785bd8abb0f6f340239c898e03f55e398679223e060c5264837cc0111dc8",
     )
 
 
@@ -659,10 +642,9 @@ def test_lookup_digest_is_pinned():
 
 def closure_decisions(db, events, mined) -> int:
     """Hold every closure decision of a recorded closed run to the oracle:
-    at every node ``settle`` gets, capped nodes and their empty ``exts``
-    included, the pattern is emitted exactly when ``is_closed`` says so.
-    Returns how many nodes only the walk settled (no kept bucket with
-    equivalent occurrence, yet not closed)."""
+    at every node ``settle`` gets, the pattern is emitted exactly when
+    ``is_closed`` says so. Returns how many nodes only the walk settled (no
+    kept bucket with equivalent occurrence, yet not closed)."""
     emitted = key_set(mined)
     walk_only = 0
     for code, (projected, exts) in calls(events, "settle"):
@@ -677,9 +659,8 @@ def closure_decisions(db, events, mined) -> int:
 def test_closure_decision_matches_unrestricted_rule_on_sample(sample_db, etf_db, mode):
     for db in (sample_db, etf_db):
         for sup in (1, 2, 3):
-            for cap in (None, 1, 2, 3):
-                config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-                closure_decisions(db, *record_run(db, config))
+            config = MiningConfig(min_support=sup, mode=mode)
+            closure_decisions(db, *record_run(db, config))
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
@@ -710,16 +691,15 @@ def test_walk_alone_settles_closure():
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
 def test_dropped_extension_covers_matches_rescans_on_fuzz(mode):
-    # At every node ``settle`` reaches, with the buckets it gets (none at a
-    # capped node). Reference: the oracle's extensions at every vertex,
-    # keeping those whose covered parents number the pattern's chains and
-    # which are not among the kept buckets. ``off_path`` counts the True
-    # answers that only an extension the right-most scan cannot build
-    # settles. The answer is whether some candidate survives every chain,
-    # so the walk may read the chains in any order: the reversed list and
-    # a rotation, each with another chain first, give the same answer.
-    # ``other_graph`` counts the nodes whose reversed list starts in
-    # another graph.
+    # At every node ``settle`` reaches, with the buckets it gets.
+    # Reference: the oracle's extensions at every vertex, keeping those
+    # whose covered parents number the pattern's chains and which are not
+    # among the kept buckets. ``off_path`` counts the True answers that
+    # only an extension the right-most scan cannot build settles. The
+    # answer is whether some candidate survives every chain, so the walk
+    # may read the chains in any order: the reversed list and a rotation,
+    # each with another chain first, give the same answer. ``other_graph``
+    # counts the nodes whose reversed list starts in another graph.
     kinds, answers, off_path, other_graph = set(), set(), 0, 0
     for seed, db, config, events, _ in fuzz_runs(mode):
         for code, (projected, kept) in calls(events, "settle"):

@@ -37,7 +37,7 @@ def test_edge_tuple_direction_flags():
 def test_dfscode_normalizes_plain_tuples():
     c = DFSCode([(0, 1, 2, 3, 4)])
     assert isinstance(c[0], EdgeTuple)
-    assert c.vertex_count == 2
+    assert code_to_graph(c).vertex_count == 2
     # An EdgeTuple is kept by identity, so codes can share their tuples.
     t = EdgeTuple(1, 2, 3, 4, 5)
     d = DFSCode([c[0], t])

@@ -265,9 +265,11 @@ def assert_restriction_drops_only_non_minimal(db, max_edges=None):
     """The scan is gSpan's search unchanged only if each right-most tuple it
     drops fails is_min and each bucket it keeps holds the same embeddings as
     the reference's unrestricted one. (The closure check still reads the
-    dropped tuples, through ``dropped_extension_covers``.)"""
-    config = MiningConfig(min_support=1, max_pattern_edges=max_edges)
-    for p in mine_frequent(db, config):
+    dropped tuples, through ``dropped_extension_covers``.) With
+    ``max_edges`` only the patterns of at most that many edges are checked."""
+    for p in mine_frequent(db, MiningConfig(min_support=1)):
+        if max_edges is not None and len(p.code) > max_edges:
+            continue
         code = list(p.code)
         chains = project_code(code, db)
         full = reference_rightmost_extensions(code, chains, db, restricted=False)
@@ -439,20 +441,19 @@ def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode):
     nodes = 0
     for db in dbs:
         for sup in (1, 2, 3):
-            for cap in (None, 2):
-                config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-                for code, chains in visited_nodes(db, config):
-                    nodes += 1
-                    want = project_code(code, db)
-                    assert [c.gid for c in chains] == [c.gid for c in want]
-                    assert vertex_maps(code, chains) == vertex_maps(code, want)
-                    for c in chains:
-                        gid = c.gid
-                        for _ in code:
-                            assert type(c) is Embedding and c.gid == gid and c.edge is not None
-                            c = c.prev
-                        assert type(c) is Embedding and c.gid == gid
-                        assert c.edge is None and c.prev is None
+            config = MiningConfig(min_support=sup, mode=mode)
+            for code, chains in visited_nodes(db, config):
+                nodes += 1
+                want = project_code(code, db)
+                assert [c.gid for c in chains] == [c.gid for c in want]
+                assert vertex_maps(code, chains) == vertex_maps(code, want)
+                for c in chains:
+                    gid = c.gid
+                    for _ in code:
+                        assert type(c) is Embedding and c.gid == gid and c.edge is not None
+                        c = c.prev
+                    assert type(c) is Embedding and c.gid == gid
+                    assert c.edge is None and c.prev is None
     assert nodes > 0
 
 
@@ -465,12 +466,11 @@ def test_chains_have_pairwise_distinct_vertex_maps(sample_db, etf_db, mode):
     nodes = 0
     for db in [sample_db, etf_db] + [fuzz_database(seed) for seed in range(120)]:
         for sup in (1, 2, 3):
-            for cap in (None, 2):
-                config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
-                for code, chains in visited_nodes(db, config):
-                    maps = zip([c.gid for c in chains], vertex_maps(code, chains))
-                    assert len(set(maps)) == len(chains)
-                    nodes += 1
+            config = MiningConfig(min_support=sup, mode=mode)
+            for code, chains in visited_nodes(db, config):
+                maps = zip([c.gid for c in chains], vertex_maps(code, chains))
+                assert len(set(maps)) == len(chains)
+                nodes += 1
     assert nodes > 0
 
 

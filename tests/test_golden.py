@@ -24,6 +24,11 @@ counters moved, in 95 cases: ``visited_nodes`` rose to ``mine_frequent``'s
 ``early_terminations_rejected`` and ``trie_size`` fell to 0 (from 77,
 1,497 and 2,834). The ``closed_no_etf`` and ``frequent`` digests did not
 change.
+
+All nine digests were re-recorded when ``MiningConfig`` lost its pattern
+size cap and the cases that set one were dropped. Every case left was
+uncapped before, and the code from before the change gives the same
+digests on them.
 """
 
 import hashlib
@@ -37,8 +42,8 @@ from graphmine.gspan import MODES, MiningConfig, MiningStats
 
 from conftest import ETF_TEXT, SAMPLE_TEXT, fuzz_database, mine
 
-# (min_support, max_pattern_edges, digest embeddings)
-FIXTURE_CONFIGS = [(1, None, True), (2, None, True), (2, 2, False), (1, 3, False)]
+# (min_support, digest embeddings)
+FIXTURE_CONFIGS = [(1, True), (2, True)]
 
 
 def fixture_cases(text):
@@ -47,14 +52,9 @@ def fixture_cases(text):
 
 
 def random_cases():
-    """The first 150 fuzz databases at support 1-3; every fourth case also
-    caps the pattern size and every fifth digests embeddings."""
-    cases = []
-    for seed in range(150):
-        db = fuzz_database(seed)
-        max_edges = 3 if seed % 4 == 0 else None
-        cases.append((db, (seed % 3 + 1, max_edges, seed % 5 == 0)))
-    return cases
+    """The first 150 fuzz databases at support 1-3; every fifth case also
+    digests embeddings."""
+    return [(fuzz_database(seed), (seed % 3 + 1, seed % 5 == 0)) for seed in range(150)]
 
 
 GROUPS = {
@@ -64,15 +64,15 @@ GROUPS = {
 }
 
 GOLDEN = {
-    ("sample", "frequent"): "2446fb458bd83ae1d63809606a722c686e53455885a9cfab098bfc961dbd0183",
-    ("sample", "closed"): "8967c5a7396d7cd7169098e978c8be8d1d1a28abc7bc93192aacb09c1a6f2f87",
-    ("sample", "closed_no_etf"): "a777ba159e8356ffc1d4a48e4c587fe021ee79dc747fb0de91378e3ef40f9596",
-    ("etf", "frequent"): "7a660f50790ef100737267898afb249f000d8c929e352569b3a775b6790f8566",
-    ("etf", "closed"): "47ab51ee9c7acd3eecfa800db917e1807f0da9844c52fc2c69d6020135a90c88",
-    ("etf", "closed_no_etf"): "c55db46888f132e56a4aa2afeccbc2c39cfd03a0de17acb9dcf4554f49b90255",
-    ("random", "frequent"): "54fa58e1f9d15a93f746ecaa6f7b2ab969dbd729a1bd6d09c3ae54e8e7e1cd38",
-    ("random", "closed"): "2103fbf991332051bf556cc890d083acb1882b5da960e3fb7686ce16014d4f2d",
-    ("random", "closed_no_etf"): "0ecdeb39beea07f59133e06462dc588778f18b317c5482188152d017e9ee7b43",
+    ("sample", "frequent"): "db537d51675c66190ad7d0329c81019ea8eb1c74083820026b611fbe9d57a5aa",
+    ("sample", "closed"): "d36a4dedc7ae1f56619c4bab4db0e0e03f48bb8479746185c08f21fd18617e38",
+    ("sample", "closed_no_etf"): "63941ac8352dca4f24cf5a0e3a59a7f7f92cdb1d1dcff065a57db2bcdc84f64e",
+    ("etf", "frequent"): "225a3495411bb4441391b701d7365a8809aaefb3d9dd256ab08bd835aa782029",
+    ("etf", "closed"): "fcd3a9cd423afff5451873d879d87c4bb3a4db813c47036ee143e3ad15f7390b",
+    ("etf", "closed_no_etf"): "9b82850d882b6d9e8bb86ff4cd692550d5708c45ba04b2cede842d7ca52e21b9",
+    ("random", "frequent"): "2ff68b06a34bbb3bf4e852942c87b1e3079d3f6d54812c0e38aea6187d1bed78",
+    ("random", "closed"): "0ff7e73d2286bf527a64386081d51f4f2dcd8e00dc45f1e94afc12c0b6b4b19a",
+    ("random", "closed_no_etf"): "6b85349ae9573aed2ab7534ae0b28adef57eb65e0b87a52246d051ee92adf806",
 }
 
 
@@ -81,8 +81,8 @@ def chain_maps(code, db) -> list:
     return [[c.gid, vm] for c, vm in zip(chains, vertex_maps(code, chains))]
 
 
-def run_digest(db, mode, min_support, max_edges, emit) -> bytes:
-    config = MiningConfig(min_support=min_support, mode=mode, max_pattern_edges=max_edges)
+def run_digest(db, mode, min_support, emit) -> bytes:
+    config = MiningConfig(min_support=min_support, mode=mode)
     stats = MiningStats()
     patterns = mine(db, config, stats)
     record = {
@@ -96,8 +96,8 @@ def run_digest(db, mode, min_support, max_edges, emit) -> bytes:
 
 def group_digest(group: str, mode: str) -> str:
     h = hashlib.sha256()
-    for db, (min_support, max_edges, emit) in GROUPS[group]():
-        h.update(run_digest(db, mode, min_support, max_edges, emit))
+    for db, (min_support, emit) in GROUPS[group]():
+        h.update(run_digest(db, mode, min_support, emit))
     return h.hexdigest()
 
 

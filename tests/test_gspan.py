@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import weakref
@@ -57,12 +58,6 @@ def test_fraction_and_absolute_support_agree(sample_db):
     assert key_set(frac) == key_set(absolute)
 
 
-def test_max_pattern_edges_truncates(sample_db):
-    full = mine_frequent(sample_db, MiningConfig(min_support=2))
-    capped = mine_frequent(sample_db, MiningConfig(min_support=2, max_pattern_edges=2))
-    assert key_set(capped) == {c for c in key_set(full) if len(c) <= 2}
-
-
 def test_stats_counters(sample_db):
     stats = MiningStats()
     mined = mine_frequent(sample_db, MiningConfig(min_support=2), stats)
@@ -88,10 +83,8 @@ def test_support_must_be_sane():
     assert set(MODES) == {"frequent", "closed", "closed_no_etf"}
 
 
-@pytest.mark.parametrize("cap", [0, -1, True, 1.5, "2"])
-def test_max_pattern_edges_must_be_sane(cap):
-    with pytest.raises(ValueError):
-        MiningConfig(max_pattern_edges=cap)
+def test_mining_config_holds_support_and_mode_only():
+    assert [f.name for f in dataclasses.fields(MiningConfig)] == ["min_support", "mode"]
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
@@ -221,17 +214,16 @@ def test_is_min_runs_when_a_child_is_pushed(mode):
             assert stats.visited_nodes == len(mined) == roots + passed
 
 
-@pytest.mark.parametrize("cap", [None, 2])
 @pytest.mark.parametrize("mode", MODES)
-def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap):
+def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode):
     # Every visit runs enter, then (unless enter cut the branch) the scan,
-    # skipped at the edge cap, then settle with exactly the children's
-    # buckets; children are visited in pre-order, ascending.
+    # then settle with exactly the scan's frequent buckets, which are the
+    # children's; children are visited in pre-order, ascending.
     dbs = [sample_db, etf_db] + [random_database(random.Random(seed)) for seed in range(6)]
-    cuts = capped = 0
+    cuts = 0
     for db in dbs:
         for sup in (1, 2):
-            config = MiningConfig(min_support=sup, mode=mode, max_pattern_edges=cap)
+            config = MiningConfig(min_support=sup, mode=mode)
             min_freq = config.min_frequency(len(db.graphs))
             stats = MiningStats()
             events, mined = record_run(db, config, stats)
@@ -253,28 +245,21 @@ def test_both_miners_take_one_path_through_a_node(sample_db, etf_db, mode, cap):
                 if cut:
                     cuts += 1
                     continue
-                grow = cap is None or len(code) < cap
-                if grow:
-                    assert events[pos][:2] == ("scan", code)
-                    pos += 1
-                kind, settled, (_, exts) = events[pos]
+                kind, scanned, (_, _, scan) = events[pos]
+                assert (kind, scanned) == ("scan", code)
+                kind, settled, (_, exts) = events[pos + 1]
                 assert (kind, settled) == ("settle", code)
-                pos += 1
-                if not grow:
-                    capped += 1
-                    assert exts == {}
-                assert all(b.support() >= min_freq for b in exts.values())
+                pos += 2
+                frequent = {t: b for t, b in scan.items() if b.support() >= min_freq}
+                assert exts.keys() == frequent.keys()
+                assert all(exts[t] is b for t, b in frequent.items())
                 children = {c for c, _ in entered if len(c) == len(code) + 1 and c[:-1] == code}
                 minimal = {code + (t,) for t in exts if gspan.is_min(list(code) + [t])}
                 assert children == minimal, code
             assert pos == len(events)
             if mode == "frequent":
                 assert [code_key(p.code) for p in mined] == [c for c, _ in entered]
-    assert (capped > 0) == (cap is not None)
-    if mode != "closed_no_etf":
-        assert cuts == 0
-    elif cap is None:
-        assert cuts > 0
+    assert (cuts > 0) == (mode == "closed_no_etf")
 
 
 @pytest.mark.parametrize("mode", MODES)
