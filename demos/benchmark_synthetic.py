@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Frequent versus closed mining cost on a synthetic database.
 
-Closed mining always shrinks the output: every frequent pattern and its
-occurrence count are recoverable from the closed set, so nothing is lost.
+Closed mining always shrinks the output, and every frequent pattern, with
+its support and support set, is recoverable from the closed set; its
+occurrence count is not.
 Mode closed cuts no branch: it visits every frequent pattern and emits the
 closed ones, so it costs frequent mining plus the closure check. Mode
 closed_no_etf prunes by early termination with no failure detection, so

@@ -123,14 +123,14 @@ def main() -> int:
 
     print("\nmode closed makes no lookup and cuts nothing. It settles each pattern")
     print("by the closure check: a frequent right-most extension that extends")
-    print("every occurrence, then a walk over the chains for the extensions the")
+    print("every occurrence, then a walk over the hits for the extensions the")
     print("scan does not build.")
     for code in (DOOMED, CG2):
-        chains = project_code(code, db)
-        exts = rightmost_extensions(code, chains, db)
+        projected = project_code(code, db)
+        exts = rightmost_extensions(code, projected, db)
         kept = {t: b for t, b in exts.items() if b.support() >= 2}
-        covering = [t for t, b in kept.items() if equivalent_occurrence(chains, b)]
-        walk = not covering and dropped_extension_covers(code, chains, db, kept)
+        covering = [t for t, b in kept.items() if equivalent_occurrence(projected, b)]
+        walk = not covering and dropped_extension_covers(code, projected, db, kept)
         verdict = "not closed" if covering or walk else "closed, emitted"
         print(f"\n  {render(code, db)}")
         print(f"    extensions that extend every occurrence: {covering}; walk: {walk}")

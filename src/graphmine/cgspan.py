@@ -28,6 +28,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .embeddings import (
+    Bucket,
     containing_graphs,
     dropped_extension_covers,
     equivalent_occurrence,
@@ -50,50 +51,50 @@ class ClosedGraphRecord:
     and its embeddings.
 
     The table files it under ``pattern.containing_graphs``. A record holds
-    its embedding chains, in graph-id order, until a lookup first reads
-    it. ``materialize`` then replaces them with their vertex maps and
-    builds ``edges``, which are None until then; ``pattern.occurrence``
-    keeps the chain count either way.
+    its node's visited bucket, hits in graph-id order, until a lookup
+    first reads it. ``materialize`` then replaces it with the hits' vertex
+    maps and builds ``edges``, which are None until then;
+    ``pattern.occurrence`` keeps the hit count either way.
     """
 
-    __slots__ = ("pattern", "chains", "edges", "maps", "ends")
+    __slots__ = ("pattern", "bucket", "edges", "maps", "ends")
 
-    def __init__(self, pattern: MinedPattern, chains: list):
+    def __init__(self, pattern: MinedPattern, bucket: Bucket):
         self.pattern = pattern
-        self.chains = chains
+        self.bucket = bucket
         self.edges = None
         self.maps = None
         self.ends = None
 
     def materialize(self):
-        """The vertex maps, one flat list in chain order, and the offsets
+        """The vertex maps, one flat list in hit order, and the offsets
         where each graph's run of maps ends.
 
         The first call builds both, and ``edges`` (the code's edges as
-        dfs-id pairs, each in both orientations), and sets ``chains`` to
-        None: a lookup reads only the maps and edges, and the chains' links
-        outweigh them. Most records are never read, so none of this is
-        built at insert.
+        dfs-id pairs, each in both orientations), and sets ``bucket`` to
+        None: a lookup reads only the maps and edges, and the bucket, which
+        keeps its ancestors' buckets alive, outweighs them. Most records are
+        never read, so none of this is built at insert.
         """
         if self.maps is None:
             code = self.pattern.code
             self.edges = {(t[0], t[1]) for t in code} | {(t[1], t[0]) for t in code}
-            self.maps = vertex_maps(code, self.chains)
-            self.ends = array("l", accumulate(_run_lengths(self.chains)))
-            self.chains = None
+            self.maps = list(vertex_maps(code, self.bucket))
+            self.ends = array("l", accumulate(_run_lengths(self.bucket)))
+            self.bucket = None
         return self.maps, self.ends
 
     def __repr__(self) -> str:
         return f"ClosedGraphRecord(#{self.pattern.discovery_index}, {self.pattern.code!r})"
 
 
-def _run_lengths(chains: list) -> list[int]:
-    """How many chains each graph has, in graph-id order.
+def _run_lengths(projected: Bucket) -> list[int]:
+    """How many hits each graph has in a visited bucket, in graph-id order.
 
-    Chains come in non-decreasing graph-id order, so each graph's chains
-    form one run and the counter meets the graphs in that order.
+    Hits come in non-decreasing graph-id order, so each graph's hits form
+    one run and the counter meets the graphs in that order.
     """
-    return list(Counter(c.gid for c in chains).values())
+    return list(Counter(projected.gids).values())
 
 
 # Closed graphs filed by support set: a sorted tuple of graph ids maps to
@@ -105,13 +106,13 @@ ClosedGraphHashTable = dict[tuple[int, ...], list[ClosedGraphRecord]]
 
 
 def add_closed_graph(cght: ClosedGraphHashTable, record: ClosedGraphRecord) -> None:
-    """File a closed graph under its support set; no chain is walked."""
+    """File a closed graph under its support set; no hit is read."""
     cght.setdefault(record.pattern.containing_graphs, []).append(record)
 
 
 def early_termination(
     code: Sequence[Sequence[int]],
-    projected: list,
+    projected: Bucket,
     cght: ClosedGraphHashTable,
 ) -> tuple[bool, ClosedGraphRecord | None, tuple[int, ...] | None]:
     """Test whether the pattern's branch can be cut.
@@ -136,19 +137,19 @@ def early_termination(
     f'' o rho maps the embeddings of g' in each graph into the pattern's
     there. Three things follow.
 
-    - Candidate rhos come from one graph. Chains are in graph-id order, so
-      the support set's least graph holds the pattern's first chains and
+    - Candidate rhos come from one graph. Hits are in graph-id order, so
+      the support set's least graph holds the pattern's first hits and
       g''s first embedding, the reference map ref. Under a covering rho,
       ref o rho is one of those pattern maps, so rhos are read off the
-      pattern maps there that lie inside ref, in chain order, through
+      pattern maps there that lie inside ref, in hit order, through
       ref's inverse. Only those pattern maps are built. Each rho is met
-      once: a simple graph gives distinct chains distinct maps, and the
+      once: a simple graph gives distinct hits distinct maps, and the
       inverse is injective on ref's image.
     - A cover is a count. Under rho, the pattern is covered in a graph
       exactly when the distinct maps ``itemgetter(*rho)(f'')`` over the
-      record's maps there number the pattern's chains there. Automorphisms
+      record's maps there number the pattern's hits there. Automorphisms
       of g' can send several record maps onto one pattern map, so the
-      record may have more maps in a graph than the pattern has chains.
+      record may have more maps in a graph than the pattern has hits.
     - The paper's edge-image key is redundant: the images of the edge
       rho(last edge) of g' are exactly the images of the pattern's last
       edge, so every covering record has the pattern's key, and the first
@@ -167,7 +168,7 @@ def early_termination(
 
     counts = _run_lengths(projected)
     pairs = [(t[0], t[1]) for t in code]
-    ref_fmaps = vertex_maps(code, projected[: counts[0]])
+    ref_fmaps = list(vertex_maps(code, projected, range(counts[0])))
     for record in candidates:
         maps, ends = record.materialize()
         image = set(maps[0])
@@ -206,12 +207,12 @@ def mine_closed(
     ``closed`` ``enter`` never cuts, so the search visits what
     ``mine_frequent`` visits, and ``settle`` is the closure check. The
     check is the definition: a pattern is emitted when no one-edge
-    extension at any of its vertices extends every chain. It asks the
+    extension at any of its vertices extends every hit. It asks the
     frequent buckets the search already built first, and only then walks
-    the chains for every other extension. The walk reads the candidates
-    off the first chain, tests each later chain's vertex map for the
-    candidates' own edges, and stops at the first chain that has none of
-    them. It reads the later chains last-first, since those next to the
+    the hits for every other extension. The walk reads the candidates
+    off the first hit, tests each later hit's vertex map for the
+    candidates' own edges, and stops at the first hit that has none of
+    them. It reads the later hits last-first, since those next to the
     first often share its graph and keep its incidental candidates; the
     answer does not depend on the order.
 
@@ -227,13 +228,13 @@ def mine_closed(
     use_cght = config.mode == "closed_no_etf"
     cght = ClosedGraphHashTable()
 
-    def enter(code: list, projected: list) -> bool:
+    def enter(code: list, projected: Bucket) -> bool:
         if use_cght and early_termination(code, projected, cght)[0]:
             stats.early_terminations_applied += 1
             return True
         return False
 
-    def settle(code: list, projected: list, exts: dict, emit) -> None:
+    def settle(code: list, projected: Bucket, exts: dict, emit) -> None:
         if any(equivalent_occurrence(projected, b) for b in exts.values()) or (
             dropped_extension_covers(code, projected, db, exts)
         ):

@@ -1,150 +1,143 @@
 """Embedding lists: how patterns touch the database.
 
-An Embedding is one link of a chain: the image of a code's last edge plus a
-reference to the chain for the code's prefix. A pattern's embedding list has
-one chain per subgraph isomorphism of the pattern, so ``len`` is the
-occurrence count I(g, D) and distinct graph ids give the support.
+A pattern's embedding list is the Bucket of its node in the search tree,
+gSpan's projected list. It has one hit per subgraph isomorphism of the
+pattern, so ``len`` is the occurrence count I(g, D) and distinct graph ids
+give the support. A hit holds only what the code's last tuple adds: the
+image of that edge and the index of the hit it extends in the parent's
+bucket, ``parent``. A hit's full embedding is read by following parent
+indices up the buckets of the code's prefixes.
 
 Edge images are the directed half-edge tuples ``(frm, to, eid, elb)`` of the
 owning graph, oriented the way the code tuple at that position reads, which
-is what makes vertex maps recoverable from a chain.
+is what makes vertex maps recoverable from a hit.
 
-Every chain ends at its graph's empty chain, ``Embedding(gid, None, None)``,
-the parent of each 1-edge hit. Neither the seeding nor the extension scan
-builds a link: each files its hits in the tuple's Bucket as a parent chain
-and a half-edge, and ``Bucket.link`` builds the child's chains only for the
-children the search visits. Most buckets are infrequent or head a code
-that is not minimal, and are never linked.
+The 1-edge buckets extend the empty pattern's bucket, which has one hit
+per graph and only a graph-id column, so a 1-edge hit's parent index is
+its graph id. A bucket gets its own graph-id column only when the search
+visits it (``Bucket.visit``): most buckets are infrequent or head a code
+that is not minimal, and never get one.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .dfscode import DFSCode, rightmost_path
 from .graphs import GraphDatabase
 
 
-class Embedding:
-    """One chain link: graph id, oriented image of the last code edge, and
-    the parent chain. A graph's empty chain, the parent of its 1-edge
-    chains, has neither edge nor parent."""
-
-    __slots__ = ("gid", "edge", "prev")
-
-    def __init__(self, gid: int, edge: tuple[int, int, int, int], prev: "Embedding | None"):
-        self.gid = gid
-        self.edge = edge
-        self.prev = prev
-
-    def __repr__(self) -> str:
-        return f"Embedding(gid={self.gid}, edge={self.edge})"
-
-
 class Bucket:
-    """The hits of one code tuple, not yet linked: per hit the parent
-    chain in ``prevs`` (a graph's empty chain for a 1-edge code) and the
-    oriented half-edge in ``edges``.
+    """The hits of one code tuple: per hit the index of the parent hit it
+    extends in ``prevs`` (a graph id for a 1-edge code) and the oriented
+    half-edge in ``edges``, both plain lists in hit order.
 
-    ``len`` is the number of hits, the occurrence count the linked chains
-    would have.
+    ``gids``, the graph id of each hit, is None until ``visit`` fills it;
+    ``support`` reads the parent's column instead. ``len`` is the number of
+    hits, the pattern's occurrence count.
     """
 
-    __slots__ = ("prevs", "edges")
+    __slots__ = ("parent", "prevs", "edges", "gids")
 
-    def __init__(self):
-        self.prevs: list[Embedding] = []
+    def __init__(self, parent: Bucket | None):
+        self.parent = parent
+        self.prevs: list[int] = []
         self.edges: list[tuple[int, int, int, int]] = []
+        self.gids: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.prevs)
 
     def support(self) -> int:
         """Number of distinct graphs the hits lie in."""
-        return len({p.gid for p in self.prevs})
+        return len(set(map(self.parent.gids.__getitem__, self.prevs)))
 
-    def link(self) -> list[Embedding]:
-        """The child's embedding list: one chain link per hit, in hit order."""
-        return [Embedding(p.gid, e, p) for p, e in zip(self.prevs, self.edges)]
-
-
-def vertex_maps(code: Sequence[Sequence[int]], chains: list) -> list[tuple[int, ...]]:
-    """dfs id -> graph vertex, one tuple per chain of a DFS code."""
-    return list(_vertex_maps(code, chains))
+    def visit(self) -> None:
+        """Give the bucket its graph-id column, read off the parent's."""
+        self.gids = list(map(self.parent.gids.__getitem__, self.prevs))
 
 
-def _vertex_maps(code: Sequence[Sequence[int]], chains):
-    """Read each chain in one backward walk.
+def vertex_maps(code: Sequence[Sequence[int]], node: Bucket, hits: Iterable[int] | None = None):
+    """dfs id -> graph vertex, one tuple per hit of a code's bucket, for the
+    hit indices in ``hits`` (default: every hit, in order).
 
     In a DFS code vertex 0 and 1 come from the first tuple and every later
     vertex from the forward tuple that introduces it, so a per-code plan
     (the dfs id each position introduces, last position first, -1 for
-    backward tuples) says which link holds which image. Maps are yielded
-    one at a time so the extension scan never holds all of them.
+    backward tuples, with that position's bucket) says which bucket holds
+    which image; each hit is read in one walk up its parent indices. Maps
+    are yielded one at a time so the extension scan never holds all of
+    them.
     """
     vmap = [0] * (max(max(t[0], t[1]) for t in code) + 1)
-    plan = [t[1] if t[0] < t[1] else -1 for t in code[:0:-1]]
+    plan = []
+    b = node
+    for t in code[:0:-1]:
+        plan.append((t[1] if t[0] < t[1] else -1, b.edges, b.prevs))
+        b = b.parent
+    first = b.edges
     frm0, to0 = code[0][0], code[0][1]
-    for c in chains:
-        for v in plan:
+    for i in range(len(node)) if hits is None else hits:
+        for v, edges, prevs in plan:
             if v >= 0:
-                vmap[v] = c.edge[1]
-            c = c.prev
-        e = c.edge
+                vmap[v] = edges[i][1]
+            i = prevs[i]
+        e = first[i]
         vmap[frm0] = e[0]
         vmap[to0] = e[1]
         yield tuple(vmap)
 
 
-def containing_graphs(projected: list) -> tuple[int, ...]:
-    """The support set: the distinct graph ids of the chains, as a sorted
-    tuple. The search interns it per run and the closed miner's hash table
-    is keyed by it."""
-    return tuple(sorted({e.gid for e in projected}))
+def containing_graphs(projected: Bucket) -> tuple[int, ...]:
+    """The support set: the distinct graph ids of a visited bucket's hits,
+    as a sorted tuple. The search interns it per run and the closed
+    miner's hash table is keyed by it."""
+    return tuple(sorted(set(projected.gids)))
 
 
-def equivalent_occurrence(parent_projected: list, bucket: Bucket) -> bool:
-    """True iff every parent chain extends into the child: L = I.
+def equivalent_occurrence(parent_projected: Bucket, bucket: Bucket) -> bool:
+    """True iff every parent hit extends into the child: L = I.
 
-    L counts the distinct parent chains among the bucket's ``prevs``, i.e.
+    L counts the distinct parent indices among the bucket's ``prevs``, i.e.
     the parent isomorphisms extendable under the canonical inclusion of the
-    parent pattern in the child. The bucket need not be linked.
+    parent pattern in the child. The bucket need not be visited.
     """
     if len(bucket) < len(parent_projected):
         return False
-    return len(set(map(id, bucket.prevs))) == len(parent_projected)
+    return len(set(bucket.prevs)) == len(parent_projected)
 
 
 def dropped_extension_covers(
-    code: Sequence[Sequence[int]], projected: list, db: GraphDatabase, kept: dict
+    code: Sequence[Sequence[int]], projected: Bucket, db: GraphDatabase, kept: dict
 ) -> bool:
-    """True iff some one-edge extension not in ``kept`` extends every chain.
+    """True iff some one-edge extension not in ``kept`` extends every hit.
 
     ``kept`` holds the node's frequent extension buckets. Each holds every
     hit of its tuple, so ``equivalent_occurrence`` settles it; every
-    other extension is tested here. The candidates are chain 0's one-edge
+    other extension is tested here. The candidates are hit 0's one-edge
     extensions at every pattern vertex, written as right-most tuples so the
     keys of ``kept`` can be subtracted: ``(v, newv, lbl[v], elb, lbl_to)``
     for a half-edge from v to a vertex outside the map, and
     ``(hi, lo, lbl[hi], elb, lbl[lo])`` for an edge between two pattern
-    vertices the code does not join (graphs are simple and chains
-    injective, so such an edge belongs to the chain exactly when the code
-    joins its ends). Each further chain is read once, as a vertex map, and
-    keeps a candidate only if it has that tuple's edge itself: a forward
+    vertices the code does not join (graphs are simple and embeddings
+    injective, so such an edge belongs to the embedding exactly when the
+    code joins its ends). Each further hit is read once, as a vertex map,
+    and keeps a candidate only if it has that tuple's edge itself: a forward
     tuple needs a half-edge of its label at the source's image leading
     outside the map to a vertex of its label; a backward tuple needs the
     edge of its label between its two images. The walk stops at the first
-    chain that keeps no candidate. Later chains are read last-first:
-    chains come in graph-id order, and those right after chain 0 often
-    share its graph and keep its incidental candidates. The answer,
-    whether some candidate survives every chain, does not depend on it.
+    hit that keeps no candidate. Later hits are read last-first: hits
+    come in graph-id order, and those right after hit 0 often share its
+    graph and keep its incidental candidates. The answer, whether some
+    candidate survives every hit, does not depend on it.
     """
     graphs = db.graphs
+    gids = projected.gids
     joined = {(t[0], t[1]) for t in code} | {(t[1], t[0]) for t in code}
-    c = projected[0]
-    vmap = next(_vertex_maps(code, [c]))
+    vmap = next(vertex_maps(code, projected, [0]))
     newv = len(vmap)
-    g = graphs[c.gid]
+    gid = gids[0]
+    g = graphs[gid]
     adj, vl = g.adj, g.vlabels
     common = set()
     for v, img in enumerate(vmap):
@@ -161,11 +154,10 @@ def dropped_extension_covers(
     if not common:
         return False
     cands = [(t[0], t[1], t[3], t[4], t[0] < t[1]) for t in common]
-    gid = c.gid
-    rest = projected[:0:-1]
-    for c, vmap in zip(rest, _vertex_maps(code, rest)):
-        if c.gid != gid:
-            gid = c.gid
+    rest = range(len(projected) - 1, 0, -1)
+    for i, vmap in zip(rest, vertex_maps(code, projected, rest)):
+        if gids[i] != gid:
+            gid = gids[i]
             g = graphs[gid]
             adj, vl = g.adj, g.vlabels
         survivors = []
@@ -192,16 +184,18 @@ def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCod
     """All frequent 1-edge codes with the Bucket of their hits, sorted
     ascending.
 
-    One pass files the half-edges by label triple, each with its graph's
-    empty chain as parent; buckets found in fewer than ``min_freq`` graphs
-    are dropped. An edge with distinct endpoint labels is one hit in its
-    canonical orientation; equal endpoint labels give both orientations,
-    matching the two isomorphisms of the pattern onto that edge.
+    One pass files the half-edges by label triple, each with its graph id
+    as parent index into the empty pattern's bucket; buckets found in
+    fewer than ``min_freq`` graphs are dropped. An edge with distinct
+    endpoint labels is one hit in its canonical orientation; equal
+    endpoint labels give both orientations, matching the two isomorphisms
+    of the pattern onto that edge.
     """
+    empty = Bucket(None)
+    empty.gids = list(range(len(db.graphs)))
     buckets: dict[tuple, Bucket] = {}
-    for gid, g in enumerate(db.graphs):
+    for gid, g in zip(empty.gids, db.graphs):
         vl = g.vlabels
-        empty = Embedding(gid, None, None)
         for u, lu in enumerate(vl):
             for e in g.adj[u]:
                 lv = vl[e[1]]
@@ -209,8 +203,8 @@ def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCod
                     trip = (lu, e[3], lv)
                     bucket = buckets.get(trip)
                     if bucket is None:
-                        bucket = buckets[trip] = Bucket()
-                    bucket.prevs.append(empty)
+                        bucket = buckets[trip] = Bucket(empty)
+                    bucket.prevs.append(gid)
                     bucket.edges.append(e)
     return [
         (DFSCode([(0, 1) + trip]), buckets[trip])
@@ -219,35 +213,35 @@ def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCod
     ]
 
 
-def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> list:
-    """All embedding chains of a code, rebuilt from scratch.
+def project_code(code: Sequence[Sequence[int]], db: GraphDatabase) -> Bucket | None:
+    """The visited bucket of a code, rebuilt from scratch, or None when the
+    code has no embedding.
 
     Complete for minimum codes: each prefix of a minimum code is minimum
     and each next tuple passes the extension scan's growth filters. The
-    miners grow embeddings from the parent's instead; this serves callers
-    that hold only a code. It links the bucket of the first tuple's label
+    miners grow buckets from the parent's instead; this serves callers
+    that hold only a code. It visits the bucket of the first tuple's label
     triple from ``frequent_single_edges(db, 1)``, the search's own seeding,
     and extends each prefix by its next tuple through the search's
-    extension scan, reading only that tuple's source, so the chains come in
-    the order the search links them. A first tuple the seeding has no
-    bucket for, one with ``lbl_frm > lbl_to`` among them, gives ``[]``.
+    extension scan, reading only that tuple's source, so the hits come in
+    the order the search files them. A first tuple the seeding has no
+    bucket for, one with ``lbl_frm > lbl_to`` among them, gives None.
     """
     seeds = {tuple(c[0][2:]): bucket for c, bucket in frequent_single_edges(db, 1)}
     bucket = seeds.get(tuple(code[0][2:]))
-    if bucket is None:
-        return []
-    chains = bucket.link()
     for k in range(1, len(code)):
-        bucket = rightmost_extensions(code[:k], chains, db, {code[k][0]}).get(tuple(code[k]))
         if bucket is None:
-            return []
-        chains = bucket.link()
-    return chains
+            return None
+        bucket.visit()
+        bucket = rightmost_extensions(code[:k], bucket, db, {code[k][0]}).get(tuple(code[k]))
+    if bucket is not None:
+        bucket.visit()
+    return bucket
 
 
 def rightmost_extensions(
     code: Sequence[Sequence[int]],
-    projected: list,
+    projected: Bucket,
     db: GraphDatabase,
     sources: set[int] | None = None,
 ) -> dict[tuple, Bucket]:
@@ -255,9 +249,10 @@ def rightmost_extensions(
     the Bucket of all its hits, except tuples from the sources skipped
     below, which are never frequent.
 
-    No chain link is built: a hit appends its parent chain and half-edge
-    to the bucket's two lists, and the search links a bucket only once its
-    child passes ``is_min``.
+    ``projected`` is the node's visited bucket. A hit appends the index of
+    the node's hit it extends and its half-edge to the child bucket's two
+    lists; the child gets no graph-id column until the search visits it,
+    once it passes ``is_min``.
 
     Backward edges grow from the right-most vertex to right-most-path
     vertices (never the direct parent); forward edges grow from right-most
@@ -266,14 +261,14 @@ def rightmost_extensions(
     minimal code. Keys are plain 5-tuples.
 
     Graphs are simple (``LabeledGraph.add_edge`` rejects repeated edges)
-    and chains injective, so a graph edge between two images belongs to
-    the chain exactly when the code joins their dfs ids: backward targets
+    and embeddings injective, so a graph edge between two images belongs to
+    the embedding exactly when the code joins their dfs ids: backward targets
     the code already joins to the right-most vertex are dropped once per
     code, and no per-embedding set of used edges is kept. One pass over
     the right-most vertex's adjacency finds its backward and forward
     edges alike. A neighbour is in the pattern when its image is in the
-    chain's vertex map, and ``vmap.index`` gives its dfs id: injectivity
-    makes that exact, so no inverse map is built per chain.
+    hit's vertex map, and ``vmap.index`` gives its dfs id: injectivity
+    makes that exact, so no inverse map is built per hit.
 
     Two rules skip a source vertex whole, and each skips only sources that
     yield no hit or no frequent tuple:
@@ -281,7 +276,7 @@ def rightmost_extensions(
     - *Saturated source.* When a source's image has as many neighbours as
       the code has edges at the source, every neighbour is a pattern vertex
       the code already joins to it, so neither a forward nor a backward
-      edge leaves it. One length test per chain and source decides it,
+      edge leaves it. One length test per hit and source decides it,
       against the code's degree list; for the right-most vertex it skips
       the backward and forward pass alike.
     - *Inherited sources.* ``sources`` holds the sources of the parent
@@ -329,8 +324,9 @@ def rightmost_extensions(
     newv = maxtoc + 1
     buckets: dict[tuple, Bucket] = {}
 
-    for emb, vmap in zip(projected, _vertex_maps(code, projected)):
-        g = graphs[emb.gid]
+    gids = projected.gids
+    for i, vmap in enumerate(vertex_maps(code, projected)):
+        g = graphs[gids[i]]
         adj = g.adj
         vl = g.vlabels
 
@@ -352,8 +348,8 @@ def rightmost_extensions(
                 t = (maxtoc, j, rmlbl, e[3], tgtlbl)
             bucket = buckets.get(t)
             if bucket is None:
-                bucket = buckets[t] = Bucket()
-            bucket.prevs.append(emb)
+                bucket = buckets[t] = Bucket(projected)
+            bucket.prevs.append(i)
             bucket.edges.append(e)
 
         for frm_dfs, e1lbl, e1tolbl, frmlbl, deg in fwd:
@@ -370,8 +366,8 @@ def rightmost_extensions(
                 t = (frm_dfs, newv, frmlbl, e[3], nlbl)
                 bucket = buckets.get(t)
                 if bucket is None:
-                    bucket = buckets[t] = Bucket()
-                bucket.prevs.append(emb)
+                    bucket = buckets[t] = Bucket(projected)
+                bucket.prevs.append(i)
                 bucket.edges.append(e)
 
     return buckets

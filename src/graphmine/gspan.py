@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dfscode import DFSCode, EdgeTuple, child_sort_key, is_min
-from .embeddings import containing_graphs, frequent_single_edges, rightmost_extensions
+from .embeddings import Bucket, containing_graphs, frequent_single_edges, rightmost_extensions
 from .graphs import GraphDatabase
 
 MODES = ("frequent", "closed", "closed_no_etf")
@@ -69,7 +69,8 @@ class MinedPattern:
     that the closed miner's hash table files its records under); it is
     immutable, so sharing it is safe. Serialization maps the ids back to
     those of the source file. ``embeddings.project_code(code, db)``
-    rebuilds the pattern's chains in the order the search held them.
+    rebuilds the pattern's bucket, its hits in the order the search held
+    them.
     """
 
     code: DFSCode
@@ -110,8 +111,10 @@ def search(
 ) -> list[MinedPattern]:
     """Depth-first search of the DFS-code tree, one visit per minimal code.
 
-    Every visit takes one path: link the node's bucket into its chains,
-    ``enter``, scan, ``settle``, push the children from ``exts``.
+    Every visit takes one path: give the node's bucket its graph-id column
+    (``Bucket.visit``), ``enter``, scan, ``settle``, push the children from
+    ``exts``. The hooks, ``emit`` and the scan all get that bucket as
+    ``projected``, the node's embedding list.
 
     - ``enter(code, projected)`` returns True to cut the branch.
     - ``settle(code, projected, exts, emit)`` gets the node's frequent
@@ -127,16 +130,16 @@ def search(
     check loses nothing. A child is pushed only when its code passes
     ``is_min``, so the stack never holds the buckets of a child it would
     reject; a 1-edge root is minimal by construction and is not tested.
-    Children pop in ascending tuple order, as unlinked buckets, so the
-    hooks, ``emit`` and the next scan see ``Embedding`` chains while
-    ``exts`` holds unlinked buckets.
+    Children pop in ascending tuple order. A bucket on the stack, like each
+    one in ``exts``, has no graph-id column: only a visited node's has one.
 
-    Memory peaks right after a ``link``. By then the last node's ``exts`` is
-    gone: it is released as soon as its children are pushed, so the buckets
-    of children that fail ``is_min``, which nothing reads again, do not
-    live through the next ``link``. A child's code is its parent's list
-    plus one ``EdgeTuple``, and ``DFSCode`` keeps the tuples it is given,
-    so every emitted code shares its prefix tuples with its ancestors'.
+    Memory peaks in a scan, which files every hit of the node's
+    extensions. By then the last node's ``exts`` is gone: it is released
+    as soon as its children are pushed, so the buckets of children that
+    fail ``is_min``, which nothing reads again, do not live through the
+    next visit. A child's code is its parent's list plus one
+    ``EdgeTuple``, and ``DFSCode`` keeps the tuples it is given, so every
+    emitted code shares its prefix tuples with its ancestors'.
 
     Each child is pushed with the sources of its parent's frequent forward
     tuples, one set shared by all siblings. Its scan reads forward edges
@@ -148,7 +151,7 @@ def search(
     out: list[MinedPattern] = []
     support_sets: dict[tuple, tuple] = {}
 
-    def emit(code: list, projected: list) -> MinedPattern:
+    def emit(code: list, projected: Bucket) -> MinedPattern:
         gids = containing_graphs(projected)
         gids = support_sets.setdefault(gids, gids)
         pattern = MinedPattern(
@@ -170,7 +173,7 @@ def search(
     ]
     while stack:
         code, projected, sources = stack.pop()
-        projected = projected.link()
+        projected.visit()
         stats.visited_nodes += 1
         if enter(code, projected):
             continue
@@ -185,8 +188,7 @@ def search(
             child = code + [EdgeTuple._make(t)]
             if is_min(child):
                 stack.append((child, exts[t], sources))
-        # Memory peaks at the next ``link``: free the buckets no child took
-        # before it.
+        # Free the buckets no child took before the next visit's scan.
         del exts
     return out
 
@@ -201,7 +203,7 @@ def mine_frequent(
     if config.mode != "frequent":
         raise ValueError(f"mine_frequent requires mode frequent, got {config.mode!r}")
 
-    def settle(code: list, projected: list, exts: dict, emit) -> None:
+    def settle(code: list, projected: Bucket, exts: dict, emit) -> None:
         emit(code, projected)
 
     stats = stats if stats is not None else MiningStats()

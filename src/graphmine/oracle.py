@@ -3,7 +3,7 @@
 Everything here recomputes embeddings from scratch with
 ``graphs.subgraph_isomorphisms`` over the whole database. With the miners
 it shares only the graph containers and canonical forms; it uses none of
-their embedding chains, right-most extension scan or closed-graph hash
+their embedding lists, right-most extension scan or closed-graph hash
 table. Intended for verification at desk scale, not for large datasets.
 """
 

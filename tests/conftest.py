@@ -2,7 +2,7 @@
 database generator, the verdict every check of a closed run against the
 oracle reads, a recorder of the search's calls, a brute-force
 frequent-pattern enumerator, a reference right-most extension scan (with
-helpers that compare its chains with the package's unlinked buckets), and a
+helpers that compare its hits with the package's buckets), and a
 brute-force DFS-code enumerator used as the canonical-form oracle."""
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from graphmine import cgspan, gspan
 from graphmine.cgspan import mine_closed
 from graphmine.gspan import MiningConfig, MiningStats, mine_frequent
 from graphmine.dfscode import DFSCode, code_to_graph, min_dfs_code, rightmost_path
-from graphmine.embeddings import Bucket, Embedding
+from graphmine.embeddings import Bucket
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
 from graphmine.datasets import parse_dataset_text
 from graphmine.oracle import ExtensionKey, filter_closed
@@ -110,7 +110,7 @@ def recording():
     the order the calls begin, ``code`` being the call's code as a tuple of
     tuples. The kinds and their payloads:
 
-    - ``enter``: ``(projected, cut)``, the node's chains and the hook's
+    - ``enter``: ``(projected, cut)``, the node's bucket and the hook's
       answer (True cuts the branch);
     - ``scan``: ``(projected, sources, exts)``, the arguments and answer of
       ``rightmost_extensions``, infrequent buckets included;
@@ -119,9 +119,9 @@ def recording():
     - ``is_min``: the answer for a child's code;
     - ``lookup``: ``(projected, (terminate, record, rho))``, what
       ``early_termination`` answers;
-    - ``insert``: ``(cght, record, chains)``, the table and record
-      ``add_closed_graph`` gets, with the chains the record holds then
-      (``materialize`` drops them).
+    - ``insert``: ``(cght, record, bucket)``, the table and record
+      ``add_closed_graph`` gets, with the bucket the record holds then
+      (``materialize`` drops it).
 
     It wraps the names the miners call: ``gspan.search`` and
     ``cgspan.search`` (their ``enter`` and ``settle`` hooks),
@@ -163,7 +163,7 @@ def recording():
         return result
 
     def insert(cght, record):
-        payload = (cght, record, list(record.chains))
+        payload = (cght, record, record.bucket)
         events.append(("insert", code_key(record.pattern.code), payload))
         return real_insert(cght, record)
 
@@ -348,29 +348,32 @@ def brute_frequent_codes(db, min_freq: int) -> set[tuple]:
     return {code for code, sup in brute_code_supports(db).items() if sup >= min_freq}
 
 
-def chain_edges(emb, length):
-    """Materialize a chain into its edge images in code order."""
-    edges = [None] * length
-    node = emb
-    for k in range(length - 1, -1, -1):
-        edges[k] = node.edge
-        node = node.prev
-    return edges
+def read_hit(bucket, i) -> tuple[int, list]:
+    """A hit's graph id and edge images in code order, read up its parent
+    indices to the empty pattern's bucket, whose hit i is graph i."""
+    edges = []
+    while bucket.parent is not None:
+        edges.append(bucket.edges[i])
+        i = bucket.prevs[i]
+        bucket = bucket.parent
+    return i, edges[::-1]
 
 
-def edge_image_sets(code, chains) -> list[frozenset]:
+def edge_image_sets(code, bucket) -> list[frozenset]:
     """A pattern's edge image sets in code order: for each edge, the
-    ``(gid, eid)`` pairs it maps onto over the chains."""
-    images = [(c.gid, chain_edges(c, len(code))) for c in chains]
+    ``(gid, eid)`` pairs it maps onto over the bucket's hits."""
+    images = [read_hit(bucket, i) for i in range(len(bucket))]
     return [frozenset((gid, edges[pos][2]) for gid, edges in images) for pos in range(len(code))]
 
 
 def reference_rightmost_extensions(code, projected, db, restricted=True):
     """Right-most extensions, written independently of the package's scan:
-    per embedding a used-vertex and a used-edge set, one adjacency scan per
-    backward target, then the forward scans. With ``restricted`` the growth
-    filters of canonical search apply, as in the package's scan; without,
-    every right-most extension is built."""
+    per hit of ``projected`` its edges read by ``read_hit``, a used-vertex
+    and a used-edge set, one adjacency scan per backward target, then the
+    forward scans. With ``restricted`` the growth filters of canonical
+    search apply, as in the package's scan; without, every right-most
+    extension is built. Each tuple maps to its hits as plain tuples
+    ``(gid, half-edge, parent hit index)``."""
     graphs = db.graphs
     m = len(code)
     positions = rightmost_path(code)
@@ -389,12 +392,12 @@ def reference_rightmost_extensions(code, projected, db, restricted=True):
     newv = maxtoc + 1
     buckets = {}
 
-    for emb in projected:
-        gid = emb.gid
+    for prev in range(len(projected)):
+        gid, edges = read_hit(projected, prev)
+        assert len(edges) == m
         g = graphs[gid]
         adj = g.adj
         vl = g.vlabels
-        edges = chain_edges(emb, m)
         vused = set()
         eused = set()
         for e in edges:
@@ -409,7 +412,7 @@ def reference_rightmost_extensions(code, projected, db, restricted=True):
                 if e[1] == w_img and e[2] not in eused:
                     if not restricted or e[3] > e1lbl or (e[3] == e1lbl and alloweq):
                         t = (maxtoc, tgt, rmlbl, e[3], tgtlbl)
-                        buckets.setdefault(t, []).append(Embedding(gid, e, emb))
+                        buckets.setdefault(t, []).append((gid, e, prev))
                     break
 
         for e in adj[rm_img]:
@@ -420,7 +423,7 @@ def reference_rightmost_extensions(code, projected, db, restricted=True):
             if restricted and nlbl < min_vlb:
                 continue
             t = (maxtoc, newv, rmlbl, e[3], nlbl)
-            buckets.setdefault(t, []).append(Embedding(gid, e, emb))
+            buckets.setdefault(t, []).append((gid, e, prev))
 
         for pos, frm_dfs, e1lbl, e1tolbl, frmlbl in fwd:
             u_img = edges[pos][0]
@@ -436,30 +439,37 @@ def reference_rightmost_extensions(code, projected, db, restricted=True):
                 ):
                     continue
                 t = (frm_dfs, newv, frmlbl, e[3], nlbl)
-                buckets.setdefault(t, []).append(Embedding(gid, e, emb))
+                buckets.setdefault(t, []).append((gid, e, prev))
 
     return buckets
 
 
-def as_bucket(chains) -> Bucket:
-    """A reference bucket's chains in the package's unlinked form: per chain
-    its parent chain and its last edge image."""
-    bucket = Bucket()
-    for c in chains:
-        bucket.prevs.append(c.prev)
-        bucket.edges.append(c.edge)
+def support_of(hits) -> int:
+    """The number of graphs a reference scan's hits lie in."""
+    return len({gid for gid, _, _ in hits})
+
+
+def as_bucket(projected, hits) -> Bucket:
+    """A reference scan's hits of one tuple in the package's form: a
+    bucket under ``projected`` holding each hit's parent index and edge."""
+    bucket = Bucket(projected)
+    for _, e, prev in hits:
+        bucket.prevs.append(prev)
+        bucket.edges.append(e)
     return bucket
 
 
-def assert_links_match(bucket, chains) -> None:
-    """The bucket links into exactly the given chains: as many hits, and
-    per chain the same graph id, edge image and parent chain object."""
-    assert len(bucket) == len(chains)
-    linked = bucket.link()
-    assert len(linked) == len(chains)
-    for e, w in zip(linked, chains):
-        assert type(e) is Embedding
-        assert e.gid == w.gid and e.edge == w.edge and e.prev is w.prev
+def bucket_hits(bucket) -> list[tuple]:
+    """A package bucket's hits in the reference scan's form, the graph id
+    read off the parent's column."""
+    parent_gids = bucket.parent.gids
+    return [(parent_gids[prev], e, prev) for prev, e in zip(bucket.prevs, bucket.edges)]
+
+
+def assert_links_match(bucket, hits) -> None:
+    """The bucket holds exactly the reference hits: as many, and per hit
+    the same graph id, half-edge and parent index, in order."""
+    assert bucket_hits(bucket) == list(hits)
 
 
 def rm_as_key(t) -> ExtensionKey:

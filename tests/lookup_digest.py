@@ -1,6 +1,6 @@
 """One SHA-256 over closed mining's output and every CGHT lookup it makes.
 
-For seeds 0 to N-1 (N = 600 by default), supports 1, 2 and 3 and both
+For seeds 0 to N-1 (N = 1000 by default), supports 1, 2 and 3 and both
 closed modes, mines ``fuzz_database(seed)`` with ``mine_closed`` and feeds
 into one digest, run by run:
 
@@ -16,7 +16,8 @@ into one digest, run by run:
 Two trees that print the same digest make the same lookups with the same
 answers and mine the same patterns with the same counters. Run it in each
 tree and compare the printed lines. ``test_cgspan.py`` pins the digest of
-the first 100 seeds, and the CI job ``lookup-digest`` the line for N = 1000.
+the first 100 seeds, and the CI job ``lookup-digest`` the line for the
+default N = 1000.
 
 Usage: python tests/lookup_digest.py [N]
 """
@@ -73,4 +74,4 @@ def main(n_seeds: int) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 600))
+    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 1000))

@@ -108,23 +108,24 @@ def test_hash_key_and_termination_example():
         db = parse_dataset_text(SAMPLE_TEXT)
         mined = mine_closed(db, MiningConfig(min_support=2, mode="closed"))
         cght = ClosedGraphHashTable()
-        chains = {p.discovery_index: project_code(p.code, db) for p in mined}
+        buckets = {p.discovery_index: project_code(p.code, db) for p in mined}
         for p in mined:
-            add_closed_graph(cght, ClosedGraphRecord(p, chains[p.discovery_index]))
+            add_closed_graph(cght, ClosedGraphRecord(p, buckets[p.discovery_index]))
         alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
         proj = project_code(alpha, db)
-        key = frozenset((c.gid, c.edge[2]) for c in proj)  # images of edge (1, 2)
+        # The images of edge (1, 2), alpha's last.
+        key = frozenset((gid, e[2]) for gid, e in zip(proj.gids, proj.edges))
         assert key == frozenset({(0, 4), (1, 3)})
         terminate, record, rho = early_termination(alpha, proj, cght)
         assert terminate
         assert tuple(map(tuple, record.pattern.code)) == tuple(map(tuple, P1))
         assert rho == (0, 1, 3)
         # The cover implies the paper's key: P1's edge rho(1)-rho(2) has
-        # exactly the images of alpha's last edge, read off the chains P1
+        # exactly the images of alpha's last edge, read off the bucket P1
         # was inserted with (the lookup dropped the record's own).
         code = record.pattern.code
         pos = [frozenset((t[0], t[1])) for t in code].index(frozenset((rho[1], rho[2])))
-        assert edge_image_sets(code, chains[record.pattern.discovery_index])[pos] == key
+        assert edge_image_sets(code, buckets[record.pattern.discovery_index])[pos] == key
         assert time.perf_counter() - start < 1.0
 
 
@@ -142,7 +143,7 @@ def test_hash_table_state():
         state: dict[tuple, list[str]] = {}
         for record in cght[(0, 1)]:
             code = record.pattern.code
-            for images in dict.fromkeys(edge_image_sets(code, record.chains)):
+            for images in dict.fromkeys(edge_image_sets(code, record.bucket)):
                 state.setdefault(tuple(sorted(images)), []).append(names[tuple(map(tuple, code))])
         assert state == {
             ((0, 1), (1, 0)): ["p1"],
@@ -297,28 +298,28 @@ def test_counting_oracle_on_random_databases():
             db = random_database(rng, n_graphs=rng.randint(4, 7))
             mined = mine_frequent(db, MiningConfig(min_support=2))
             for p in mined:
-                chains = project_code(p.code, db)
+                projected = project_code(p.code, db)
                 total = total_occurrence(p.code, db)
-                assert p.occurrence == len(chains) == total
+                assert p.occurrence == len(projected) == total
                 oracle_exts = all_extensions(p.code, db)
                 gids = {
                     gid for parents in oracle_exts.values() for gid, _ in parents
                 }
-                assert len(containing_graphs(chains)) == p.support
+                assert len(containing_graphs(projected)) == p.support
                 rm = reference_rightmost_extensions(
-                    p.code, chains, db, restricted=False
+                    p.code, projected, db, restricted=False
                 )
-                scanned = rightmost_extensions(p.code, chains, db)
+                scanned = rightmost_extensions(p.code, projected, db)
                 assert scanned.keys() <= rm.keys()
                 for t, bucket in scanned.items():
                     assert_links_match(bucket, rm[t])
-                for t, bucket in rm.items():
+                for t, hits in rm.items():
                     covered = len(oracle_exts[rm_as_key(t)])
-                    assert equivalent_occurrence(chains, as_bucket(bucket)) == (
+                    assert equivalent_occurrence(projected, as_bucket(projected, hits)) == (
                         covered == total
                     )
                     if t in scanned:
-                        assert equivalent_occurrence(chains, scanned[t]) == (
+                        assert equivalent_occurrence(projected, scanned[t]) == (
                             covered == total
                         )
 

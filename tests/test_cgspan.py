@@ -13,6 +13,7 @@ from graphmine.cgspan import (
 from graphmine.datasets import parse_dataset_text
 from graphmine.dfscode import DFSCode, code_to_graph
 from graphmine.embeddings import (
+    Bucket,
     containing_graphs,
     dropped_extension_covers,
     equivalent_occurrence,
@@ -21,7 +22,7 @@ from graphmine.embeddings import (
     vertex_maps,
 )
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
-from graphmine.gspan import MinedPattern, MiningConfig
+from graphmine.gspan import MinedPattern, MiningConfig, mine_frequent
 from graphmine.oracle import all_extensions, is_closed
 
 from conftest import (
@@ -45,6 +46,7 @@ from conftest import (
     record_run,
     reference_rightmost_extensions,
     rm_as_key,
+    support_of,
 )
 
 
@@ -59,11 +61,11 @@ def build_table(patterns, db):
 
 def bare_record(code, db):
     """A record of ``code`` filed as the first closed graph of a run, and
-    the chains it holds until a lookup drops them."""
-    chains = project_code(code, db)
-    gids = containing_graphs(chains)
-    pattern = MinedPattern(DFSCode(code), len(gids), len(chains), gids, 0)
-    return ClosedGraphRecord(pattern, chains), chains
+    the bucket it holds until a lookup drops it."""
+    bucket = project_code(code, db)
+    gids = containing_graphs(bucket)
+    pattern = MinedPattern(DFSCode(code), len(gids), len(bucket), gids, 0)
+    return ClosedGraphRecord(pattern, bucket), bucket
 
 
 @pytest.fixture
@@ -118,6 +120,49 @@ def test_closed_output_is_filtered_preorder_on_fuzz():
     assert wrong == []
 
 
+def assert_closed_set_keeps_support_sets(db, sup) -> int:
+    """Every frequent pattern's support set is the support set of some
+    closed pattern that contains it, by ``subgraph_isomorphisms``: the
+    closed set recovers each frequent pattern's support and support set.
+    Returns the number of frequent patterns checked."""
+    closed: dict[tuple, list] = {}
+    for q in mine_closed(db, MiningConfig(min_support=sup, mode="closed")):
+        closed.setdefault(q.containing_graphs, []).append(code_to_graph(q.code))
+    frequent = mine_frequent(db, MiningConfig(min_support=sup))
+    for p in frequent:
+        pattern = code_to_graph(p.code)
+        assert any(embeds_in(pattern, host) for host in closed.get(p.containing_graphs, ())), p.code
+    return len(frequent)
+
+
+def test_closed_set_keeps_support_sets(sample_db, etf_db):
+    checked = 0
+    for db in [sample_db, etf_db] + [fuzz_database(seed) for seed in range(0, 150, 3)]:
+        for sup in (1, 2, 3):
+            checked += assert_closed_set_keeps_support_sets(db, sup)
+    assert checked > 1000
+
+
+def test_closed_set_does_not_keep_occurrence_counts():
+    # Fuzz database 5 at support 1: a 2-edge path occurs 3 times, in graph
+    # 0 only, and the closed patterns that contain it with that support
+    # set occur 1, 2 and 4 times, so none tells its count. A supergraph
+    # with the same support set may miss some of the pattern's
+    # occurrences, and one that extends them all can have more embeddings
+    # than the pattern, since several of them can restrict to one.
+    db = fuzz_database(5)
+    code = ((0, 1, 0, 0, 0), (1, 2, 0, 0, 2))
+    (p,) = [p for p in mine_frequent(db, MiningConfig(min_support=1)) if code_key(p.code) == code]
+    assert (p.occurrence, p.containing_graphs) == (3, (0,))
+    pattern = code_to_graph(p.code)
+    supergraphs = [
+        q.occurrence
+        for q in mine_closed(db, MiningConfig(min_support=1, mode="closed"))
+        if q.containing_graphs == (0,) and embeds_in(pattern, code_to_graph(q.code))
+    ]
+    assert sorted(supergraphs) == [1, 2, 4]
+
+
 # ---------------------------------------------------------- hash table
 
 
@@ -131,7 +176,7 @@ def test_lookup_reads_only_its_support_set(sample_db, monkeypatch):
     assert len(before) > 1
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
     proj = project_code(alpha, sample_db)
-    gids = tuple(sorted({c.gid for c in proj}))
+    gids = tuple(sorted(set(proj.gids)))
     read = []
     materialize = ClosedGraphRecord.materialize
 
@@ -147,27 +192,28 @@ def test_lookup_reads_only_its_support_set(sample_db, monkeypatch):
 
 
 def test_lookup_builds_pattern_maps_in_the_reference_graph_only(sample_db, sample_closed, monkeypatch):
-    # A lookup builds the pattern's vertex maps only for its chains in the
+    # A lookup builds the pattern's vertex maps only for its hits in the
     # support set's least graph, and each record's maps once: a record it
-    # reads keeps one flat map list and drops its chains, one it never
-    # reads keeps them.
+    # reads keeps one flat map list and drops its bucket, one it never
+    # reads keeps it.
     cght = ClosedGraphHashTable()
     inserted = {}
     for p in sample_closed:
-        chains = project_code(p.code, sample_db)
-        record = ClosedGraphRecord(p, chains)
-        inserted[record] = chains
+        bucket = project_code(p.code, sample_db)
+        record = ClosedGraphRecord(p, bucket)
+        inserted[record] = bucket
         add_closed_graph(cght, record)
     alpha = DFSCode([(0, 1, W, EA, X), (1, 2, X, ED, Z)])
     key = tuple(map(tuple, alpha))
     proj = project_code(alpha, sample_db)
-    in_ref = sum(c.gid == proj[0].gid for c in proj)
+    in_ref = proj.gids.count(proj.gids[0])
     assert 0 < in_ref < len(proj)
     built = []
 
-    def spy(code, chains):
-        built.append((tuple(map(tuple, code)), len(chains)))
-        return vertex_maps(code, chains)
+    def spy(code, node, hits=None):
+        maps = list(vertex_maps(code, node, hits))
+        built.append((tuple(map(tuple, code)), len(maps)))
+        return iter(maps)
 
     monkeypatch.setattr(cgspan, "vertex_maps", spy)
     result = early_termination(alpha, proj, cght)
@@ -178,14 +224,14 @@ def test_lookup_builds_pattern_maps_in_the_reference_graph_only(sample_db, sampl
     read = [r for r in inserted if r.maps is not None]
     assert result[1] in read and len(read) < len(inserted)
     assert sorted(record_builds) == sorted(len(inserted[r]) for r in read)
-    for record, chains in inserted.items():
-        assert record.pattern.occurrence == len(chains)
+    for record, bucket in inserted.items():
+        assert record.pattern.occurrence == len(bucket)
         if record.maps is None:
-            assert record.chains is chains
+            assert record.bucket is bucket
             continue
-        assert record.chains is None
-        assert record.maps == vertex_maps(record.pattern.code, chains)
-        gids = [c.gid for c in chains] + [None]
+        assert record.bucket is None
+        assert record.maps == list(vertex_maps(record.pattern.code, bucket))
+        gids = bucket.gids + [None]
         assert list(record.ends) == [i for i in range(1, len(gids)) if gids[i] != gids[i - 1]]
 
     built.clear()
@@ -210,32 +256,32 @@ B_C = DFSCode([(0, 1, 0, 5, 2)])
 def test_cover_counts_distinct_projections_of_record_maps():
     # Swapping the star's two A leaves is an automorphism, so the star has
     # two maps per graph and both project onto the one B-C map there. The
-    # record has more maps than the pattern has chains, and still covers.
+    # record has more maps than the pattern has hits, and still covers.
     db = star_database(extra_b=False)
-    record, chains = bare_record(STAR, db)
+    record, bucket = bare_record(STAR, db)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     proj = project_code(B_C, db)
-    assert [c.gid for c in chains] == [0, 0, 1, 1]
-    assert [c.gid for c in proj] == [0, 1]
+    assert bucket.gids == [0, 0, 1, 1]
+    assert proj.gids == [0, 1]
     assert early_termination(B_C, proj, cght) == (True, record, (0, 3))
-    assert reference_cover(B_C, proj, record, chains) == (0, 3)
+    assert reference_cover(B_C, proj, record, bucket) == (0, 3)
     assert not is_closed(B_C, db)
 
 
 def test_cover_fails_when_distinct_projections_are_one_short():
-    # Near miss: a second B vertex joins the C leaf, so B-C has two chains
+    # Near miss: a second B vertex joins the C leaf, so B-C has two hits
     # per graph, as many as the star has maps, but both star maps project
     # onto the same B-C map and the other is left uncovered.
     db = star_database(extra_b=True)
-    record, chains = bare_record(STAR, db)
+    record, bucket = bare_record(STAR, db)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     proj = project_code(B_C, db)
-    assert [c.gid for c in chains] == [0, 0, 1, 1]
-    assert [c.gid for c in proj] == [0, 0, 1, 1]
+    assert bucket.gids == [0, 0, 1, 1]
+    assert proj.gids == [0, 0, 1, 1]
     assert early_termination(B_C, proj, cght) == (False, None, None)
-    assert reference_cover(B_C, proj, record, chains) is None
+    assert reference_cover(B_C, proj, record, bucket) is None
 
 
 # ----------------------------------------------------- early termination
@@ -311,13 +357,13 @@ def test_early_termination_one_edge_pattern():
         "".join(f"t # {i}\nv 0 0\nv 1 1\nv 2 2\ne 0 1 5\ne 1 2 6\n" for i in range(2))
     )
     stored = DFSCode([(0, 1, 0, 5, 1), (1, 2, 1, 6, 2)])
-    record, chains = bare_record(stored, path_db)
+    record, bucket = bare_record(stored, path_db)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 1)])
     proj = project_code(edge, path_db)
     assert early_termination(edge, proj, cght) == (True, record, (0, 1))
-    assert reference_cover(edge, proj, record, chains) == (0, 1)
+    assert reference_cover(edge, proj, record, bucket) == (0, 1)
 
     # Two copies of 0-(5)-0-(6)-1. The edge 0-(5)-0 occurs in both
     # orientations and the stored path takes one of them, so both rhos,
@@ -326,14 +372,14 @@ def test_early_termination_one_edge_pattern():
         "".join(f"t # {i}\nv 0 0\nv 1 0\nv 2 1\ne 0 1 5\ne 1 2 6\n" for i in range(2))
     )
     stored = DFSCode([(0, 1, 0, 5, 0), (1, 2, 0, 6, 1)])
-    record, chains = bare_record(stored, sym_db)
+    record, bucket = bare_record(stored, sym_db)
     cght = ClosedGraphHashTable()
     add_closed_graph(cght, record)
     edge = DFSCode([(0, 1, 0, 5, 0)])
     proj = project_code(edge, sym_db)
     assert len(proj) == 4
     assert early_termination(edge, proj, cght) == (False, None, None)
-    assert reference_cover(edge, proj, record, chains) is None
+    assert reference_cover(edge, proj, record, bucket) is None
     assert is_closed(edge, sym_db)
 
 
@@ -487,19 +533,19 @@ def test_fuzz_regression_seeds_emit_only_closed_patterns(seed, sup):
 # ------------------------------------------------------------ lazy index
 
 
-def reference_cover(code, projected, record, chains):
-    """The rho through which ``record``, inserted with ``chains``, covers
+def reference_cover(code, projected, record, bucket):
+    """The rho through which ``record``, inserted with ``bucket``, covers
     the pattern, or None, from the definition: candidate rhos are read off
     the pattern maps inside the record's reference embedding (its first
-    chain), in chain order, and keep every pattern edge on a record edge;
-    the first rho under which every pattern map equals some record map of
-    its graph composed with rho wins."""
-    fmaps = list(zip([c.gid for c in projected], vertex_maps(code, projected)))
-    rmaps = vertex_maps(record.pattern.code, chains)
+    hit), in hit order, and keep every pattern edge on a record edge; the
+    first rho under which every pattern map equals some record map of its
+    graph composed with rho wins."""
+    fmaps = list(zip(projected.gids, vertex_maps(code, projected)))
+    rmaps = list(vertex_maps(record.pattern.code, bucket))
     by_gid: dict[int, list] = {}
-    for c, m in zip(chains, rmaps):
-        by_gid.setdefault(c.gid, []).append(m)
-    ref_gid, ref_map = chains[0].gid, rmaps[0]
+    for gid, m in zip(bucket.gids, rmaps):
+        by_gid.setdefault(gid, []).append(m)
+    ref_gid, ref_map = bucket.gids[0], rmaps[0]
     record_edges = {frozenset((t[0], t[1])) for t in record.pattern.code}
     tried = set()
     for gid, fmap in fmaps:
@@ -524,7 +570,7 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode):
     # Reference: every record is filed under each of its edge image sets as
     # it is inserted, and a lookup returns the first record of the pattern's
     # bucket that covers the pattern, by the test-local coverage check on
-    # the chains the record was inserted with (a lookup drops them).
+    # the bucket the record was inserted with (a lookup drops it).
     lookups = hits = 0
 
     def summary(result):
@@ -536,16 +582,17 @@ def test_lazy_lookup_matches_eager_index_on_fuzz(mode):
         inserted: dict[ClosedGraphRecord, list] = {}
         for kind, code, payload in events:
             if kind == "insert":
-                _, record, chains = payload
-                inserted[record] = chains
-                for images in edge_image_sets(record.pattern.code, chains):
+                _, record, bucket = payload
+                inserted[record] = bucket
+                for images in edge_image_sets(record.pattern.code, bucket):
                     bucket = eager.setdefault(images, [])
                     if not any(r is record for r in bucket):
                         bucket.append(record)
             elif kind == "lookup":
                 projected, got = payload
                 want = (False, None, None)
-                for record in eager.get(frozenset((c.gid, c.edge[2]) for c in projected), ()):
+                last = frozenset((gid, e[2]) for gid, e in zip(projected.gids, projected.edges))
+                for record in eager.get(last, ()):
                     rho = reference_cover(code, projected, record, inserted[record])
                     if rho is not None:
                         want = (True, record, rho)
@@ -562,17 +609,17 @@ def test_covering_record_has_the_pattern_edge_images_on_fuzz(mode):
     # under rho, every pattern edge (a, b) has exactly the image set of the
     # record's edge rho(a)-rho(b), the last edge's set being the paper's
     # key, and the record has at least as many embeddings as the pattern.
-    # The images are read off the chains the record was inserted with.
+    # The images are read off the bucket the record was inserted with.
     hits = 0
     for _, _, _, events, _ in fuzz_runs(mode):
-        inserted = {record: chains for _, (_, record, chains) in calls(events, "insert")}
+        inserted = {record: bucket for _, (_, record, bucket) in calls(events, "insert")}
         for code, (projected, (terminate, record, rho)) in calls(events, "lookup"):
             if not terminate:
                 continue
             hits += 1
-            chains = inserted[record]
-            assert record.pattern.occurrence == len(chains) >= len(projected)
-            images = edge_image_sets(record.pattern.code, chains)
+            bucket = inserted[record]
+            assert record.pattern.occurrence == len(bucket) >= len(projected)
+            images = edge_image_sets(record.pattern.code, bucket)
             pairs = [frozenset((t[0], t[1])) for t in record.pattern.code]
             for t, want in zip(code, edge_image_sets(code, projected)):
                 assert images[pairs.index(frozenset((rho[t[0]], rho[t[1]])))] == want
@@ -581,14 +628,14 @@ def test_covering_record_has_the_pattern_edge_images_on_fuzz(mode):
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
 def test_hook_embedding_lists_are_in_graph_id_order_on_fuzz(mode):
-    # The lookup reads each graph's chains as one run and the reference
-    # graph's chains first, so every list ``enter`` and ``settle`` receive,
-    # and with it every record's chains, must be in graph-id order.
+    # The lookup reads each graph's hits as one run and the reference
+    # graph's hits first, so every bucket ``enter`` and ``settle`` receive,
+    # and with it every record's bucket, must be in graph-id order.
     seen = 0
     for _, _, _, events, _ in fuzz_runs(mode):
         for kind, _, payload in events:
             if kind in ("enter", "settle"):
-                gids = [c.gid for c in payload[0]]
+                gids = payload[0].gids
                 assert gids == sorted(gids)
                 seen += 1
     assert seen > 0
@@ -613,7 +660,7 @@ def test_group_keys_are_the_patterns_support_set_tuples_on_fuzz(mode):
                 assert by_index[record.pattern.discovery_index] is record.pattern
                 assert record.pattern.containing_graphs is key
                 if record.maps is None:
-                    assert record.edges is None and record.chains is not None
+                    assert record.edges is None and record.bucket is not None
                     unread += 1
                 else:
                     pairs = {(t[0], t[1]) for t in record.pattern.code}
@@ -677,7 +724,7 @@ def test_walk_alone_settles_closure():
     # In mode closed_no_etf every visited node is uncovered; at support 1
     # on fuzz database 0 this 3-edge star has no kept bucket with
     # equivalent occurrence, yet a tuple the scan does not build extends
-    # every chain, so it is not closed.
+    # every hit, so it is not closed.
     db = fuzz_database(0)
     code = DFSCode([(0, 1, 0, 1, 0), (1, 2, 0, 1, 1), (1, 3, 0, 1, 1)])
     projected = project_code(code, db)
@@ -689,25 +736,35 @@ def test_walk_alone_settles_closure():
     assert closure_decisions(db, events, mined) > 0
 
 
+def reordered(bucket, order) -> Bucket:
+    """A visited bucket's hits in another order, under the same parent."""
+    out = Bucket(bucket.parent)
+    out.prevs = [bucket.prevs[i] for i in order]
+    out.edges = [bucket.edges[i] for i in order]
+    out.gids = [bucket.gids[i] for i in order]
+    return out
+
+
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
 def test_dropped_extension_covers_matches_rescans_on_fuzz(mode):
     # At every node ``settle`` reaches, with the buckets it gets.
     # Reference: the oracle's extensions at every vertex, keeping those
-    # whose covered parents number the pattern's chains and which are not
+    # whose covered parents number the pattern's hits and which are not
     # among the kept buckets. ``off_path`` counts the True answers that
     # only an extension the right-most scan cannot build settles. The
-    # answer is whether some candidate survives every chain, so the walk
-    # may read the chains in any order: the reversed list and a rotation,
-    # each with another chain first, give the same answer. ``other_graph``
-    # counts the nodes whose reversed list starts in another graph.
+    # answer is whether some candidate survives every hit, so the walk
+    # may read the hits in any order: the reversed bucket and a rotation,
+    # each with another hit first, give the same answer. ``other_graph``
+    # counts the nodes whose reversed bucket starts in another graph.
     kinds, answers, off_path, other_graph = set(), set(), 0, 0
     for seed, db, config, events, _ in fuzz_runs(mode):
         for code, (projected, kept) in calls(events, "settle"):
             got = dropped_extension_covers(code, projected, db, kept)
-            half = len(projected) // 2
-            for chains in (projected[::-1], projected[half:] + projected[:half]):
-                assert dropped_extension_covers(code, chains, db, kept) == got, (seed, config, code)
-            other_graph += projected[0].gid != projected[-1].gid
+            n = len(projected)
+            for order in (range(n - 1, -1, -1), [*range(n // 2, n), *range(n // 2)]):
+                again = reordered(projected, order)
+                assert dropped_extension_covers(code, again, db, kept) == got, (seed, config, code)
+            other_graph += projected.gids[0] != projected.gids[-1]
             exts_all = all_extensions(code, db)
             candidates = exts_all.keys() - {rm_as_key(t) for t in kept}
             covering = {k for k in candidates if len(exts_all[k]) == len(projected)}
@@ -716,7 +773,7 @@ def test_dropped_extension_covers_matches_rescans_on_fuzz(mode):
                 answers.add(got)
             rightmost = reference_rightmost_extensions(code, projected, db, restricted=False)
             for t, b in kept.items():
-                assert b.support() == len(containing_graphs(rightmost[t]))
+                assert b.support() == support_of(rightmost[t])
                 assert_links_match(b, rightmost[t])
             rightmost = {rm_as_key(t) for t in rightmost}
             off_path += bool(covering) and not covering & rightmost
@@ -747,8 +804,8 @@ def test_dropped_backward_tuple_settles_closure():
     assert rightmost_extensions(code, projected, db) == {}
     assert dropped_extension_covers(code, projected, db, {})
     assert not is_closed(code, db)
-    # Without one graph's closing edge no tuple extends every chain,
-    # whichever graph holds chain 0.
+    # Without one graph's closing edge no tuple extends every hit,
+    # whichever graph holds hit 0.
     for closed in ((True, False), (False, True)):
         db = triangles(closed)
         projected = project_code(code, db)
@@ -758,8 +815,8 @@ def test_dropped_backward_tuple_settles_closure():
 
 def test_walk_reads_the_last_chain_second(monkeypatch):
     # Five graphs hold the edge 0-1, and all but the last a label-2 leaf
-    # at vertex 0: the one candidate chain 0 offers. The walk reads the
-    # last chain right after chain 0, drops the candidate there and stops
+    # at vertex 0: the one candidate hit 0 offers. The walk reads the
+    # last hit right after hit 0, drops the candidate there and stops
     # after two vertex maps; with a leaf in every graph it reads all five.
     def leaves(n):
         return parse_dataset_text(
@@ -771,19 +828,19 @@ def test_walk_reads_the_last_chain_second(monkeypatch):
         )
 
     read = []
-    maps_of = embeddings._vertex_maps
+    maps_of = embeddings.vertex_maps
 
-    def counting_maps(code, chains):
-        for vmap in maps_of(code, chains):
+    def counting_maps(code, node, hits=None):
+        for vmap in maps_of(code, node, hits):
             read.append(vmap)
             yield vmap
 
-    monkeypatch.setattr(embeddings, "_vertex_maps", counting_maps)
+    monkeypatch.setattr(embeddings, "vertex_maps", counting_maps)
     code = DFSCode([(0, 1, 0, 0, 1)])
     for n, covers, maps_read in ((4, False, 2), (5, True, 5)):
         db = leaves(n)
         projected = project_code(code, db)
-        assert [c.gid for c in projected] == [0, 1, 2, 3, 4]
+        assert projected.gids == [0, 1, 2, 3, 4]
         read.clear()
         assert dropped_extension_covers(code, projected, db, {}) == covers
         assert len(read) == maps_read

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from graphmine import embeddings
+from graphmine import cgspan, gspan
 from graphmine.dfscode import DFSCode, child_sort_key, code_to_graph, is_min
 from graphmine.embeddings import (
-    Embedding,
+    Bucket,
     containing_graphs,
     equivalent_occurrence,
     frequent_single_edges,
@@ -14,7 +14,7 @@ from graphmine.embeddings import (
     vertex_maps,
 )
 from graphmine.graphs import GraphDatabase, LabeledGraph, subgraph_isomorphisms
-from graphmine.gspan import MiningConfig, mine_frequent
+from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
 
 from conftest import (
     EA,
@@ -29,22 +29,26 @@ from conftest import (
     Z,
     as_bucket,
     assert_links_match,
+    bucket_hits,
     calls,
-    chain_edges,
+    code_key,
     fuzz_database,
+    mine,
     random_database,
+    read_hit,
     record_run,
     reference_rightmost_extensions,
+    support_of,
 )
 
 
-# Reference vertex map: a chain read into its full edge list. The package
-# reads chains from a per-code plan and scans in one pass; the differential
+# Reference vertex map: a hit read into its full edge list. The package
+# reads hits from a per-code plan and scans in one pass; the differential
 # tests below hold it to this and to conftest's reference scan.
 
 
-def reference_vertex_map(code, emb):
-    edges = chain_edges(emb, len(code))
+def reference_vertex_map(code, bucket, i):
+    _, edges = read_hit(bucket, i)
     n = max(max(t[0], t[1]) for t in code) + 1
     vmap = [0] * n
     for t, e in zip(code, edges):
@@ -68,15 +72,16 @@ def test_frequent_single_edges_order_and_support(sample_db):
     assert len(by_code[(0, 1, W, EF, Z)]) == 2
     # Infrequent labels (c to S, e to T) are filtered out.
     assert len(roots) == 4
-    # Every hit is a half-edge of its graph under that graph's empty chain,
-    # one chain object per graph.
-    empty = {}
+    # Every hit is a half-edge of the graph its parent index names: the
+    # roots share the empty pattern's bucket, whose only column is the
+    # graph ids. No root has a graph-id column before it is visited.
+    (empty,) = {id(bucket.parent): bucket.parent for _, bucket in roots}.values()
+    assert empty.parent is None and len(empty) == 0 and empty.gids == [0, 1]
     for _, bucket in roots:
-        for prev, e in zip(bucket.prevs, bucket.edges):
-            assert type(prev) is Embedding and prev.edge is None and prev.prev is None
-            assert empty.setdefault(prev.gid, prev) is prev
-            assert e in sample_db.graphs[prev.gid].adj[e[0]]
-    assert sorted(empty) == [0, 1]
+        assert bucket.gids is None
+        for gid, e in zip(bucket.prevs, bucket.edges):
+            assert e in sample_db.graphs[gid].adj[e[0]]
+    assert {gid for _, bucket in roots for gid in bucket.prevs} == {0, 1}
 
 
 def test_occurrence_counts_of_sample_patterns(sample_db):
@@ -88,10 +93,10 @@ def test_occurrence_counts_of_sample_patterns(sample_db):
 
 def test_project_code_of_a_first_tuple_the_seeding_never_writes(sample_db):
     # The seeding writes each edge from its smaller label, so X-a-W has no
-    # chain although W-a-X has three.
+    # hit although W-a-X has three.
     assert len(project_code(DFSCode([(0, 1, W, EA, X)]), sample_db)) == 3
-    assert project_code(DFSCode([(0, 1, X, EA, W)]), sample_db) == []
-    assert project_code(DFSCode([(0, 1, X, EA, W), (1, 2, W, EF, Z)]), sample_db) == []
+    assert project_code(DFSCode([(0, 1, X, EA, W)]), sample_db) is None
+    assert project_code(DFSCode([(0, 1, X, EA, W), (1, 2, W, EF, Z)]), sample_db) is None
 
 
 def test_project_code_matches_oracle_counts(sample_db):
@@ -103,12 +108,13 @@ def test_project_code_matches_oracle_counts(sample_db):
 
 
 def test_vertex_map_and_chain_edges(sample_db):
-    chains = project_code(P2, sample_db)
-    for c in chains:
-        vm = vertex_maps(P2, [c])[0]
-        g = sample_db.graphs[c.gid]
+    bucket = project_code(P2, sample_db)
+    for i, vm in enumerate(vertex_maps(P2, bucket)):
+        assert vm == next(vertex_maps(P2, bucket, [i]))
+        gid, edges = read_hit(bucket, i)
+        assert gid == bucket.gids[i]
+        g = sample_db.graphs[gid]
         assert g.vlabels[vm[0]] == W and g.vlabels[vm[1]] == X and g.vlabels[vm[2]] == Z
-        edges = chain_edges(c, len(P2))
         assert len(edges) == 2
         # Edge records are (frm, to, eid, elb) in code order.
         assert edges[0][3] == EA and edges[1][3] == EF
@@ -116,13 +122,13 @@ def test_vertex_map_and_chain_edges(sample_db):
 
 def assert_scan_matches_reference(code, projected, db, got, sources=None, min_freq=None) -> int:
     """The scan ``got`` of one node equals the reference: the same bucket
-    keys and, per bucket, as many hits as reference chains, the same
-    support, and links with the same (gid, edge, parent chain) sequence;
-    and every chain's vertex map equals the reference's.
+    keys and, per bucket, the same support and the same (gid, edge,
+    parent index) sequence of hits; and every hit's vertex map equals the
+    reference's.
 
     With inherited ``sources`` the scan may omit a key, but only one whose
     reference support is below ``min_freq``, so the kept buckets (support
-    >= ``min_freq``) equal the reference's kept buckets link by link, and
+    >= ``min_freq``) equal the reference's kept buckets hit by hit, and
     so does every bucket it builds. Returns the number of keys omitted."""
     want = reference_rightmost_extensions(code, projected, db)
     if sources is None:
@@ -130,13 +136,15 @@ def assert_scan_matches_reference(code, projected, db, got, sources=None, min_fr
     else:
         assert got.keys() <= want.keys()
         for t in want.keys() - got.keys():
-            assert len(containing_graphs(want[t])) < min_freq, t
+            assert support_of(want[t]) < min_freq, t
         kept = {t for t, b in got.items() if b.support() >= min_freq}
-        assert kept == {t for t, c in want.items() if len(containing_graphs(c)) >= min_freq}
+        assert kept == {t for t, hits in want.items() if support_of(hits) >= min_freq}
     for t, bucket in got.items():
-        assert bucket.support() == len(containing_graphs(want[t]))
+        assert bucket.support() == support_of(want[t])
         assert_links_match(bucket, want[t])
-    assert vertex_maps(code, projected) == [tuple(reference_vertex_map(code, c)) for c in projected]
+    assert list(vertex_maps(code, projected)) == [
+        tuple(reference_vertex_map(code, projected, i)) for i in range(len(projected))
+    ]
     return len(want) - len(got)
 
 
@@ -176,9 +184,10 @@ def test_rightmost_extensions_of_root(sample_db):
     assert (1, 2, X, EB, Y) in exts
     assert (1, 2, X, ED, Z) in exts
     assert (0, 2, W, EF, Z) in exts
-    # Bucket contents are child embeddings chained onto parents.
-    bucket = exts[(1, 2, X, EB, Y)]
-    assert len(containing_graphs(bucket)) == 2 and len(bucket) == 2
+    # Each hit names the parent hit it extends.
+    hits = exts[(1, 2, X, EB, Y)]
+    assert support_of(hits) == 2 and len(hits) == 2
+    assert {prev for _, _, prev in hits} < set(range(len(proj)))
 
 
 def test_restricted_extensions_drop_smaller_vertex_labels(sample_db):
@@ -206,7 +215,7 @@ def test_inherited_sources_drop_only_unlisted_path_sources(sample_db):
         got = rightmost_extensions(root, proj, sample_db, sources)
         assert got.keys() == {t for t in full if t[0] == 1 or t[0] in sources}
         for t, bucket in got.items():
-            assert_links_match(bucket, full[t].link())
+            assert_links_match(bucket, bucket_hits(full[t]))
 
 
 class WatchedAdjacency(list):
@@ -271,14 +280,12 @@ def assert_restriction_drops_only_non_minimal(db, max_edges=None):
         if max_edges is not None and len(p.code) > max_edges:
             continue
         code = list(p.code)
-        chains = project_code(code, db)
-        full = reference_rightmost_extensions(code, chains, db, restricted=False)
-        kept = rightmost_extensions(code, chains, db)
+        projected = project_code(code, db)
+        full = reference_rightmost_extensions(code, projected, db, restricted=False)
+        kept = rightmost_extensions(code, projected, db)
         assert kept.keys() <= full.keys()
         for t, bucket in kept.items():
-            same = [(e.gid, e.edge, id(e.prev)) for e in full[t]]
-            assert len(bucket) == len(same)
-            assert [(e.gid, e.edge, id(e.prev)) for e in bucket.link()] == same
+            assert_links_match(bucket, full[t])
         for t in full.keys() - kept.keys():
             assert not is_min(code + [t])
 
@@ -301,12 +308,12 @@ def check_infrequent_buckets_not_equivalent(db) -> int:
     infrequent = 0
     for sup in (2, 3):
         for p in mine_frequent(db, MiningConfig(min_support=sup)):
-            chains = project_code(p.code, db)
-            exts = reference_rightmost_extensions(list(p.code), chains, db, restricted=False)
-            for bucket in exts.values():
-                if len(containing_graphs(bucket)) < sup:
+            projected = project_code(p.code, db)
+            exts = reference_rightmost_extensions(list(p.code), projected, db, restricted=False)
+            for hits in exts.values():
+                if support_of(hits) < sup:
                     infrequent += 1
-                    assert not equivalent_occurrence(chains, as_bucket(bucket))
+                    assert not equivalent_occurrence(projected, as_bucket(projected, hits))
     return infrequent
 
 
@@ -330,13 +337,13 @@ def test_equivalent_occurrence_true_and_false(sample_db):
     scanned = rightmost_extensions(root, proj, sample_db)
     for t in ((0, 2, W, EF, Z), (1, 2, X, EB, Y)):
         assert_links_match(scanned[t], exts[t])
-        assert_links_match(as_bucket(exts[t]), exts[t])
+        assert_links_match(as_bucket(proj, exts[t]), exts[t])
     # Every W-a-X occurrence extends by W-f-Z (three of three).
     assert equivalent_occurrence(proj, scanned[(0, 2, W, EF, Z)])
-    assert equivalent_occurrence(proj, as_bucket(exts[(0, 2, W, EF, Z)]))
+    assert equivalent_occurrence(proj, as_bucket(proj, exts[(0, 2, W, EF, Z)]))
     # Only two of three extend by X-b-Y.
     assert not equivalent_occurrence(proj, scanned[(1, 2, X, EB, Y)])
-    assert not equivalent_occurrence(proj, as_bucket(exts[(1, 2, X, EB, Y)]))
+    assert not equivalent_occurrence(proj, as_bucket(proj, exts[(1, 2, X, EB, Y)]))
 
 
 def test_equivalent_occurrence_rejects_a_partial_bucket_by_length(sample_db):
@@ -345,78 +352,133 @@ def test_equivalent_occurrence_rejects_a_partial_bucket_by_length(sample_db):
     partial = rightmost_extensions(root, proj, sample_db)[(1, 2, X, EB, Y)]
     assert len(partial) < len(proj)
     assert not equivalent_occurrence(proj, partial)
-    # Fewer chains than the parent settle it before any link is read.
+    # Fewer hits than the parent settle it before any parent index is read.
     assert not equivalent_occurrence(proj, [object()] * (len(proj) - 1))
 
 
-class CountingEmbedding(Embedding):
-    """Counts every chain link the package builds while it is patched in."""
+def test_hooks_emit_and_scan_get_the_node_bucket(sample_db, monkeypatch):
+    # The bucket a scan or the seeding files a child's hits in is the
+    # child's embedding list: the search visits that very object, and
+    # ``enter``, the scan, ``settle`` and ``emit`` all get it. A hit is an
+    # int parent index and one of the graph's own half-edges, so nothing is
+    # built per embedding.
+    seen, filed = [], {}
+    real_search, real_scan, real_seed = gspan.search, gspan.rightmost_extensions, gspan.frequent_single_edges
 
-    __slots__ = ()
-    built = 0
+    def search(db, config, stats, enter, settle):
+        def spy_enter(code, projected):
+            seen.append(("enter", code_key(code), projected))
+            return enter(code, projected)
 
-    def __init__(self, gid, edge, prev):
-        CountingEmbedding.built += 1
-        super().__init__(gid, edge, prev)
+        def spy_settle(code, projected, exts, emit):
+            def spy_emit(code, projected):
+                seen.append(("emit", code_key(code), projected))
+                return emit(code, projected)
+
+            seen.append(("settle", code_key(code), projected))
+            return settle(code, projected, exts, spy_emit)
+
+        return real_search(db, config, stats, spy_enter, spy_settle)
+
+    def scan(code, projected, db, sources=None):
+        seen.append(("scan", code_key(code), projected))
+        exts = real_scan(code, projected, db, sources)
+        filed.update((code_key(code) + (t,), b) for t, b in exts.items())
+        return exts
+
+    def seed(db, min_freq):
+        roots = real_seed(db, min_freq)
+        filed.update((code_key(c), b) for c, b in roots)
+        return roots
+
+    for owner, name, fn in (
+        (gspan, "search", search),
+        (cgspan, "search", search),
+        (gspan, "rightmost_extensions", scan),
+        (gspan, "frequent_single_edges", seed),
+    ):
+        monkeypatch.setattr(owner, name, fn)
+    kinds = set()
+    for db in (sample_db, fuzz_database(3)):
+        for config in (MiningConfig(min_support=sup, mode=mode) for mode in MODES for sup in (1, 2)):
+            seen.clear()
+            filed.clear()
+            mine(db, config)
+            node = None
+            for kind, code, projected in seen:
+                kinds.add(kind)
+                if kind != "enter":
+                    assert projected is node, (kind, code)
+                    continue
+                node = projected
+                assert type(node) is Bucket and node is filed[code]
+                assert len(node.prevs) == len(node.edges) == len(node.gids) == len(node)
+                assert all(type(i) is int for i in node.prevs + node.gids)
+                for gid, e in zip(node.gids, node.edges):
+                    assert any(h is e for h in db.graphs[gid].adj[e[0]])
+    assert kinds == {"enter", "scan", "settle", "emit"}
 
 
-def count_links(monkeypatch):
-    """Patch the link class the package builds with; returns the counter."""
-    monkeypatch.setattr(embeddings, "Embedding", CountingEmbedding)
-    CountingEmbedding.built = 0
-    return CountingEmbedding
+def visited_buckets(db, min_support) -> int:
+    """Run the search with hooks that check, at every visit, that only the
+    visited buckets have a graph-id column: the node's is filled, and
+    right, and every bucket the seeding or a scan filed that the search has
+    not visited yet, on the stack or never to be pushed, has none. Returns
+    how many frequent children were never visited: those that failed
+    is_min."""
+    config = MiningConfig(min_support=min_support)
+    filed: list = []
+    visited: set[int] = set()
+    real_scan, real_seed = gspan.rightmost_extensions, gspan.frequent_single_edges
+
+    def seed(db_, min_freq):
+        roots = real_seed(db_, min_freq)
+        filed.extend(b for _, b in roots)
+        return roots
+
+    def scan(code, projected, db_, sources=None):
+        exts = real_scan(code, projected, db_, sources)
+        filed.extend(exts.values())
+        return exts
+
+    def enter(code, projected):
+        visited.add(id(projected))
+        assert projected.gids == [read_hit(projected, i)[0] for i in range(len(projected))]
+        assert all(b.gids is None for b in filed if id(b) not in visited), code
+        return False
+
+    def settle(code, projected, exts, emit):
+        emit(code, projected)
+
+    gspan.frequent_single_edges, gspan.rightmost_extensions = seed, scan
+    try:
+        stats = MiningStats()
+        mined = gspan.search(db, config, stats, enter, settle)
+    finally:
+        gspan.frequent_single_edges, gspan.rightmost_extensions = real_seed, real_scan
+    assert stats.visited_nodes == len(mined) == len(visited)
+    assert sum(b.gids is not None for b in filed) == len(visited) < len(filed)
+    min_freq = config.min_frequency(len(db.graphs))
+    return sum(id(b) not in visited and b.support() >= min_freq for b in filed)
 
 
-def test_scan_builds_no_link(sample_db, monkeypatch):
-    mined = mine_frequent(sample_db, MiningConfig(min_support=1))
-    nodes = [(list(p.code), project_code(p.code, sample_db)) for p in mined]
-    counter = count_links(monkeypatch)
-    hits = 0
-    for code, chains in nodes:
-        counter.built = 0
-        scanned = rightmost_extensions(code, chains, sample_db)
-        assert counter.built == 0
-        hits += sum(map(len, scanned.values()))
-        for bucket in scanned.values():
-            before = counter.built
-            assert all(type(e) is CountingEmbedding for e in bucket.link())
-            assert counter.built - before == len(bucket)
-    assert hits > 0
+def test_mining_gives_gids_only_to_visited_buckets(sample_db):
+    visited_buckets(sample_db, 2)
 
 
-def links_built_by_mining(db, min_support, monkeypatch) -> int:
-    """Mine frequent patterns with every link counted, and check the count:
-    the seeding builds one empty chain per graph; after that a bucket, a
-    root's included, is linked only for a node that passes is_min, so every
-    other chain built is a chain of an emitted pattern. Returns how many
-    children failed is_min, unlinked."""
-    counter = count_links(monkeypatch)
-    events, mined = record_run(db, MiningConfig(min_support=min_support))
-    monkeypatch.undo()
-    assert counter.built == len(db.graphs) + sum(p.occurrence for p in mined)
-    # Infrequent buckets and children that fail is_min are never linked.
-    hits = sum(len(b) for _, (_, _, exts) in calls(events, "scan") for b in exts.values())
-    assert sum(p.occurrence for p in mined if len(p.code) >= 2) < hits
-    return sum(not minimal for _, minimal in calls(events, "is_min"))
-
-
-def test_mining_links_only_visited_children(sample_db, monkeypatch):
-    links_built_by_mining(sample_db, 2, monkeypatch)
-
-
-def test_mining_links_no_child_that_fails_is_min(monkeypatch):
+def test_no_child_that_fails_is_min_gets_gids():
     rng = random.Random(8)
     rejected = 0
     for _ in range(4):
         db = random_database(rng, n_graphs=4, max_vertices=6, n_vlabels=1)
-        rejected += links_built_by_mining(db, 2, monkeypatch)
+        rejected += visited_buckets(db, 2)
     assert rejected > 0
 
 
-def visited_nodes(db, config) -> list[tuple[tuple, list]]:
-    """Mine, and return each node the search visits with the chain list it
-    linked for it, in visit order: the ``enter`` calls, which every visit
-    makes first in every mode."""
+def visited_nodes(db, config) -> list[tuple[tuple, Bucket]]:
+    """Mine, and return each node the search visits with its bucket, in
+    visit order: the ``enter`` calls, which every visit makes first in
+    every mode."""
     events, _ = record_run(db, config)
     return [(code, projected) for code, (projected, _) in calls(events, "enter")]
 
@@ -425,51 +487,53 @@ def test_project_code_matches_mining_embeddings(sample_db):
     nodes = visited_nodes(sample_db, MiningConfig(min_support=2))
     assert nodes
     for code, mined in nodes:
-        chains = project_code(code, sample_db)
-        got = list(zip([c.gid for c in chains], vertex_maps(code, chains)))
-        expected = list(zip([c.gid for c in mined], vertex_maps(code, mined)))
+        bucket = project_code(code, sample_db)
+        got = list(zip(bucket.gids, vertex_maps(code, bucket)))
+        expected = list(zip(mined.gids, vertex_maps(code, mined)))
         assert got == expected
 
 
 @pytest.mark.parametrize("mode", ["frequent", "closed", "closed_no_etf"])
 def test_emitted_embeddings_are_linked_chains(sample_db, etf_db, mode):
-    # The miners keep no chains in their output; ``project_code`` rebuilds
-    # them. Every node's list must be what it rebuilds: the same graph ids
-    # and vertex maps in the same order, each an Embedding chain with one
-    # link per code tuple that ends at its graph's empty chain.
+    # The miners keep no embeddings in their output; ``project_code``
+    # rebuilds them. Every node's bucket must be what it rebuilds: the same
+    # graph ids and vertex maps in the same order, each hit linked to its
+    # prefix's hit by one parent index per code tuple, up to its own graph
+    # in the empty pattern's bucket, and each edge a half-edge of that
+    # graph.
     dbs = [sample_db, etf_db] + [fuzz_database(seed) for seed in range(0, 200, 4)]
     nodes = 0
     for db in dbs:
         for sup in (1, 2, 3):
             config = MiningConfig(min_support=sup, mode=mode)
-            for code, chains in visited_nodes(db, config):
+            for code, bucket in visited_nodes(db, config):
                 nodes += 1
                 want = project_code(code, db)
-                assert [c.gid for c in chains] == [c.gid for c in want]
-                assert vertex_maps(code, chains) == vertex_maps(code, want)
-                for c in chains:
-                    gid = c.gid
+                assert bucket.gids == want.gids
+                assert list(vertex_maps(code, bucket)) == list(vertex_maps(code, want))
+                for i, gid in enumerate(bucket.gids):
+                    b = bucket
                     for _ in code:
-                        assert type(c) is Embedding and c.gid == gid and c.edge is not None
-                        c = c.prev
-                    assert type(c) is Embedding and c.gid == gid
-                    assert c.edge is None and c.prev is None
+                        assert type(b) is Bucket and b.edges[i] in db.graphs[gid].adj[b.edges[i][0]]
+                        i, b = b.prevs[i], b.parent
+                    assert type(b) is Bucket and b.parent is None and len(b) == 0
+                    assert b.gids[i] == gid
     assert nodes > 0
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
 def test_chains_have_pairwise_distinct_vertex_maps(sample_db, etf_db, mode):
     # The closed-graph lookup tries each pattern map of the reference graph
-    # as a rho without deduplicating: it relies on no two chains of a node,
-    # and so of a record, sharing a vertex map in one graph. Chains in
+    # as a rho without deduplicating: it relies on no two hits of a node,
+    # and so of a record, sharing a vertex map in one graph. Hits in
     # different graphs may share one.
     nodes = 0
     for db in [sample_db, etf_db] + [fuzz_database(seed) for seed in range(120)]:
         for sup in (1, 2, 3):
             config = MiningConfig(min_support=sup, mode=mode)
-            for code, chains in visited_nodes(db, config):
-                maps = zip([c.gid for c in chains], vertex_maps(code, chains))
-                assert len(set(maps)) == len(chains)
+            for code, bucket in visited_nodes(db, config):
+                maps = zip(bucket.gids, vertex_maps(code, bucket))
+                assert len(set(maps)) == len(bucket)
                 nodes += 1
     assert nodes > 0
 

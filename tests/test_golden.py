@@ -3,12 +3,14 @@
 Each digest covers, for every case of one database group, the serialized
 pattern file, ``MiningStats.as_dict()``, the discovery order and, for the
 cases marked so, each pattern's embeddings as ``project_code`` rebuilds
-them (graph id and vertex map per chain, in order). The digests were
-recorded before the two miners were folded into one search driver; a
-refactor must leave them unchanged. A change that alters output on purpose
+them (graph id and vertex map per hit of its bucket, in order). The
+digests were recorded before the two miners were folded into one search
+driver; a refactor must leave them unchanged. A change that alters output on purpose
 re-records them and says why. The embeddings were once the miner's own
 chains; ``project_code`` returns the same ones, and no digest changed when
-it took their place.
+it took their place. Nor did one change when a node's bucket, a parent
+index and a half-edge per hit, became its only embedding list and the
+per-embedding chain objects went.
 
 The six closed-mode digests were re-recorded when the closure check moved
 into the node's visit: closed output went from completion order to gSpan's
@@ -76,9 +78,9 @@ GOLDEN = {
 }
 
 
-def chain_maps(code, db) -> list:
-    chains = project_code(code, db)
-    return [[c.gid, vm] for c, vm in zip(chains, vertex_maps(code, chains))]
+def hit_maps(code, db) -> list:
+    bucket = project_code(code, db)
+    return [[gid, vm] for gid, vm in zip(bucket.gids, vertex_maps(code, bucket))]
 
 
 def run_digest(db, mode, min_support, emit) -> bytes:
@@ -89,7 +91,7 @@ def run_digest(db, mode, min_support, emit) -> bytes:
         "patterns": write_patterns(patterns, db),
         "stats": stats.as_dict(),
         "order": [[p.discovery_index, [list(t) for t in p.code]] for p in patterns],
-        "embeddings": [chain_maps(p.code, db) if emit else None for p in patterns],
+        "embeddings": [hit_maps(p.code, db) if emit else None for p in patterns],
     }
     return json.dumps(record, sort_keys=True).encode()
 

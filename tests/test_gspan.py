@@ -148,10 +148,10 @@ def test_emitted_codes_share_their_parents_tuples():
         assert len({id(t) for p in mined for t in p.code}) == len(mined), seed
 
 
-def test_unpushed_buckets_are_freed_before_the_next_link(sample_db, monkeypatch):
-    # Memory peaks right after a ``link``. By then the frequent buckets of
-    # the last node's children that fail ``is_min``, which nothing reads
-    # again, must be gone.
+def test_unpushed_buckets_are_freed_before_the_next_visit(sample_db, monkeypatch):
+    # Memory peaks in a scan, after the next visit. By then the frequent
+    # buckets of the last node's children that fail ``is_min``, which
+    # nothing reads again, must be gone.
     class WeakBucket(embeddings.Bucket):
         __slots__ = ("__weakref__",)
 
