@@ -24,14 +24,10 @@ from graphmine.cgspan import (
     ClosedGraphRecord,
     add_closed_graph,
     early_termination,
+    equivalent_occurrence,
 )
 from graphmine.dfscode import DFSCode
-from graphmine.embeddings import (
-    dropped_extension_covers,
-    equivalent_occurrence,
-    project_code,
-    rightmost_extensions,
-)
+from graphmine.embeddings import project_code, rightmost_extensions
 
 LINE = "=" * 72
 
@@ -122,19 +118,20 @@ def main() -> int:
     print(f"reaches its child {render(CG2, db)}")
 
     print("\nmode closed makes no lookup and cuts nothing. It settles each pattern")
-    print("by the closure check: a frequent right-most extension that extends")
-    print("every occurrence, then a walk over the hits for the extensions the")
-    print("scan does not build.")
+    print("by one closure check, equivalent_occurrence: is there a one-edge")
+    print("extension that extends every occurrence? It asks the frequent")
+    print("right-most extensions first, then walks the hits for the extensions")
+    print("the scan does not build.")
     for code in (DOOMED, CG2):
         projected = project_code(code, db)
         exts = rightmost_extensions(code, projected, db)
         kept = {t: b for t, b in exts.items() if b.support() >= 2}
-        covering = [t for t, b in kept.items() if equivalent_occurrence(projected, b)]
-        walk = not covering and dropped_extension_covers(code, projected, db, kept)
-        verdict = "not closed" if covering or walk else "closed, emitted"
+        covering = [t for t, b in kept.items() if b.covers_parent()]
+        answer = equivalent_occurrence(code, projected, db, kept)
+        verdict = "not closed" if answer else "closed, emitted"
         print(f"\n  {render(code, db)}")
-        print(f"    extensions that extend every occurrence: {covering}; walk: {walk}")
-        print(f"    -> {verdict}")
+        print(f"    frequent extensions that extend every occurrence: {covering}")
+        print(f"    equivalent_occurrence -> {answer}: {verdict}")
     print("\nthe candidate is not closed, as the stored graph proved, but its branch")
     print("stays open: the search visits its child and keeps it.")
     return 0

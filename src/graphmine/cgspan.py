@@ -1,5 +1,8 @@
 """Closed-pattern mining: gSpan with a closure check at every node.
 
+The module holds closed mining's two decisions on the embedding lists:
+the closure test, ``equivalent_occurrence``, and early termination's table.
+
 Mode ``closed`` is gSpan plus the check: the search visits every frequent
 pattern, as ``mine_frequent`` does, and emits the closed ones, those that
 no one-edge extension at any vertex preserves all occurrences of.
@@ -27,13 +30,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
 
-from .embeddings import (
-    Bucket,
-    containing_graphs,
-    dropped_extension_covers,
-    equivalent_occurrence,
-    vertex_maps,
-)
+from .embeddings import Bucket, containing_graphs, vertex_maps
 from .graphs import GraphDatabase
 from .gspan import MinedPattern, MiningConfig, MiningStats, search
 
@@ -42,8 +39,91 @@ __all__ = [
     "ClosedGraphHashTable",
     "add_closed_graph",
     "early_termination",
+    "equivalent_occurrence",
     "mine_closed",
 ]
+
+
+def _edge_pairs(code: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
+    """The code's edges as dfs-id pairs, each in both orientations."""
+    return {(t[0], t[1]) for t in code} | {(t[1], t[0]) for t in code}
+
+
+def equivalent_occurrence(
+    code: Sequence[Sequence[int]], projected: Bucket, db: GraphDatabase, exts: dict
+) -> bool:
+    """True iff some one-edge extension of the pattern extends every hit:
+    the pattern is closed exactly when this is False.
+
+    ``exts`` holds the node's frequent extension buckets. Each holds every
+    hit of its tuple, so ``Bucket.covers_parent`` settles it by a count;
+    only when none covers are the hits walked for every other extension.
+    The walk's candidates are hit 0's one-edge extensions at every pattern
+    vertex, written as right-most tuples so the keys of ``exts`` can be
+    subtracted: ``(v, newv, lbl[v], elb, lbl_to)`` for a half-edge from v
+    to a vertex outside the map, and ``(hi, lo, lbl[hi], elb, lbl[lo])``
+    for an edge between two pattern vertices the code does not join
+    (graphs are simple and embeddings injective, so such an edge belongs
+    to the embedding exactly when the code joins its ends). Each further
+    hit is read once, as a vertex map, and keeps a candidate only if it has
+    that tuple's edge itself: a forward tuple needs a half-edge of its
+    label at the source's image leading outside the map to a vertex of its
+    label; a backward tuple needs the edge of its label between its two
+    images. The walk stops at the first hit that keeps no candidate. Later
+    hits are read last-first: hits come in graph-id order, and those right
+    after hit 0 often share its graph and keep its incidental candidates.
+    The answer, whether some candidate survives every hit, does not depend
+    on it.
+    """
+    if any(b.covers_parent() for b in exts.values()):
+        return True
+    graphs = db.graphs
+    gids = projected.gids
+    joined = _edge_pairs(code)
+    vmap = next(vertex_maps(code, projected, [0]))
+    newv = len(vmap)
+    gid = gids[0]
+    g = graphs[gid]
+    adj, vl = g.adj, g.vlabels
+    common = set()
+    for v, img in enumerate(vmap):
+        lbl = vl[img]
+        for e in adj[img]:
+            to = e[1]
+            if to not in vmap:
+                common.add((v, newv, lbl, e[3], vl[to]))
+            else:
+                j = vmap.index(to)
+                if j < v and (v, j) not in joined:
+                    common.add((v, j, lbl, e[3], vl[to]))
+    common.difference_update(exts)
+    if not common:
+        return False
+    cands = [(t[0], t[1], t[3], t[4], t[0] < t[1]) for t in common]
+    rest = range(len(projected) - 1, 0, -1)
+    for i, vmap in zip(rest, vertex_maps(code, projected, rest)):
+        if gids[i] != gid:
+            gid = gids[i]
+            g = graphs[gid]
+            adj, vl = g.adj, g.vlabels
+        survivors = []
+        for cand in cands:
+            v, w, elb, tlb, forward = cand
+            if forward:
+                for e in adj[vmap[v]]:
+                    if e[3] == elb and vl[e[1]] == tlb and e[1] not in vmap:
+                        survivors.append(cand)
+                        break
+            else:
+                to = vmap[w]
+                for e in adj[vmap[v]]:
+                    if e[1] == to and e[3] == elb:
+                        survivors.append(cand)
+                        break
+        if not survivors:
+            return False
+        cands = survivors
+    return True
 
 
 class ClosedGraphRecord:
@@ -78,7 +158,7 @@ class ClosedGraphRecord:
         """
         if self.maps is None:
             code = self.pattern.code
-            self.edges = {(t[0], t[1]) for t in code} | {(t[1], t[0]) for t in code}
+            self.edges = _edge_pairs(code)
             self.maps = list(vertex_maps(code, self.bucket))
             self.ends = array("l", accumulate(_run_lengths(self.bucket)))
             self.bucket = None
@@ -205,16 +285,9 @@ def mine_closed(
 
     The search is gSpan's, with the hooks every search runs. In mode
     ``closed`` ``enter`` never cuts, so the search visits what
-    ``mine_frequent`` visits, and ``settle`` is the closure check. The
-    check is the definition: a pattern is emitted when no one-edge
-    extension at any of its vertices extends every hit. It asks the
-    frequent buckets the search already built first, and only then walks
-    the hits for every other extension. The walk reads the candidates
-    off the first hit, tests each later hit's vertex map for the
-    candidates' own edges, and stops at the first hit that has none of
-    them. It reads the later hits last-first, since those next to the
-    first often share its graph and keep its incidental candidates; the
-    answer does not depend on the order.
+    ``mine_frequent`` visits, and ``settle`` is the closure check, one
+    ``equivalent_occurrence`` call per node: the pattern is emitted when
+    no one-edge extension at any of its vertices extends every hit.
 
     Mode ``closed_no_etf`` adds early termination: ``enter`` cuts a branch
     whose pattern a stored closed graph covers, and ``settle`` files every
@@ -235,9 +308,7 @@ def mine_closed(
         return False
 
     def settle(code: list, projected: Bucket, exts: dict, emit) -> None:
-        if any(equivalent_occurrence(projected, b) for b in exts.values()) or (
-            dropped_extension_covers(code, projected, db, exts)
-        ):
+        if equivalent_occurrence(code, projected, db, exts):
             return
         pattern = emit(code, projected)
         if use_cght:

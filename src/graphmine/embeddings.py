@@ -1,5 +1,9 @@
 """Embedding lists: how patterns touch the database.
 
+The module holds the embedding list alone: ``Bucket``, its vertex maps,
+the 1-edge seeding, the extension scan and ``project_code``. The closure
+test and the closed-graph hash table that read it are in ``cgspan``.
+
 A pattern's embedding list is the Bucket of its node in the search tree,
 gSpan's projected list. It has one hit per subgraph isomorphism of the
 pattern, so ``len`` is the occurrence count I(g, D) and distinct graph ids
@@ -56,6 +60,13 @@ class Bucket:
         """Give the bucket its graph-id column, read off the parent's."""
         self.gids = list(map(self.parent.gids.__getitem__, self.prevs))
 
+    def covers_parent(self) -> bool:
+        """True iff every parent hit extends into this bucket, L = I: the
+        distinct parent indices in ``prevs``, the parent isomorphisms that
+        extend under the canonical inclusion of the parent pattern in the
+        child, number the parent's hits. The bucket need not be visited."""
+        return len(self) >= len(self.parent) and len(set(self.prevs)) == len(self.parent)
+
 
 def vertex_maps(code: Sequence[Sequence[int]], node: Bucket, hits: Iterable[int] | None = None):
     """dfs id -> graph vertex, one tuple per hit of a code's bucket, for the
@@ -93,91 +104,6 @@ def containing_graphs(projected: Bucket) -> tuple[int, ...]:
     as a sorted tuple. The search interns it per run and the closed
     miner's hash table is keyed by it."""
     return tuple(sorted(set(projected.gids)))
-
-
-def equivalent_occurrence(parent_projected: Bucket, bucket: Bucket) -> bool:
-    """True iff every parent hit extends into the child: L = I.
-
-    L counts the distinct parent indices among the bucket's ``prevs``, i.e.
-    the parent isomorphisms extendable under the canonical inclusion of the
-    parent pattern in the child. The bucket need not be visited.
-    """
-    if len(bucket) < len(parent_projected):
-        return False
-    return len(set(bucket.prevs)) == len(parent_projected)
-
-
-def dropped_extension_covers(
-    code: Sequence[Sequence[int]], projected: Bucket, db: GraphDatabase, kept: dict
-) -> bool:
-    """True iff some one-edge extension not in ``kept`` extends every hit.
-
-    ``kept`` holds the node's frequent extension buckets. Each holds every
-    hit of its tuple, so ``equivalent_occurrence`` settles it; every
-    other extension is tested here. The candidates are hit 0's one-edge
-    extensions at every pattern vertex, written as right-most tuples so the
-    keys of ``kept`` can be subtracted: ``(v, newv, lbl[v], elb, lbl_to)``
-    for a half-edge from v to a vertex outside the map, and
-    ``(hi, lo, lbl[hi], elb, lbl[lo])`` for an edge between two pattern
-    vertices the code does not join (graphs are simple and embeddings
-    injective, so such an edge belongs to the embedding exactly when the
-    code joins its ends). Each further hit is read once, as a vertex map,
-    and keeps a candidate only if it has that tuple's edge itself: a forward
-    tuple needs a half-edge of its label at the source's image leading
-    outside the map to a vertex of its label; a backward tuple needs the
-    edge of its label between its two images. The walk stops at the first
-    hit that keeps no candidate. Later hits are read last-first: hits
-    come in graph-id order, and those right after hit 0 often share its
-    graph and keep its incidental candidates. The answer, whether some
-    candidate survives every hit, does not depend on it.
-    """
-    graphs = db.graphs
-    gids = projected.gids
-    joined = {(t[0], t[1]) for t in code} | {(t[1], t[0]) for t in code}
-    vmap = next(vertex_maps(code, projected, [0]))
-    newv = len(vmap)
-    gid = gids[0]
-    g = graphs[gid]
-    adj, vl = g.adj, g.vlabels
-    common = set()
-    for v, img in enumerate(vmap):
-        lbl = vl[img]
-        for e in adj[img]:
-            to = e[1]
-            if to not in vmap:
-                common.add((v, newv, lbl, e[3], vl[to]))
-            else:
-                j = vmap.index(to)
-                if j < v and (v, j) not in joined:
-                    common.add((v, j, lbl, e[3], vl[to]))
-    common.difference_update(kept)
-    if not common:
-        return False
-    cands = [(t[0], t[1], t[3], t[4], t[0] < t[1]) for t in common]
-    rest = range(len(projected) - 1, 0, -1)
-    for i, vmap in zip(rest, vertex_maps(code, projected, rest)):
-        if gids[i] != gid:
-            gid = gids[i]
-            g = graphs[gid]
-            adj, vl = g.adj, g.vlabels
-        survivors = []
-        for cand in cands:
-            v, w, elb, tlb, forward = cand
-            if forward:
-                for e in adj[vmap[v]]:
-                    if e[3] == elb and vl[e[1]] == tlb and e[1] not in vmap:
-                        survivors.append(cand)
-                        break
-            else:
-                to = vmap[w]
-                for e in adj[vmap[v]]:
-                    if e[1] == to and e[3] == elb:
-                        survivors.append(cand)
-                        break
-        if not survivors:
-            return False
-        cands = survivors
-    return True
 
 
 def frequent_single_edges(db: GraphDatabase, min_freq: int) -> list[tuple[DFSCode, Bucket]]:
@@ -296,7 +222,7 @@ def rightmost_extensions(
     The growth filters read only the tuple, never the embedding, and a
     skipped source yields no hit at all or only tuples below the support
     threshold, so each kept bucket still holds every hit of its tuple
-    (``dropped_extension_covers`` relies on it for the frequent ones).
+    (``cgspan.equivalent_occurrence`` counts on it for the frequent ones).
     """
     graphs = db.graphs
     positions = rightmost_path(code)

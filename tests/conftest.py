@@ -117,6 +117,9 @@ def recording():
     - ``settle``: ``(projected, exts)``, a copy of the frequent buckets the
       hook gets;
     - ``is_min``: the answer for a child's code;
+    - ``closure``: ``(projected, exts, answer)``, the node's bucket, a
+      copy of the frequent buckets and what ``equivalent_occurrence``
+      answers (True: the pattern is not closed);
     - ``lookup``: ``(projected, (terminate, record, rho))``, what
       ``early_termination`` answers;
     - ``insert``: ``(cght, record, bucket)``, the table and record
@@ -126,11 +129,13 @@ def recording():
     It wraps the names the miners call: ``gspan.search`` and
     ``cgspan.search`` (their ``enter`` and ``settle`` hooks),
     ``gspan.rightmost_extensions``, ``gspan.is_min``,
-    ``cgspan.early_termination`` and ``cgspan.add_closed_graph``. Every
-    recorded object lives as long as the list.
+    ``cgspan.equivalent_occurrence``, ``cgspan.early_termination`` and
+    ``cgspan.add_closed_graph``. Every recorded object lives as long as
+    the list.
     """
     events: list = []
     real_search, real_scan, real_is_min = gspan.search, gspan.rightmost_extensions, gspan.is_min
+    real_closure = cgspan.equivalent_occurrence
     real_lookup, real_insert = cgspan.early_termination, cgspan.add_closed_graph
 
     def search(db, config, stats, enter, settle):
@@ -157,6 +162,11 @@ def recording():
         events.append(("is_min", code_key(code), passed))
         return passed
 
+    def closure(code, projected, db, exts):
+        answer = real_closure(code, projected, db, exts)
+        events.append(("closure", code_key(code), (projected, dict(exts), answer)))
+        return answer
+
     def lookup(code, projected, cght):
         result = real_lookup(code, projected, cght)
         events.append(("lookup", code_key(code), (projected, result)))
@@ -172,6 +182,7 @@ def recording():
         (cgspan, "search", search),
         (gspan, "rightmost_extensions", scan),
         (gspan, "is_min", is_min),
+        (cgspan, "equivalent_occurrence", closure),
         (cgspan, "early_termination", lookup),
         (cgspan, "add_closed_graph", insert),
     ]

@@ -2,12 +2,13 @@ import functools
 
 import pytest
 
-from graphmine import cgspan, embeddings
+from graphmine import cgspan
 from graphmine.cgspan import (
     ClosedGraphHashTable,
     ClosedGraphRecord,
     add_closed_graph,
     early_termination,
+    equivalent_occurrence,
     mine_closed,
 )
 from graphmine.datasets import parse_dataset_text
@@ -15,8 +16,6 @@ from graphmine.dfscode import DFSCode, code_to_graph
 from graphmine.embeddings import (
     Bucket,
     containing_graphs,
-    dropped_extension_covers,
-    equivalent_occurrence,
     project_code,
     rightmost_extensions,
     vertex_maps,
@@ -40,6 +39,7 @@ from conftest import (
     calls,
     closed_verdict,
     code_key,
+    codes,
     edge_image_sets,
     fuzz_database,
     key_set,
@@ -689,16 +689,18 @@ def test_lookup_digest_is_pinned():
 
 def closure_decisions(db, events, mined) -> int:
     """Hold every closure decision of a recorded closed run to the oracle:
-    at every node ``settle`` gets, the pattern is emitted exactly when
-    ``is_closed`` says so. Returns how many nodes only the walk settled (no
-    kept bucket with equivalent occurrence, yet not closed)."""
+    at every node, ``equivalent_occurrence`` answers False and the pattern
+    is emitted exactly when ``is_closed`` says so. Returns how many nodes
+    only the walk settled: not closed, yet the tuple of no kept bucket
+    covers every hit among the oracle's extensions."""
     emitted = key_set(mined)
     walk_only = 0
-    for code, (projected, exts) in calls(events, "settle"):
+    for code, (projected, exts, answer) in calls(events, "closure"):
         closed = is_closed(code, db)
-        assert (code in emitted) == closed, code
-        if not closed:
-            walk_only += not any(equivalent_occurrence(projected, b) for b in exts.values())
+        assert answer != closed and (code in emitted) == closed, code
+        if answer:
+            found = all_extensions(code, db)
+            walk_only += all(len(found[rm_as_key(t)]) < len(projected) for t in exts)
     return walk_only
 
 
@@ -720,6 +722,30 @@ def test_closure_decision_matches_unrestricted_rule_on_fuzz(mode):
     assert walk_only > 0
 
 
+@pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
+def test_settle_makes_one_closure_call(sample_db, etf_db, mode):
+    # Each settle asks the closure test once, about its own node and
+    # buckets, before any other recorded call, and emits the pattern
+    # exactly when the answer is False; frequent mining never asks it.
+    dbs = [sample_db, etf_db] + [fuzz_database(seed) for seed in range(30)]
+    asked = set()
+    for db in dbs:
+        for sup in (1, 2, 3):
+            config = MiningConfig(min_support=sup, mode=mode)
+            events, mined = record_run(db, config)
+            settles = [i for i, e in enumerate(events) if e[0] == "settle"]
+            assert len(settles) == len(calls(events, "closure"))
+            for i in settles:
+                (_, code, (projected, exts)), (kind, about, payload) = events[i : i + 2]
+                assert (kind, about) == ("closure", code)
+                assert payload[0] is projected and payload[1] == exts
+                asked.add(payload[2])
+            assert codes(mined) == [code for code, (*_, answer) in calls(events, "closure") if not answer]
+            events, _ = record_run(db, MiningConfig(min_support=sup))
+            assert not calls(events, "closure")
+    assert asked == {True, False}
+
+
 def test_walk_alone_settles_closure():
     # In mode closed_no_etf every visited node is uncovered; at support 1
     # on fuzz database 0 this 3-edge star has no kept bucket with
@@ -729,8 +755,8 @@ def test_walk_alone_settles_closure():
     code = DFSCode([(0, 1, 0, 1, 0), (1, 2, 0, 1, 1), (1, 3, 0, 1, 1)])
     projected = project_code(code, db)
     kept = rightmost_extensions(code, projected, db)
-    assert not any(equivalent_occurrence(projected, b) for b in kept.values())
-    assert dropped_extension_covers(code, projected, db, kept)
+    assert kept and not any(b.covers_parent() for b in kept.values())
+    assert equivalent_occurrence(code, projected, db, kept)
     events, mined = record_run(db, MiningConfig(min_support=1, mode="closed_no_etf"))
     assert code_key(code) not in key_set(mined)
     assert closure_decisions(db, events, mined) > 0
@@ -746,42 +772,49 @@ def reordered(bucket, order) -> Bucket:
 
 
 @pytest.mark.parametrize("mode", ["closed", "closed_no_etf"])
-def test_dropped_extension_covers_matches_rescans_on_fuzz(mode):
-    # At every node ``settle`` reaches, with the buckets it gets.
-    # Reference: the oracle's extensions at every vertex, keeping those
-    # whose covered parents number the pattern's hits and which are not
-    # among the kept buckets. ``off_path`` counts the True answers that
-    # only an extension the right-most scan cannot build settles. The
-    # answer is whether some candidate survives every hit, so the walk
-    # may read the hits in any order: the reversed bucket and a rotation,
-    # each with another hit first, give the same answer. ``other_graph``
-    # counts the nodes whose reversed bucket starts in another graph.
-    kinds, answers, off_path, other_graph = set(), set(), 0, 0
+def test_equivalent_occurrence_matches_the_definition_on_fuzz(mode):
+    # At every node ``settle`` reaches, the closure test's answer is the
+    # definition: some key of the oracle's extensions at every vertex,
+    # kept tuples included, covers as many parents as the pattern has
+    # hits. A kept bucket covers exactly when its key does. ``by_kept``
+    # counts the True answers a kept bucket gives, ``by_walk`` those only
+    # the walk gives. ``kinds`` and ``answers`` are read at the nodes with
+    # several hits and keys outside the kept ones, which the walk tests.
+    # ``off_path`` counts the True answers that only an extension the
+    # right-most scan cannot build settles. The walk may read the hits in
+    # any order: the reversed bucket and a rotation, each with another hit
+    # first, give the same answer. ``other_graph`` counts the nodes whose
+    # reversed bucket starts in another graph.
+    kinds, answers, off_path, other_graph, by_kept, by_walk = set(), set(), 0, 0, 0, 0
     for seed, db, config, events, _ in fuzz_runs(mode):
-        for code, (projected, kept) in calls(events, "settle"):
-            got = dropped_extension_covers(code, projected, db, kept)
+        for code, (projected, kept, got) in calls(events, "closure"):
             n = len(projected)
             for order in (range(n - 1, -1, -1), [*range(n // 2, n), *range(n // 2)]):
                 again = reordered(projected, order)
-                assert dropped_extension_covers(code, again, db, kept) == got, (seed, config, code)
+                assert equivalent_occurrence(code, again, db, kept) == got, (seed, config, code)
             other_graph += projected.gids[0] != projected.gids[-1]
             exts_all = all_extensions(code, db)
-            candidates = exts_all.keys() - {rm_as_key(t) for t in kept}
-            covering = {k for k in candidates if len(exts_all[k]) == len(projected)}
-            if candidates and len(projected) > 1:
+            covering = {k for k, parents in exts_all.items() if len(parents) == n}
+            kept_keys = {rm_as_key(t) for t in kept}
+            candidates = exts_all.keys() - kept_keys
+            if candidates and n > 1:
                 kinds |= {k.kind for k in candidates}
                 answers.add(got)
             rightmost = reference_rightmost_extensions(code, projected, db, restricted=False)
             for t, b in kept.items():
                 assert b.support() == support_of(rightmost[t])
                 assert_links_match(b, rightmost[t])
+                assert b.covers_parent() == (rm_as_key(t) in covering)
             rightmost = {rm_as_key(t) for t in rightmost}
             off_path += bool(covering) and not covering & rightmost
+            by_kept += bool(covering & kept_keys)
+            by_walk += bool(covering) and not covering & kept_keys
             assert got == bool(covering), (seed, config, code)
     assert kinds == {"f", "b"}
     assert answers == {True, False}
     assert off_path > 0
     assert other_graph > 0
+    assert by_kept > 0 and by_walk > 0
 
 
 def test_dropped_backward_tuple_settles_closure():
@@ -801,15 +834,16 @@ def test_dropped_backward_tuple_settles_closure():
     projected = project_code(code, db)
     assert len(projected) == 4
     assert list(reference_rightmost_extensions(code, projected, db, False)) == [(2, 0, 0, 0, 0)]
-    assert rightmost_extensions(code, projected, db) == {}
-    assert dropped_extension_covers(code, projected, db, {})
+    kept = rightmost_extensions(code, projected, db)
+    assert kept == {}
+    assert equivalent_occurrence(code, projected, db, kept)
     assert not is_closed(code, db)
     # Without one graph's closing edge no tuple extends every hit,
     # whichever graph holds hit 0.
     for closed in ((True, False), (False, True)):
         db = triangles(closed)
         projected = project_code(code, db)
-        assert not dropped_extension_covers(code, projected, db, {})
+        assert not equivalent_occurrence(code, projected, db, {})
         assert is_closed(code, db)
 
 
@@ -828,19 +862,19 @@ def test_walk_reads_the_last_chain_second(monkeypatch):
         )
 
     read = []
-    maps_of = embeddings.vertex_maps
+    maps_of = cgspan.vertex_maps
 
     def counting_maps(code, node, hits=None):
         for vmap in maps_of(code, node, hits):
             read.append(vmap)
             yield vmap
 
-    monkeypatch.setattr(embeddings, "vertex_maps", counting_maps)
+    monkeypatch.setattr(cgspan, "vertex_maps", counting_maps)
     code = DFSCode([(0, 1, 0, 0, 1)])
     for n, covers, maps_read in ((4, False, 2), (5, True, 5)):
         db = leaves(n)
         projected = project_code(code, db)
         assert projected.gids == [0, 1, 2, 3, 4]
         read.clear()
-        assert dropped_extension_covers(code, projected, db, {}) == covers
+        assert equivalent_occurrence(code, projected, db, {}) == covers
         assert len(read) == maps_read

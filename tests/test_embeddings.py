@@ -7,7 +7,6 @@ from graphmine.dfscode import DFSCode, child_sort_key, code_to_graph, is_min
 from graphmine.embeddings import (
     Bucket,
     containing_graphs,
-    equivalent_occurrence,
     frequent_single_edges,
     project_code,
     rightmost_extensions,
@@ -274,7 +273,7 @@ def assert_restriction_drops_only_non_minimal(db, max_edges=None):
     """The scan is gSpan's search unchanged only if each right-most tuple it
     drops fails is_min and each bucket it keeps holds the same embeddings as
     the reference's unrestricted one. (The closure check still reads the
-    dropped tuples, through ``dropped_extension_covers``.) With
+    dropped tuples, through ``cgspan.equivalent_occurrence``'s walk.) With
     ``max_edges`` only the patterns of at most that many edges are checked."""
     for p in mine_frequent(db, MiningConfig(min_support=1)):
         if max_edges is not None and len(p.code) > max_edges:
@@ -313,7 +312,7 @@ def check_infrequent_buckets_not_equivalent(db) -> int:
             for hits in exts.values():
                 if support_of(hits) < sup:
                     infrequent += 1
-                    assert not equivalent_occurrence(projected, as_bucket(projected, hits))
+                    assert not as_bucket(projected, hits).covers_parent()
     return infrequent
 
 
@@ -339,11 +338,11 @@ def test_equivalent_occurrence_true_and_false(sample_db):
         assert_links_match(scanned[t], exts[t])
         assert_links_match(as_bucket(proj, exts[t]), exts[t])
     # Every W-a-X occurrence extends by W-f-Z (three of three).
-    assert equivalent_occurrence(proj, scanned[(0, 2, W, EF, Z)])
-    assert equivalent_occurrence(proj, as_bucket(proj, exts[(0, 2, W, EF, Z)]))
+    assert scanned[(0, 2, W, EF, Z)].covers_parent()
+    assert as_bucket(proj, exts[(0, 2, W, EF, Z)]).covers_parent()
     # Only two of three extend by X-b-Y.
-    assert not equivalent_occurrence(proj, scanned[(1, 2, X, EB, Y)])
-    assert not equivalent_occurrence(proj, as_bucket(proj, exts[(1, 2, X, EB, Y)]))
+    assert not scanned[(1, 2, X, EB, Y)].covers_parent()
+    assert not as_bucket(proj, exts[(1, 2, X, EB, Y)]).covers_parent()
 
 
 def test_equivalent_occurrence_rejects_a_partial_bucket_by_length(sample_db):
@@ -351,9 +350,7 @@ def test_equivalent_occurrence_rejects_a_partial_bucket_by_length(sample_db):
     proj = project_code(root, sample_db)
     partial = rightmost_extensions(root, proj, sample_db)[(1, 2, X, EB, Y)]
     assert len(partial) < len(proj)
-    assert not equivalent_occurrence(proj, partial)
-    # Fewer hits than the parent settle it before any parent index is read.
-    assert not equivalent_occurrence(proj, [object()] * (len(proj) - 1))
+    assert not partial.covers_parent()
 
 
 def test_hooks_emit_and_scan_get_the_node_bucket(sample_db, monkeypatch):
