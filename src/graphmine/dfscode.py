@@ -9,7 +9,7 @@ tuple order below (``child_sort_key``) is the graph's canonical form.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Generator, NamedTuple, Sequence
 
 from .graphs import LabeledGraph
 
@@ -90,7 +90,7 @@ def code_to_graph(code: Sequence[Sequence[int]]) -> LabeledGraph:
     return g
 
 
-def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
+def _min_code_stream(g: LabeledGraph) -> Generator[tuple, None, list]:
     """Yield the tuples of g's minimum DFS code one position at a time.
 
     Greedy construction: every prefix yielded so far is the minimum code of
@@ -110,11 +110,21 @@ def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
     only filter the maps; a forward step extends only the maps that carry
     the winning label pair.
 
-    Groups are tried in tuple order and the first non-empty one wins:
-    backward edges by target from the root side, then forward edges from
-    the right-most vertex (no growth filter) and from each right-most path
-    vertex toward the root (growth filter against the path edge leaving
-    it), all in one loop. This does not reuse
+    The generator returns the maps left after the last tuple. A step drops
+    only maps that cannot carry its tuple, so they are every embedding of
+    the minimum code in g. The code has one tuple per edge of g, so each
+    is a bijection that keeps edges and labels: when g is a code's own
+    graph (``code_to_graph``), whose vertex ids are dfs ids, they are
+    exactly g's automorphisms, identity included, which ``is_min`` returns
+    for the search's symmetric-source skip.
+
+    Each step keeps a running minimum over the maps, with the maps that
+    carry it, so no list of hits is built and searched. Groups are tried
+    in tuple order and the first non-empty one wins: backward edges by
+    target from the root side, then forward edges from the right-most
+    vertex (no growth filter) and from each right-most path vertex toward
+    the root (growth filter against the path edge leaving it), all in one
+    loop. This does not reuse
     ``embeddings.rightmost_extensions``: that scan builds every extension
     bucket, and routing ``is_min`` through it made it about 2.5x slower
     on the calls a ``dense`` benchmark run makes.
@@ -148,20 +158,25 @@ def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
             if tgt in joined:
                 continue
             alloweq = e1tolbl <= rmlbl
-            hits = []
+            elb = None
+            kept = []
             for vmap in vmaps:
                 w = vmap[tgt]
                 for e in adj[vmap[maxtoc]]:
                     if e[1] == w:
-                        if e[3] > e1lbl or (e[3] == e1lbl and alloweq):
-                            hits.append((e[3], vmap))
+                        lb = e[3]
+                        if lb > e1lbl or (lb == e1lbl and alloweq):
+                            if elb is None or lb < elb:
+                                elb = lb
+                                kept = [vmap]
+                            elif lb == elb:
+                                kept.append(vmap)
                         break
-            if hits:
-                elb = min(hits)[0]
+            if kept:
                 t = (maxtoc, tgt, rmlbl, elb, tgtlbl)
                 yield t
                 code.append(t)
-                vmaps = [vmap for lb, vmap in hits if lb == elb]
+                vmaps = kept
                 joined.add(tgt)
                 break
         else:
@@ -171,21 +186,29 @@ def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
             sources = [(maxtoc, rmlbl, None)]
             sources += [(code[p][0], code[p][2], code[p][3:]) for p in reversed(positions)]
             for k, (frm, frmlbl, floor) in enumerate(sources):
-                hits = []
+                best = None
+                kept = []
                 for vmap in vmaps:
                     for e in adj[vmap[frm]]:
                         to = e[1]
                         if to in vmap:
                             continue
                         nlbl = vl[to]
-                        if nlbl >= min_vlb and (floor is None or (e[3], nlbl) >= floor):
-                            hits.append((e[3], nlbl, vmap, to))
-                if hits:
-                    elb, nlbl = min(hits)[:2]
-                    t = (frm, maxtoc + 1, frmlbl, elb, nlbl)
+                        if nlbl < min_vlb:
+                            continue
+                        pair = (e[3], nlbl)
+                        if floor is not None and pair < floor:
+                            continue
+                        if best is None or pair < best:
+                            best = pair
+                            kept = [vmap + (to,)]
+                        elif pair == best:
+                            kept.append(vmap + (to,))
+                if kept:
+                    t = (frm, maxtoc + 1, frmlbl) + best
                     yield t
                     code.append(t)
-                    vmaps = [vmap + (to,) for lb, nl, vmap, to in hits if lb == elb and nl == nlbl]
+                    vmaps = kept
                     positions = positions[: len(positions) - k] + [len(code) - 1]
                     maxtoc += 1
                     joined = set()
@@ -195,6 +218,7 @@ def _min_code_stream(g: LabeledGraph) -> Iterator[tuple]:
     if maxtoc + 1 < len(vl):
         # Every edge is placed, yet a vertex has no dfs id: it is isolated.
         raise ValueError("graph is not connected; no DFS code covers it")
+    return vmaps
 
 
 def min_dfs_code(g: LabeledGraph) -> DFSCode:
@@ -208,16 +232,30 @@ def min_dfs_code(g: LabeledGraph) -> DFSCode:
     return DFSCode(_min_code_stream(g))
 
 
-def is_min(code: Sequence[Sequence[int]]) -> bool:
-    """True iff the code equals the minimum DFS code of its own graph.
+def is_min(code: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of the code's pattern when the code is its own
+    minimum DFS code, else ``()``.
 
     Decided lazily from the minimum-code stream: the first position where
     the two differ settles it, so a code that is not minimal fails fast.
     The graph has one edge per tuple, so the stream is as long as the code.
+    A minimal code's answer is the stream's vertex maps after its last
+    tuple: the pattern's graph numbers its vertices by dfs id, so each map
+    is an automorphism, ``sigma[v]`` the image of dfs id v, and every
+    automorphism is one of them (see ``_min_code_stream``). The identity
+    is always among them, so the answer is truthy exactly when the code is
+    minimal. The search keeps them to skip the right-most-path sources
+    that one maps onto a deeper path vertex: every forward tuple from such
+    a source has a mirror that sorts first (``gspan.dominated_sources``
+    gives the proof).
     """
     if not code:
         raise ValueError("empty code")
-    for ck, t in zip(map(tuple, code), _min_code_stream(code_to_graph(code))):
-        if ck != t:
-            return False
-    return True
+    stream = _min_code_stream(code_to_graph(code))
+    try:
+        for ck in code:
+            if tuple(ck) != next(stream):
+                return ()
+        next(stream)  # past the last tuple: the stream returns its maps
+    except StopIteration as done:
+        return tuple(done.value)

@@ -173,7 +173,7 @@ def rightmost_extensions(
 ) -> dict[tuple, Bucket]:
     """Right-most extension tuples that may head a minimal code, each with
     the Bucket of all its hits, except tuples from the sources skipped
-    below, which are never frequent.
+    below, which are never frequent or never minimal.
 
     ``projected`` is the node's visited bucket. A hit appends the index of
     the node's hit it extends and its half-edge to the child bucket's two
@@ -219,9 +219,18 @@ def rightmost_extensions(
       right-most vertex is always read: it may be the vertex the parent's
       tuple introduced.
 
+    The search also leaves out of ``sources`` the path vertices that an
+    automorphism of the pattern maps onto a deeper right-most-path vertex
+    (``gspan.dominated_sources``). Their tuples can be frequent, but none
+    heads a minimal code: each has a mirror from the deeper vertex, with
+    the same support, that gives the same graph a smaller code. The search
+    adds those vertices back to the set the children inherit, so the rule
+    above holds there.
+
     The growth filters read only the tuple, never the embedding, and a
-    skipped source yields no hit at all or only tuples below the support
-    threshold, so each kept bucket still holds every hit of its tuple
+    skipped source yields no hit at all, only tuples below the support
+    threshold or only tuples of codes that are not minimal, so each kept
+    bucket still holds every hit of its tuple
     (``cgspan.equivalent_occurrence`` counts on it for the frequent ones).
     """
     graphs = db.graphs

@@ -7,6 +7,11 @@ canonical form, in pre-order. Both miners run it with two hooks at every
 node, before its children are pushed: frequent mining's never cut and emit
 every node, closed mining's emit the closed patterns, and in mode
 ``closed_no_etf`` cut by early termination.
+
+The minimality test, ``is_min``, also yields the pattern's automorphisms,
+and the search uses them to scan less: a right-most-path vertex that an
+automorphism maps onto a deeper one heads no minimal forward tuple
+(``dominated_sources`` gives the proof), so the scan does not read it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dfscode import DFSCode, EdgeTuple, child_sort_key, is_min
+from .dfscode import DFSCode, EdgeTuple, child_sort_key, is_min, rightmost_path
 from .embeddings import Bucket, containing_graphs, frequent_single_edges, rightmost_extensions
 from .graphs import GraphDatabase
 
@@ -102,6 +107,25 @@ class MiningStats:
         return dict(self.__dict__)
 
 
+def dominated_sources(code: list, automorphisms) -> set[int]:
+    """The right-most-path vertices, the right-most vertex aside, that some
+    automorphism of the pattern maps onto a deeper right-most-path vertex.
+
+    No forward tuple from such a vertex v heads a minimal code. Let sigma
+    map v onto w, deeper on the path, and t = (v, n, l_v, e, l) extend the
+    code P. Its mirror t' = (w, n, l_v, e, l) is a right-most extension of
+    P too, and sigma, with n fixed, carries P + t onto P + t', so the two
+    codes describe one graph. They share P, and t' sorts first, its source
+    being deeper, so P + t is not that graph's minimum code. Each
+    automorphism is a tuple indexed by dfs id, as ``is_min`` returns them.
+    """
+    positions = rightmost_path(code)
+    path = [code[p][0] for p in positions]
+    on_path = set(path)
+    on_path.add(code[positions[-1]][1])
+    return {v for sigma in automorphisms for v in path if sigma[v] > v and sigma[v] in on_path}
+
+
 def search(
     db: GraphDatabase,
     config: MiningConfig,
@@ -145,7 +169,20 @@ def search(
     tuples, one set shared by all siblings. Its scan reads forward edges
     only from those path vertices and from its right-most vertex; the
     sources it skips yield only infrequent tuples (``rightmost_extensions``
-    says why), so ``exts`` is the same as with every source read.
+    says why).
+
+    Each child is also pushed with its automorphisms, the answer of its
+    ``is_min`` call, or ``()`` when the identity is its only one; a 1-edge
+    root with equal end labels has the swap. Before the scan, the sources
+    ``dominated_sources`` names are taken out of the set the scan reads:
+    some automorphism maps each onto a deeper right-most-path vertex, so
+    each of their forward tuples has a mirror at that vertex that sorts
+    first and fails ``is_min``. ``exts`` thus lacks only tuples that would
+    not be pushed, and the closure check loses nothing: a one-edge
+    extension missing from ``exts`` is one its walk reads. The skipped
+    sources are added back to the set the children inherit, since the
+    node has no tuple from them to say they are infrequent, and a larger
+    set only reads more.
     """
     min_freq = config.min_frequency(len(db.graphs))
     out: list[MinedPattern] = []
@@ -166,28 +203,32 @@ def search(
         return pattern
 
     # A node pushes its minimal children in reverse so they pop in ascending
-    # order, each with the sources of its parent's frequent forward tuples;
-    # a root has no parent and reads every source.
+    # order, each with the sources it inherits and its automorphisms, or ()
+    # when the identity is its only one. A root's one path source is vertex
+    # 0, and equal end labels give it the swap.
     stack: list[tuple] = [
-        (list(c), b, None) for c, b in reversed(frequent_single_edges(db, min_freq))
+        (list(c), b, {0}, ((0, 1), (1, 0)) if c[0][2] == c[0][4] else ())
+        for c, b in reversed(frequent_single_edges(db, min_freq))
     ]
     while stack:
-        code, projected, sources = stack.pop()
+        code, projected, sources, autos = stack.pop()
         projected.visit()
         stats.visited_nodes += 1
         if enter(code, projected):
             continue
+        skipped = dominated_sources(code, autos) if autos else set()
         exts = {
             t: bucket
-            for t, bucket in rightmost_extensions(code, projected, db, sources).items()
+            for t, bucket in rightmost_extensions(code, projected, db, sources - skipped).items()
             if bucket.support() >= min_freq
         }
         settle(code, projected, exts, emit)
-        sources = {t[0] for t in exts if t[0] < t[1]}
+        sources = {t[0] for t in exts if t[0] < t[1]} | skipped
         for t in sorted(exts, key=child_sort_key, reverse=True):
             child = code + [EdgeTuple._make(t)]
-            if is_min(child):
-                stack.append((child, exts[t], sources))
+            minimal = is_min(child)
+            if minimal:
+                stack.append((child, exts[t], sources, minimal if len(minimal) > 1 else ()))
         # Free the buckets no child took before the next visit's scan.
         del exts
     return out

@@ -116,7 +116,8 @@ def recording():
       ``rightmost_extensions``, infrequent buckets included;
     - ``settle``: ``(projected, exts)``, a copy of the frequent buckets the
       hook gets;
-    - ``is_min``: the answer for a child's code;
+    - ``is_min``: whether a child's code is minimal, the answer's truth
+      value (a minimal code's answer is its automorphisms);
     - ``closure``: ``(projected, exts, answer)``, the node's bucket, a
       copy of the frequent buckets and what ``equivalent_occurrence``
       answers (True: the pattern is not closed);
@@ -159,7 +160,7 @@ def recording():
 
     def is_min(code):
         passed = real_is_min(code)
-        events.append(("is_min", code_key(code), passed))
+        events.append(("is_min", code_key(code), bool(passed)))
         return passed
 
     def closure(code, projected, db, exts):

@@ -263,7 +263,7 @@ def test_canonical_form_oracle_exhaustive():
         distinct = 0
         for expected, codes in classes.items():
             for c in codes:
-                assert is_min(DFSCode(c)) == (c == expected)
+                assert bool(is_min(DFSCode(c))) == (c == expected)
                 distinct += 1
         assert (graphs, len(classes), distinct) == (70056, 1031, 9736)
 

@@ -10,7 +10,7 @@ from graphmine.dfscode import (
     min_dfs_code,
     rightmost_path,
 )
-from graphmine.graphs import LabeledGraph
+from graphmine.graphs import LabeledGraph, subgraph_isomorphisms
 
 from conftest import (
     CG1,
@@ -95,6 +95,27 @@ def test_non_minimal_code_detected():
     other = DFSCode([(0, 1, 0, 0, 1), (1, 2, 1, 3, 4), (2, 0, 4, 4, 0), (1, 3, 1, 1, 2)])
     assert graph_of(other).edge_count == 4
     assert not is_min(other)
+
+
+def test_is_min_returns_the_automorphisms():
+    # A minimal code's answer is every automorphism of its graph, as a
+    # tuple of dfs ids indexed by dfs id, the identity among them; the
+    # subgraph matcher, run from the graph onto itself, finds the same maps.
+    cases = [
+        ([(0, 1, 0, 0, 0), (1, 2, 0, 0, 0)], 2),  # a 2-edge path
+        ([(0, 1, 0, 0, 0), (1, 2, 0, 0, 0), (2, 0, 0, 0, 0)], 6),  # a triangle
+        ([(0, 1, 0, 0, 0), (1, 2, 0, 0, 0), (1, 3, 0, 0, 0)], 6),  # a 3-star
+        ([(0, 1, 0, 0, 1)], 1),  # one edge, two end labels
+    ]
+    for code, count in cases:
+        autos = is_min(code)
+        assert len(autos) == count
+        assert tuple(range(len(autos[0]))) in autos
+        g = code_to_graph(code)
+        assert sorted(autos) == sorted(subgraph_isomorphisms(g, g))
+    # Not minimal: the 3-star written from a leaf, and the swapped edge.
+    assert is_min([(0, 1, 0, 0, 0), (0, 2, 0, 0, 0), (0, 3, 0, 0, 0)]) == ()
+    assert is_min([(0, 1, 1, 0, 0)]) == ()
 
 
 def test_canonical_form_matches_brute_force():

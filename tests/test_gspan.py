@@ -7,12 +7,21 @@ import pytest
 
 from graphmine import embeddings, gspan
 from graphmine.cgspan import mine_closed
-from graphmine.dfscode import code_to_graph, min_dfs_code
+from graphmine.dfscode import code_to_graph, is_min, min_dfs_code, rightmost_path
 from graphmine.graphs import GraphDatabase, LabeledGraph
 from graphmine.gspan import MODES, MiningConfig, MiningStats, mine_frequent
 from graphmine.oracle import verify_run
 
-from conftest import brute_frequent_codes, calls, code_key, key_set, mine, random_database, record_run
+from conftest import (
+    brute_frequent_codes,
+    calls,
+    code_key,
+    fuzz_database,
+    key_set,
+    mine,
+    random_database,
+    record_run,
+)
 
 
 def test_frequent_set_matches_brute_force(sample_db):
@@ -189,7 +198,10 @@ def test_unpushed_buckets_are_freed_before_the_next_visit(sample_db, monkeypatch
 def test_is_min_runs_when_a_child_is_pushed(mode):
     # A node's children are tested right after its scan, before any other
     # node is visited, in push order (descending), once each; exactly the
-    # minimal ones are visited and the 1-edge roots are never tested.
+    # minimal ones are visited and the 1-edge roots are never tested. The
+    # tested children are the frequent tuples of the sources that no
+    # automorphism maps deeper on the right-most path: the scan reads none
+    # of those.
     for seed in range(20):
         db = random_database(random.Random(seed))
         stats = MiningStats()
@@ -200,7 +212,10 @@ def test_is_min_runs_when_a_child_is_pushed(mode):
         for i, (kind, code, payload) in enumerate(events):
             if kind != "scan":
                 continue
+            skipped = gspan.dominated_sources(list(code), is_min(list(code)))
+            assert not payload[1] & skipped, code
             kept = [t for t, b in payload[2].items() if b.support() >= 2]
+            assert not any(t[0] in skipped for t in kept), code
             want = [code + (t,) for t in sorted(kept, key=gspan.child_sort_key, reverse=True)]
             tested = events[i + 1 : i + 1 + len(want)]
             assert [e[:2] for e in tested] == [("is_min", c) for c in want], (seed, code)
@@ -212,6 +227,28 @@ def test_is_min_runs_when_a_child_is_pushed(mode):
         assert sorted(visited) == sorted(code for code, minimal in tested if minimal)
         if mode == "frequent":
             assert stats.visited_nodes == len(mined) == roots + passed
+
+
+def test_scans_skip_dominated_sources_on_one_label_fuzz():
+    # On one-label databases automorphisms abound: some scan leaves out a
+    # path source that an automorphism maps deeper on the right-most path,
+    # and the frequent output still equals brute force.
+    skips = runs = 0
+    for seed in range(60):
+        db = fuzz_database(seed)
+        if len({lbl for g in db.graphs for lbl in g.vlabels}) != 1:
+            continue
+        for sup in (1, 2):
+            runs += 1
+            events, mined = record_run(db, MiningConfig(min_support=sup))
+            assert key_set(mined) == brute_frequent_codes(db, sup), (seed, sup)
+            for code, (_, sources, _) in calls(events, "scan"):
+                code = list(code)
+                path = {code[pos][0] for pos in rightmost_path(code)}
+                skipped = gspan.dominated_sources(code, is_min(code))
+                assert skipped <= path and not sources & skipped
+                skips += bool(skipped)
+    assert runs > 0 and skips > 0
 
 
 @pytest.mark.parametrize("mode", MODES)
